@@ -8,15 +8,14 @@
 //! (`HC_THREADS`-pinned in CI). Records land in `$BENCH_JSON` alongside the
 //! inference benches, so `bench_diff` gates serving throughput too.
 //!
-//! The `*_scale` groups and `range_serving_sharded` extend the grid to 2^20
-//! and 2^26 leaves (synthetic values — the serving arithmetic is identical,
-//! only cache residency changes), where the headline comparison is the
-//! persistent `ShardPool` against the per-call scoped-thread split at the
-//! same thread count: the pool amortizes the spawn/join cycle away.
+//! The `*_scale` groups extend the grid to 2^20 and 2^26 leaves (synthetic
+//! values — the serving arithmetic is identical, only cache residency
+//! changes), including the scoped-thread split that is the one
+//! batch-parallel read path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hc_core::{
-    AccuracyTarget, BatchInference, ConsistentSnapshot, HierarchicalUniversal, Rounding, ShardPool,
+    AccuracyTarget, BatchInference, ConsistentSnapshot, HierarchicalUniversal, Rounding,
     StrategyPlanner, SubtreeServer,
 };
 use hc_data::{Domain, Histogram, Interval, RangeWorkload};
@@ -98,9 +97,7 @@ fn bench_snapshot(c: &mut Criterion) {
 }
 
 /// The decomposition fold (H̃-style serving): O(log n) per query, the
-/// comparison point that shows what the snapshot buys. The `len_blocked`
-/// rows are the opt-in lane-blocked fold over the same queries (bit-identical
-/// here — the serving tree is binary — so the delta is pure kernel cost).
+/// comparison point that shows what the snapshot buys.
 fn bench_subtree_fold(c: &mut Criterion) {
     let (shape, noisy, _) = served_release();
     let server = SubtreeServer::new(&shape);
@@ -115,21 +112,6 @@ fn bench_subtree_fold(c: &mut Criterion) {
                 black_box(out[0])
             });
         });
-        group.bench_with_input(
-            BenchmarkId::new("len_blocked", len),
-            &queries,
-            |b, queries| {
-                b.iter(|| {
-                    server.answer_blocked_into(
-                        &noisy,
-                        Rounding::None,
-                        black_box(queries),
-                        &mut out,
-                    );
-                    black_box(out[0])
-                });
-            },
-        );
     }
     group.finish();
 }
@@ -221,14 +203,13 @@ fn bench_subtree_fold_scale(c: &mut Criterion) {
     group.finish();
 }
 
-/// Batch sizes for the threaded-serving comparison: 2^12 is
-/// dispatch-bound (the per-call spawn or hand-off cost is a visible
-/// fraction of the batch), 2^14 is bandwidth-bound (the prefix loads
-/// dominate and any dispatch scheme converges).
+/// Batch sizes for the threaded-serving grid: 2^12 is dispatch-bound (the
+/// per-call spawn cost is a visible fraction of the batch), 2^14 is
+/// bandwidth-bound (the prefix loads dominate).
 const THREADED_BATCHES: [usize; 2] = [1 << 12, 1 << 14];
 
-/// The per-call scoped-thread split at scale — the baseline the persistent
-/// pool is measured against. Every iteration pays the spawn/join cycle.
+/// The per-call scoped-thread split at scale. Every iteration pays the
+/// spawn/join cycle.
 fn bench_snapshot_parallel_scale(c: &mut Criterion) {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -267,44 +248,6 @@ fn bench_snapshot_parallel_scale(c: &mut Criterion) {
     group.finish();
 }
 
-/// The persistent `ShardPool` over the same batches: no per-call spawn,
-/// per-worker snapshot clones, recycled hand-off buffers. Compare each
-/// `d*/queries` point against `range_serving_parallel_scale` — the
-/// difference is the spawn/join cycle the pool amortizes away, most
-/// visible on the dispatch-bound 2^12 batch; answers are bit-identical
-/// either way.
-fn bench_snapshot_sharded(c: &mut Criterion) {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut group = c.benchmark_group("range_serving_sharded");
-    for &lg in &[16usize, 20, 26] {
-        let domain = 1usize << lg;
-        let snapshot = {
-            let leaves = synthetic_leaves(domain);
-            ConsistentSnapshot::from_leaves(&leaves, domain)
-        };
-        let mut pool = ShardPool::with_floor(&snapshot, threads, 0);
-        for &batch in &THREADED_BATCHES {
-            let queries = query_batch_over(domain, 1 << 10, batch);
-            let mut out = Vec::new();
-            pool.answer_into(&queries, &mut out);
-            group.throughput(Throughput::Elements(batch as u64));
-            group.bench_with_input(
-                BenchmarkId::new(format!("d{lg}/queries"), batch),
-                &queries,
-                |b, queries| {
-                    b.iter(|| {
-                        pool.answer_into(black_box(queries), &mut out);
-                        black_box(out[0])
-                    });
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
 /// Rebuild cost at scale: the write-side story of the 2^26 grid — one
 /// pass of prefix accumulation over a DRAM-resident leaf vector.
 fn bench_snapshot_rebuild_scale(c: &mut Criterion) {
@@ -320,16 +263,6 @@ fn bench_snapshot_rebuild_scale(c: &mut Criterion) {
             |b, leaves| {
                 b.iter(|| {
                     snapshot.rebuild_from_leaves(black_box(leaves), domain);
-                    black_box(snapshot.total())
-                });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new(format!("d{lg}/leaves_blocked"), domain),
-            &leaves,
-            |b, leaves| {
-                b.iter(|| {
-                    snapshot.rebuild_from_leaves_blocked(black_box(leaves), domain);
                     black_box(snapshot.total())
                 });
             },
@@ -351,18 +284,6 @@ fn bench_snapshot_rebuild(c: &mut Criterion) {
         |b, hbar| {
             b.iter(|| {
                 snapshot.rebuild_from_tree_values(&shape, black_box(hbar), DOMAIN);
-                black_box(snapshot.total())
-            });
-        },
-    );
-    // The opt-in blocked rebuild (Hillis–Steele in-block scan + carry):
-    // same leaf extraction, reassociated accumulation, own golden pins.
-    group.bench_with_input(
-        BenchmarkId::new("rebuild_blocked", shape.leaves()),
-        &hbar,
-        |b, hbar| {
-            b.iter(|| {
-                snapshot.rebuild_from_tree_values_blocked(&shape, black_box(hbar), DOMAIN);
                 black_box(snapshot.total())
             });
         },
@@ -401,7 +322,6 @@ criterion_group!(
     bench_snapshot_scale,
     bench_subtree_fold_scale,
     bench_snapshot_parallel_scale,
-    bench_snapshot_sharded,
     bench_snapshot_rebuild_scale,
     bench_planner
 );

@@ -19,8 +19,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use hc_core::{effective_threads, ShardPool};
-use hc_data::Interval;
+use hc_core::effective_threads;
 use hc_noise::SeedStream;
 use hc_serve::{HistogramService, RangeQuery, TenantConfig, TenantId};
 use rand::Rng;
@@ -251,12 +250,9 @@ fn run_timing(args: &Args) {
     // tail is owned by the scheduler (threads > cores), so gating it at
     // ±10% would make the job flaky without measuring the service. What is
     // gated is the closed-loop per-query service time — the part a serving
-    // regression actually moves — serial and through the sharded pool.
+    // regression actually moves.
     println!("  closed-loop {closed_ns:>12.1} ns/query");
     emit_json("serve_load/closed_ns", closed_ns);
-    let sharded_ns = sharded_closed_loop_ns(args, &queries, domain_size);
-    println!("  sharded     {sharded_ns:>12.1} ns/query");
-    emit_json("serve_load/sharded_ns", sharded_ns);
 }
 
 /// Closed-loop per-query service time: batches through `answer_into`, min
@@ -291,50 +287,6 @@ fn closed_loop_ns(args: &Args, queries: &[RangeQuery], domain_size: usize) -> f6
             iters += 1;
         }
         let per_query = t0.elapsed().as_nanos() as f64 / (iters * queries.len() as u64) as f64;
-        best = best.min(per_query);
-    }
-    best
-}
-
-/// Non-empty intervals of the query stream, for the pool path (the pool
-/// serves the core `Interval` type; empties are the service layer's job).
-fn interval_batch(queries: &[RangeQuery]) -> Vec<Interval> {
-    queries.iter().filter_map(|q| q.to_interval()).collect()
-}
-
-/// Closed-loop per-query service time through the persistent `ShardPool`:
-/// the same min-of-windows envelope as [`closed_loop_ns`], but batches are
-/// split across `effective_threads(4)` pool workers answering from
-/// per-worker snapshot clones. Floor 0 keeps the hand-off path under
-/// measurement even for the quick stream.
-fn sharded_closed_loop_ns(args: &Args, queries: &[RangeQuery], domain_size: usize) -> f64 {
-    let mut service = HistogramService::new();
-    let id = service
-        .register(tenant_config("sharded", domain_size, args.seed))
-        .expect("tenant registration");
-    service
-        .ingest(id, &epoch_deltas(domain_size, 0, args.seed))
-        .expect("seed ingest");
-    service.publish(id).expect("seed publish");
-    let pinned = service.snapshot(id).expect("pinned snapshot");
-    let mut pool = ShardPool::with_floor(pinned.snapshot(), 4, 0);
-    let intervals = interval_batch(queries);
-    let mut out = Vec::with_capacity(intervals.len());
-    let warm = Instant::now(); // hc-lint: allow(determinism) — warm-up clock
-    while warm.elapsed() < Duration::from_millis(25) {
-        pool.answer_into(&intervals, &mut out);
-    }
-    let windows = if args.quick { 40 } else { 80 };
-    let window_len = Duration::from_millis(5);
-    let mut best = f64::INFINITY;
-    for _ in 0..windows {
-        let t0 = Instant::now(); // hc-lint: allow(determinism) — closed-loop window clock
-        let mut iters = 0u64;
-        while t0.elapsed() < window_len {
-            pool.answer_into(&intervals, &mut out);
-            iters += 1;
-        }
-        let per_query = t0.elapsed().as_nanos() as f64 / (iters * intervals.len() as u64) as f64;
         best = best.min(per_query);
     }
     best
@@ -389,23 +341,6 @@ fn run_verify(args: &Args) {
         args,
     );
 
-    // The sharded pool over the final published snapshot: whatever width
-    // HC_THREADS resolved, the stitched batch must equal the serial kernel
-    // bit for bit. (The printed line below must stay HC_THREADS-invariant,
-    // so the resolved worker count is asserted, never printed.)
-    let pinned = service.snapshot(id).expect("pinned snapshot");
-    let intervals = interval_batch(&queries);
-    let mut serial = Vec::new();
-    pinned.snapshot().answer_into(&intervals, &mut serial);
-    let mut pool = ShardPool::with_floor(pinned.snapshot(), 4, 0);
-    let mut pooled = Vec::new();
-    pool.answer_into(&intervals, &mut pooled);
-    assert_eq!(
-        pooled.iter().map(|v| v.to_bits()).collect::<Vec<u64>>(),
-        serial.iter().map(|v| v.to_bits()).collect::<Vec<u64>>(),
-        "sharded pool diverged from serial serving"
-    );
-
     // Everything printed below is a pure function of the seed — the
     // subprocess test diffs this byte-for-byte across HC_THREADS values.
     println!("serve_load --verify: domain {domain_size}, {publishes} publishes, 32-query batches");
@@ -425,7 +360,6 @@ fn run_verify(args: &Args) {
         service.remaining_budget(id).expect("budget")
     );
     println!("verify: every concurrent batch matched a published epoch bit-for-bit");
-    println!("verify: sharded pool batch matched serial serving bit-for-bit");
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -55,7 +55,6 @@ pub mod engine;
 pub mod error;
 pub mod hier;
 pub mod isotonic;
-pub mod shard;
 pub mod snapshot;
 pub mod theory;
 pub mod unattributed;
@@ -72,10 +71,9 @@ pub use engine::{effective_threads, BatchInference, LevelTree};
 pub use error::{mean_absolute_error, per_position_squared_error, sum_squared_error};
 pub use hier::{enforce_nonnegativity, hierarchical_inference, ConsistentTree};
 pub use isotonic::{isotonic_regression, isotonic_regression_weighted, minmax_reference};
-pub use shard::ShardPool;
 pub use snapshot::{
     union_bound_interval, ConsistentSnapshot, PlanInput, ReleaseStrategy, SizePrediction,
-    StrategyPlan, StrategyPlanner, SubtreeServer, PARALLEL_SERIAL_FLOOR, SHARD_SERIAL_FLOOR,
+    StrategyPlan, StrategyPlanner, SubtreeServer, PARALLEL_SERIAL_FLOOR,
 };
 pub use unattributed::{SortedRelease, UnattributedHistogram};
 pub use universal::{

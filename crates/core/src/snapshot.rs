@@ -55,15 +55,10 @@ const EXACT_F64_INT: u64 = 1 << 53;
 /// cycle costs tens of microseconds — the threaded split only amortizes past
 /// a few thousand queries even on DRAM-resident domains, so the floor sits
 /// at the batch size where the split first measured faster than serial.
+/// `answer_parallel` is the workspace's one batch-parallel read path: there
+/// is no persistent pool behind it, and it reads the snapshot's single
+/// prefix buffer in place.
 pub const PARALLEL_SERIAL_FLOOR: usize = 4096;
-
-/// Query-count floor below which [`crate::shard::ShardPool`] answers
-/// serially from shard 0 instead of waking its workers. The persistent
-/// pool's hand-off (one condvar wake + one reply wait per worker) is two
-/// orders of magnitude cheaper than a scope spawn, so its floor is
-/// correspondingly lower: past a few hundred queries the wake cost is noise
-/// against the batch's serve time on the large domains the pool targets.
-pub const SHARD_SERIAL_FLOOR: usize = 512;
 
 /// Batched prefix-difference kernel shared by [`ConsistentSnapshot`] and
 /// `FlatRelease::answer_into`: 4-way unrolled over the query batch (each
@@ -117,7 +112,7 @@ pub(crate) fn answer_prefix_into(
 /// over the leaves with zero allocations after warm-up), which is how the
 /// experiment scoring loops use them: one snapshot per trial, thousands of
 /// queries served from it.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConsistentSnapshot {
     /// `prefix[i]` = sum of the first `i` leaf values (padding included).
     prefix: Vec<f64>,
@@ -125,27 +120,6 @@ pub struct ConsistentSnapshot {
     /// The per-answer Laplace scale `b` of the release behind this view,
     /// when known — enables [`Self::confidence`].
     noise_scale: Option<f64>,
-}
-
-/// Hand-written so `clone_from` reuses the destination's prefix buffer (the
-/// derive would fall back to `*self = source.clone()`, allocating a fresh
-/// vector per call) — [`crate::shard::ShardPool::publish`] republishes into
-/// warm per-shard clones on this path, keeping steady-state publishes
-/// allocation-free once every shard has reached its high-water mark.
-impl Clone for ConsistentSnapshot {
-    fn clone(&self) -> Self {
-        Self {
-            prefix: self.prefix.clone(),
-            domain_size: self.domain_size,
-            noise_scale: self.noise_scale,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.prefix.clone_from(&source.prefix);
-        self.domain_size = source.domain_size;
-        self.noise_scale = source.noise_scale;
-    }
 }
 
 impl ConsistentSnapshot {
@@ -257,8 +231,6 @@ impl ConsistentSnapshot {
     /// `resize`d once and written by index (steady-state rebuilds touch no
     /// capacity check and no memset), and the writes are blocked four at a
     /// time so the stores batch while the adds stay in exact serial order.
-    /// For an order-*changing* blocked scan (vectorizable carry-per-block
-    /// form, different bits), see [`Self::rebuild_from_leaves_blocked`].
     pub fn rebuild_from_leaves(&mut self, leaves: &[f64], domain_size: usize) {
         assert!(
             domain_size <= leaves.len(),
@@ -293,91 +265,6 @@ impl ConsistentSnapshot {
         self.domain_size = domain_size;
     }
 
-    /// Order-changing blocked rebuild: per-block-of-8 local prefix scan
-    /// (Hillis–Steele log-step form, which autovectorizes at the pinned
-    /// `x86-64-v3` baseline) plus one carry add per lane — the serial
-    /// dependency chain shrinks from one add per *leaf* to one add per
-    /// *block*.
-    ///
-    /// **This changes the summation association**, so the resulting prefix
-    /// (and every answer served from it) is *not* bit-identical to
-    /// [`Self::rebuild_from_leaves`] — it is a distinct, separately-pinned
-    /// serving mode (`tests/snapshot_serving.rs` freezes its bits at fixed
-    /// seeds), opted into explicitly per tenant in `hc-serve`. Default paths
-    /// never route here.
-    pub fn rebuild_from_leaves_blocked(&mut self, leaves: &[f64], domain_size: usize) {
-        assert!(
-            domain_size <= leaves.len(),
-            "domain larger than the leaf level"
-        );
-        self.prefix.resize(leaves.len() + 1, 0.0);
-        self.prefix[0] = 0.0;
-        let out = &mut self.prefix[1..];
-        let mut carry = 0.0f64;
-        let mut leaf_blocks = leaves.chunks_exact(8);
-        let mut out_blocks = out.chunks_exact_mut(8);
-        for (l, o) in (&mut leaf_blocks).zip(&mut out_blocks) {
-            // Deliberate reassociation: this serving mode is pinned under
-            // its own golden bits, never the default's. The three log-steps
-            // (d = 1, 2, 4) are written as explicit per-lane statements —
-            // the same adds in the same association as the d-loop form, but
-            // every intermediate stays an SSA scalar the SLP vectorizer
-            // packs directly instead of a stack array it may leave scalar.
-            let a1 = l[1] + l[0];
-            let a2 = l[2] + l[1];
-            let a3 = l[3] + l[2];
-            let a4 = l[4] + l[3];
-            let a5 = l[5] + l[4];
-            let a6 = l[6] + l[5];
-            let a7 = l[7] + l[6];
-            let b2 = a2 + l[0];
-            let b3 = a3 + a1;
-            let b4 = a4 + a2;
-            let b5 = a5 + a3;
-            let b6 = a6 + a4;
-            let b7 = a7 + a5;
-            let c4 = b4 + l[0];
-            let c5 = b5 + a1;
-            let c6 = b6 + b2;
-            let c7 = b7 + b3;
-            o[0] = carry + l[0];
-            o[1] = carry + a1;
-            o[2] = carry + b2;
-            o[3] = carry + b3;
-            o[4] = carry + c4;
-            o[5] = carry + c5;
-            o[6] = carry + c6;
-            o[7] = carry + c7;
-            carry += c7;
-        }
-        for (&leaf, slot) in leaf_blocks
-            .remainder()
-            .iter()
-            .zip(out_blocks.into_remainder())
-        {
-            carry += leaf;
-            *slot = carry;
-        }
-        self.domain_size = domain_size;
-    }
-
-    /// Blocked-scan companion of [`Self::rebuild_from_tree_values`] — same
-    /// leaf extraction, [`Self::rebuild_from_leaves_blocked`] arithmetic.
-    /// Opt-in only; see the blocked rebuild's bit-identity caveat.
-    pub fn rebuild_from_tree_values_blocked(
-        &mut self,
-        shape: &TreeShape,
-        values: &[f64],
-        domain_size: usize,
-    ) {
-        assert_eq!(values.len(), shape.nodes(), "one value per tree node");
-        assert!(
-            domain_size <= shape.leaves(),
-            "domain larger than leaf level"
-        );
-        self.rebuild_from_leaves_blocked(&values[shape.first_leaf()..], domain_size);
-    }
-
     /// Rebuilds in place from a BFS tree-node vector (see
     /// [`Self::from_tree_values`]).
     pub fn rebuild_from_tree_values(
@@ -398,13 +285,6 @@ impl ConsistentSnapshot {
     #[inline]
     pub fn domain_size(&self) -> usize {
         self.domain_size
-    }
-
-    /// The raw prefix array (`prefix[0] == 0`, one entry per leaf plus the
-    /// leading zero) — the shard workers answer straight off this slice.
-    #[inline]
-    pub(crate) fn prefix(&self) -> &[f64] {
-        &self.prefix
     }
 
     /// The attached Laplace noise scale, if any.
@@ -446,8 +326,7 @@ impl ConsistentSnapshot {
     ///
     /// Batches shorter than [`PARALLEL_SERIAL_FLOOR`] are answered serially:
     /// below that point the per-call `thread::scope` spawn/join cost exceeds
-    /// the whole batch's serve time. For a *persistent* worker pool without
-    /// the per-call spawn, see [`crate::shard::ShardPool`].
+    /// the whole batch's serve time.
     pub fn answer_parallel(&self, queries: &[Interval], out: &mut Vec<f64>, threads: usize) {
         self.answer_parallel_with_floor(queries, out, threads, PARALLEL_SERIAL_FLOOR);
     }
@@ -760,115 +639,6 @@ impl SubtreeServer {
         acc
     }
 
-    /// Lane-blocked decomposition fold — the order-changing, opt-in
-    /// companion to [`Self::answer`].
-    ///
-    /// Same two-fringe walk, but every *contiguous sibling run* the walk
-    /// emits (stacked left-fringe runs, the split node's middle children,
-    /// right-fringe left-sibling runs) is summed with four independent
-    /// accumulators combined pairwise — the form that autovectorizes at the
-    /// pinned `x86-64-v3` baseline — and the run total is folded into the
-    /// running answer as one add.
-    ///
-    /// **Bit contract:** on binary trees every sibling run has at most one
-    /// node, the run-total fold degenerates to the serial per-node fold, and
-    /// the answer is bit-identical to [`Self::answer`]
-    /// (`tests/snapshot_serving.rs` pins this for `k = 2`). For wider trees
-    /// — the only shapes where lane-blocking buys anything — folding each
-    /// run's total in one add reassociates the sum, so this fold is a
-    /// distinct, separately-pinned serving mode and never the default.
-    pub fn answer_blocked(&self, values: &[f64], rounding: Rounding, target: Interval) -> f64 {
-        assert_eq!(
-            values.len(),
-            self.shape.nodes(),
-            "value vector must cover the tree"
-        );
-        self.fold_two_fringe_blocked(values, rounding, target)
-    }
-
-    /// [`Self::fold_two_fringe`] with every contiguous sibling run summed by
-    /// [`sum_run_blocked`] instead of node-serial accumulation. The walk —
-    /// descent, fringes, run boundaries — is byte-for-byte the same; only
-    /// the per-run summation association changes.
-    fn fold_two_fringe_blocked(&self, values: &[f64], rounding: Rounding, target: Interval) -> f64 {
-        assert!(
-            target.hi() < self.shape.leaves(),
-            "target {target} outside leaf range"
-        );
-        let k = self.shape.branching();
-        let mut acc = -0.0f64;
-
-        let mut v = 0usize;
-        let mut span_lo = 0usize;
-        let mut span_len = self.shape.leaves();
-        let (first_child, child_len, ci_lo, ci_hi) = loop {
-            if target.lo() <= span_lo && span_lo + span_len - 1 <= target.hi() {
-                acc += rounding.apply(values[v]);
-                return acc;
-            }
-            let child_len = span_len / k;
-            let first_child = k * v + 1;
-            let ci_lo = (target.lo() - span_lo) / child_len;
-            let ci_hi = (target.hi() - span_lo) / child_len;
-            if ci_lo != ci_hi {
-                break (first_child, child_len, ci_lo, ci_hi);
-            }
-            v = first_child + ci_lo;
-            span_lo += ci_lo * child_len;
-            span_len = child_len;
-        };
-
-        let mut pending = [(0usize, 0usize); 64];
-        let mut stacked = 0usize;
-        let mut lv = first_child + ci_lo;
-        let mut l_lo = span_lo + ci_lo * child_len;
-        let mut l_len = child_len;
-        loop {
-            if target.lo() <= l_lo {
-                acc += rounding.apply(values[lv]);
-                break;
-            }
-            let clen = l_len / k;
-            let fc = k * lv + 1;
-            let ci = (target.lo() - l_lo) / clen;
-            if ci + 1 < k {
-                pending[stacked] = (fc + ci + 1, k - 1 - ci);
-                stacked += 1;
-            }
-            lv = fc + ci;
-            l_lo += ci * clen;
-            l_len = clen;
-        }
-        while stacked > 0 {
-            stacked -= 1;
-            let (start, count) = pending[stacked];
-            acc += sum_run_blocked(&values[start..start + count], rounding);
-        }
-
-        acc += sum_run_blocked(
-            &values[first_child + ci_lo + 1..first_child + ci_hi],
-            rounding,
-        );
-
-        let mut rv = first_child + ci_hi;
-        let mut r_lo = span_lo + ci_hi * child_len;
-        let mut r_len = child_len;
-        loop {
-            if target.hi() >= r_lo + r_len - 1 {
-                acc += rounding.apply(values[rv]);
-                break;
-            }
-            let clen = r_len / k;
-            let fc = k * rv + 1;
-            let ci = (target.hi() - r_lo) / clen;
-            acc += sum_run_blocked(&values[fc..fc + ci], rounding);
-            rv = fc + ci;
-            r_lo += ci * clen;
-            r_len = clen;
-        }
-        acc
-    }
-
     /// Batched [`Self::answer`] into a caller-owned buffer (resized to the
     /// batch length; zero allocations after warm-up).
     pub fn answer_into(
@@ -881,21 +651,6 @@ impl SubtreeServer {
         out.resize(queries.len(), 0.0);
         for (slot, &q) in out.iter_mut().zip(queries) {
             *slot = self.answer(values, rounding, q);
-        }
-    }
-
-    /// Batched [`Self::answer_blocked`] — the lane-blocked fold over a query
-    /// batch, same buffer contract as [`Self::answer_into`]. Opt-in only.
-    pub fn answer_blocked_into(
-        &self,
-        values: &[f64],
-        rounding: Rounding,
-        queries: &[Interval],
-        out: &mut Vec<f64>,
-    ) {
-        out.resize(queries.len(), 0.0);
-        for (slot, &q) in out.iter_mut().zip(queries) {
-            *slot = self.answer_blocked(values, rounding, q);
         }
     }
 
@@ -912,31 +667,6 @@ impl SubtreeServer {
     fn count_per_depth(&self, target: Interval, per_depth: &mut [usize]) {
         self.for_each_node_at_depth(target, |_, depth| per_depth[depth] += 1);
     }
-}
-
-/// Four-accumulator blocked sum over one contiguous sibling run — the
-/// per-run kernel of [`SubtreeServer::answer_blocked`]. Lanes seed at
-/// `-0.0` (the additive identity, sign of zero included), so runs shorter
-/// than one block reduce to the exact serial `-0.0`-seeded fold and the
-/// lane combine is a bitwise no-op — which is what makes the binary-tree
-/// bit-identity contract hold without a branch.
-#[inline]
-fn sum_run_blocked(run: &[f64], rounding: Rounding) -> f64 {
-    // Deliberate reassociation: opt-in serving mode pinned under its own
-    // golden bits, never the default's.
-    let mut lanes = [-0.0f64; 4];
-    let mut chunks = run.chunks_exact(4);
-    for c in &mut chunks {
-        lanes[0] += rounding.apply(c[0]);
-        lanes[1] += rounding.apply(c[1]);
-        lanes[2] += rounding.apply(c[2]);
-        lanes[3] += rounding.apply(c[3]);
-    }
-    let mut tail = -0.0f64;
-    for &v in chunks.remainder() {
-        tail += rounding.apply(v);
-    }
-    ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + tail
 }
 
 /// A release strategy the planner can recommend for a range workload.
@@ -1708,114 +1438,10 @@ mod tests {
                 acc += leaf;
                 oracle.push(acc);
             }
-            let got: Vec<u64> = snap.prefix().iter().map(|v| v.to_bits()).collect();
+            let got: Vec<u64> = snap.prefix.iter().map(|v| v.to_bits()).collect();
             let want: Vec<u64> = oracle.iter().map(|v| v.to_bits()).collect();
             assert_eq!(got, want, "n = {n}");
         }
-    }
-
-    #[test]
-    fn blocked_rebuild_serves_the_same_answers_within_tolerance() {
-        // The blocked scan reassociates, so bits may differ — but every
-        // range answer must agree with the serial build to float tolerance,
-        // for lengths on and off the 8-block boundary.
-        for n in [5usize, 8, 16, 17, 100, 256, 300] {
-            let leaves = random_values(n, 2000 + n as u64);
-            let serial = ConsistentSnapshot::from_leaves(&leaves, n);
-            let mut blocked = ConsistentSnapshot::from_leaves(&[], 0);
-            blocked.rebuild_from_leaves_blocked(&leaves, n);
-            assert_eq!(blocked.domain_size(), n);
-            let mut rng = rng_from_seed(77 + n as u64);
-            for _ in 0..64 {
-                let lo = rng.random_range(0..n);
-                let hi = rng.random_range(lo..n);
-                let q = Interval::new(lo, hi);
-                let a = serial.answer(q);
-                let b = blocked.answer(q);
-                assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "q={q} {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_rebuild_from_tree_values_extracts_the_leaf_level() {
-        let shape = TreeShape::new(2, 6);
-        let values = random_values(shape.nodes(), 91);
-        let mut via_tree = ConsistentSnapshot::from_leaves(&[], 0);
-        via_tree.rebuild_from_tree_values_blocked(&shape, &values, shape.leaves());
-        let mut via_leaves = ConsistentSnapshot::from_leaves(&[], 0);
-        via_leaves.rebuild_from_leaves_blocked(&values[shape.first_leaf()..], shape.leaves());
-        assert_eq!(via_tree, via_leaves);
-    }
-
-    #[test]
-    fn blocked_fold_is_bit_identical_on_binary_trees() {
-        // k = 2: every sibling run is a single node, so the lane-blocked
-        // fold must reproduce the serial fold exactly, bit for bit.
-        let shape = TreeShape::new(2, 9);
-        let values = random_values(shape.nodes(), 14);
-        let server = SubtreeServer::new(&shape);
-        let n = shape.leaves();
-        let mut rng = rng_from_seed(15);
-        for _ in 0..300 {
-            let lo = rng.random_range(0..n);
-            let hi = rng.random_range(lo..n);
-            let q = Interval::new(lo, hi);
-            for rounding in [Rounding::None, Rounding::NonNegativeInteger] {
-                assert_eq!(
-                    server.answer_blocked(&values, rounding, q).to_bits(),
-                    server.answer(&values, rounding, q).to_bits(),
-                    "q = {q}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_fold_matches_the_oracle_on_wide_trees() {
-        // Wide branching exercises the real lane blocks; the reassociated
-        // fold must agree with the recursive oracle to float tolerance.
-        for (k, height, seed) in [(8usize, 3usize, 16u64), (16, 2, 17), (6, 3, 18)] {
-            let shape = TreeShape::new(k, height);
-            let values = random_values(shape.nodes(), seed);
-            let server = SubtreeServer::new(&shape);
-            let n = shape.leaves();
-            let mut rng = rng_from_seed(seed ^ 0xC0);
-            for _ in 0..200 {
-                let lo = rng.random_range(0..n);
-                let hi = rng.random_range(lo..n);
-                let q = Interval::new(lo, hi);
-                let oracle = server.answer_recursive(&values, Rounding::None, q);
-                let got = server.answer_blocked(&values, Rounding::None, q);
-                assert!(
-                    (got - oracle).abs() <= 1e-9 * oracle.abs().max(1.0),
-                    "k={k} q={q} {got} vs {oracle}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_batch_answers_match_the_single_query_path() {
-        let shape = TreeShape::new(4, 4);
-        let values = random_values(shape.nodes(), 19);
-        let server = SubtreeServer::new(&shape);
-        let n = shape.leaves();
-        let mut rng = rng_from_seed(20);
-        let queries: Vec<Interval> = (0..65)
-            .map(|_| {
-                let lo = rng.random_range(0..n);
-                let hi = rng.random_range(lo..n);
-                Interval::new(lo, hi)
-            })
-            .collect();
-        let mut batched = Vec::new();
-        server.answer_blocked_into(&values, Rounding::None, &queries, &mut batched);
-        let singles: Vec<f64> = queries
-            .iter()
-            .map(|&q| server.answer_blocked(&values, Rounding::None, q))
-            .collect();
-        assert_eq!(batched, singles);
     }
 
     #[test]

@@ -115,15 +115,9 @@ pub const HOT_FUNCTIONS: &[(&str, &[&str])] = &[
             "answer_parallel",
             "answer_parallel_with_floor",
             "answer_recursive",
-            "answer_blocked",
-            "answer_blocked_into",
             "fold_two_fringe",
-            "fold_two_fringe_blocked",
-            "sum_run_blocked",
             "rebuild_from_leaves",
-            "rebuild_from_leaves_blocked",
             "rebuild_from_tree_values",
-            "rebuild_from_tree_values_blocked",
             "total",
             "for_each_node",
             "for_each_node_at_depth",
@@ -154,21 +148,6 @@ pub const HOT_FUNCTIONS: &[(&str, &[&str])] = &[
             "remaining_delta",
             "spent",
             "spent_delta",
-        ],
-    ),
-    (
-        "crates/core/src/shard.rs",
-        &[
-            // The persistent pool's per-batch paths: dispatch/collect moves
-            // recycled owned buffers, workers answer from their shard's
-            // snapshot clone — no fresh owned values per batch. (`new`,
-            // `with_floor`, and `publish` are construction/refresh paths and
-            // clone by design; they are deliberately not listed.)
-            "answer_into",
-            "answer_into_with_floor",
-            "answer_serial",
-            "serve_chunk",
-            "worker_loop",
         ],
     ),
     (
@@ -209,13 +188,14 @@ pub const HOT_FUNCTIONS: &[(&str, &[&str])] = &[
             // two atomics and an Arc bump, never a fresh owned value, and
             // the publisher may allocate only through `Arc::new(snapshot)`
             // (taking ownership of the prebuilt snapshot, not copying it).
-            // The sharded bank's read paths ride the same contract;
-            // `broadcast` clones per shard by design and is not listed.
+            // The sharded bank rides the same contract: `broadcast` wraps
+            // the snapshot in one `Arc` and hands every shard a refcount
+            // bump of it, so no shard ever holds a copy of the bytes.
             "load",
             "publish",
             "epoch",
             "pin",
-            "pin_shard",
+            "broadcast",
         ],
     ),
     (

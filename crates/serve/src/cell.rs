@@ -21,6 +21,11 @@
 //! see a complete snapshot — the old one or the new one, never a torn mix —
 //! which `crates/bench/src/bin/serve_load.rs --verify` and the
 //! `hc_threads` subprocess stress test pin across `HC_THREADS` ∈ {1, 2, 4}.
+//!
+//! A published snapshot's bytes exist once. [`SnapshotShards`] wraps each
+//! broadcast snapshot in a single `Arc` and every shard's cell holds a
+//! refcount of that one allocation, so the shard count multiplies pointers,
+//! never prefix arrays. `tests/alloc_free.rs` pins this by counting bytes.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -62,14 +67,15 @@ pub struct SnapshotCell {
 }
 
 impl SnapshotCell {
-    /// A cell serving `initial` at epoch 0.
-    pub fn new(initial: ConsistentSnapshot) -> Self {
+    /// A cell serving `initial` at epoch 0. Takes an owned snapshot or an
+    /// already-shared `Arc` of one (which is stored as is, never copied).
+    pub fn new(initial: impl Into<Arc<ConsistentSnapshot>>) -> Self {
         let cell = Self {
             epoch: AtomicUsize::new(0),
             slots: std::array::from_fn(|_| RwLock::new(None)),
             writer: Mutex::new(()),
         };
-        *cell.slots[0].write().expect("fresh lock never poisoned") = Some((0, Arc::new(initial)));
+        *cell.slots[0].write().expect("fresh lock never poisoned") = Some((0, initial.into()));
         cell
     }
 
@@ -106,15 +112,16 @@ impl SnapshotCell {
     /// on an internal mutex and may wait for readers a full ring-lap
     /// behind; readers never wait for a publisher. The epoch store uses
     /// `Release` ordering, so a reader observing the new epoch observes the
-    /// fully-written slot.
-    pub fn publish(&self, snapshot: ConsistentSnapshot) -> usize {
+    /// fully-written slot. Like [`Self::new`], it accepts an owned snapshot
+    /// or a shared `Arc`.
+    pub fn publish(&self, snapshot: impl Into<Arc<ConsistentSnapshot>>) -> usize {
         let _writer = self.writer.lock().expect("publish mutex never poisoned");
         let next = self.epoch.load(Ordering::Relaxed) + 1;
         {
             let mut slot = self.slots[next % SLOTS]
                 .write()
                 .expect("slot lock never poisoned");
-            *slot = Some((next, Arc::new(snapshot)));
+            *slot = Some((next, snapshot.into()));
         }
         self.epoch.store(next, Ordering::Release);
         next
@@ -122,9 +129,10 @@ impl SnapshotCell {
 }
 
 /// A sharded bank of [`SnapshotCell`]s serving the *same* tenant: one cell
-/// per shard, each holding its own `Arc` of the published snapshot, so
-/// concurrent readers spread across shards instead of all hitting one
-/// cell's epoch counter and slot ring. The shard count is fixed at
+/// per shard, so concurrent readers spread across shards instead of all
+/// hitting one cell's epoch counter and slot ring. Every cell holds a clone
+/// of the *same* `Arc`: the bank shares one copy of each published
+/// snapshot's bytes, whatever its width. The shard count is fixed at
 /// construction (the service sizes it through `effective_threads`).
 ///
 /// Readers [`pin`](SnapshotShards::pin) a shard-local snapshot wait-free —
@@ -157,17 +165,13 @@ pub struct SnapshotShards {
 
 impl SnapshotShards {
     /// A bank of `shards.max(1)` cells, every shard serving `initial` at
-    /// epoch 0. The last shard takes ownership of `initial`; the rest hold
-    /// clones.
+    /// epoch 0 from one shared allocation.
     pub fn new(initial: ConsistentSnapshot, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let mut cells = Vec::with_capacity(shards);
-        for _ in 0..shards - 1 {
-            cells.push(SnapshotCell::new(initial.clone()));
-        }
-        cells.push(SnapshotCell::new(initial));
+        let initial = Arc::new(initial);
         Self {
-            cells,
+            cells: (0..shards.max(1))
+                .map(|_| SnapshotCell::new(Arc::clone(&initial)))
+                .collect(),
             cursor: AtomicUsize::new(0),
         }
     }
@@ -193,20 +197,16 @@ impl SnapshotShards {
         self.cells[shard].load()
     }
 
-    /// Pins the served snapshot from a specific shard (index taken modulo
-    /// the shard count), for callers with their own placement scheme.
-    pub fn pin_shard(&self, shard: usize) -> PinnedSnapshot {
-        self.cells[shard % self.cells.len()].load()
-    }
-
-    /// Publishes `snapshot` to every shard and returns the new epoch.
-    /// Shards 1.. receive clones first; shard 0 — the epoch authority —
-    /// takes ownership and is published last.
+    /// Publishes `snapshot` to every shard and returns the new epoch. The
+    /// snapshot is moved into one `Arc`, and each shard publishes a refcount
+    /// bump of it, so the broadcast copies no snapshot bytes. Shards 1..
+    /// publish first; shard 0, the epoch authority, publishes last.
     pub fn broadcast(&self, snapshot: ConsistentSnapshot) -> usize {
+        let shared = Arc::new(snapshot);
         for cell in &self.cells[1..] {
-            cell.publish(snapshot.clone());
+            cell.publish(Arc::clone(&shared));
         }
-        self.cells[0].publish(snapshot)
+        self.cells[0].publish(shared)
     }
 }
 
@@ -286,19 +286,51 @@ mod tests {
         assert_eq!(shards.shard_count(), 3);
         assert_eq!(shards.epoch(), 0);
         let whole = Interval::new(0, 3);
-        for shard in 0..shards.shard_count() {
-            assert_eq!(shards.pin_shard(shard).answer(whole), 10.0);
-        }
-        // pin_shard wraps modulo the shard count.
-        assert_eq!(shards.pin_shard(7).answer(whole), 10.0);
+        // Every shard serves one shared allocation, never a copy: from
+        // construction and after each broadcast.
+        let assert_one_allocation = |epoch: usize, total: f64| {
+            let lap = pin_lap(&shards);
+            for pinned in &lap {
+                assert_eq!(pinned.epoch(), epoch);
+                assert_eq!(pinned.answer(whole), total);
+                assert!(std::ptr::eq(pinned.snapshot(), lap[0].snapshot()));
+            }
+        };
+        assert_one_allocation(0, 10.0);
         let epoch = shards.broadcast(leaves(&[4.0, 3.0, 2.0, 11.0]));
         assert_eq!(epoch, 1);
         assert_eq!(shards.epoch(), 1);
-        for _ in 0..2 * shards.shard_count() {
-            // Round-robin pins all land on the new epoch.
-            let pinned = shards.pin();
-            assert_eq!(pinned.epoch(), 1);
-            assert_eq!(pinned.answer(whole), 20.0);
+        assert_one_allocation(1, 20.0);
+    }
+
+    /// One round-robin lap of pins, one per shard.
+    fn pin_lap(shards: &SnapshotShards) -> Vec<PinnedSnapshot> {
+        (0..shards.shard_count()).map(|_| shards.pin()).collect()
+    }
+
+    #[test]
+    fn shard_count_is_a_contention_knob_not_a_semantics_knob() {
+        let published = || leaves(&[3.5, -1.25, 8.0, 0.5, 2.0, 7.75, -4.0, 1.0]);
+        let queries: Vec<Interval> = (0..8)
+            .flat_map(|lo| (lo..8).map(move |hi| Interval::new(lo, hi)))
+            .collect();
+        let serve = |shard_count: usize| {
+            let shards = SnapshotShards::new(leaves(&[0.0; 8]), shard_count);
+            assert_eq!(shards.shard_count(), shard_count);
+            shards.broadcast(published());
+            let mut batches = Vec::new();
+            for pinned in pin_lap(&shards) {
+                let mut out = Vec::new();
+                pinned.answer_into(&queries, &mut out);
+                batches.push(out.iter().map(|v| v.to_bits()).collect::<Vec<u64>>());
+            }
+            batches
+        };
+        let one = serve(1);
+        let four = serve(4);
+        // Bit-identical across shard counts and across the shards of a bank.
+        for batch in four.iter().chain(&one) {
+            assert_eq!(batch, &one[0]);
         }
     }
 

@@ -4,16 +4,17 @@
 //! Each tenant owns a true histogram (never served directly), a
 //! [`PrivacyAccountant`] debited once per release under sequential
 //! composition (with named (ε,δ) ledger entries), and a [`SnapshotShards`]
-//! bank — one
-//! [`crate::cell::SnapshotCell`] per `effective_threads`-governed shard —
-//! holding the currently-served [`ConsistentSnapshot`]. Ingest accumulates
-//! count deltas behind the tenant's write lock; a release — on the
+//! bank — one [`crate::cell::SnapshotCell`] per shard, `effective_threads(4)`
+//! shards — holding the currently-served [`ConsistentSnapshot`]. Ingest
+//! accumulates count deltas behind the tenant's write lock, checked against
+//! the exact-f64 total bound before any count moves; a release — on the
 //! configured cadence or on demand — spends `ε` from the ledger, runs the
 //! tenant's [`ReleaseStrategy`] through the allocation-free
 //! release+inference pipeline ([`BatchInference::release_and_infer`] for
-//! the hierarchical path), and broadcasts the fresh snapshot to every
-//! shard. Readers pin a shard-local snapshot round-robin, never block, and
-//! never see the true counts: only published post-inference snapshots.
+//! the hierarchical path), and broadcasts the fresh snapshot: one shared
+//! `Arc` that every shard serves, so a publish copies no snapshot bytes.
+//! Readers pin round-robin, never block, and never see the true counts:
+//! only published post-inference snapshots.
 //!
 //! Determinism: release `i` of a tenant draws its noise from
 //! `SeedStream::new(seed).rng(i)`, so the served answers are bit-identical
@@ -86,6 +87,10 @@ pub enum ServeError {
         /// The tenant's domain size.
         tenant_domain: usize,
     },
+    /// An ingest batch would push the tenant's total count past 2^53, the
+    /// exact-f64 bound (or overflow `u64` on the way). Nothing in the batch
+    /// was applied.
+    CountOverflow,
 }
 
 impl fmt::Display for ServeError {
@@ -114,6 +119,10 @@ impl fmt::Display for ServeError {
                 f,
                 "accuracy workload declared over domain {workload_domain}, tenant serves {tenant_domain}"
             ),
+            ServeError::CountOverflow => write!(
+                f,
+                "ingest would push the tenant's total count past {MAX_TOTAL_COUNT}"
+            ),
         }
     }
 }
@@ -125,6 +134,16 @@ impl From<BudgetError> for ServeError {
         ServeError::Budget(e)
     }
 }
+
+/// The largest total count a tenant may hold: `2^53`, the bound up to which
+/// every integer partial sum of the counts is an exact `f64` — the same
+/// bound `ConsistentSnapshot::from_histogram` enforces. Every bin is at
+/// most the total, so this also bounds each bin.
+const MAX_TOTAL_COUNT: u64 = 1 << 53;
+
+/// Snapshot shards requested per tenant; registration resolves the bank
+/// width as `effective_threads(SHARDS).max(1)`, so `HC_THREADS` wins.
+const SHARDS: usize = 4;
 
 /// Opaque handle to a registered tenant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -143,16 +162,13 @@ pub struct TenantConfig {
     backend: NoiseBackend,
     refresh_every: u64,
     seed: u64,
-    shards: usize,
-    blocked_rebuild: bool,
 }
 
 impl TenantConfig {
     /// A tenant named `name` over `domain_size` bins, with the defaults:
     /// total budget ε = 1.0 spent ε = 0.1 per release, binary hierarchical
     /// releases, reference noise backend, automatic release every 1000
-    /// ingested deltas, seed 0, 4 requested snapshot shards (resolved
-    /// through `effective_threads` at registration).
+    /// ingested deltas, seed 0.
     pub fn new(name: impl Into<String>, domain_size: usize) -> Self {
         Self {
             name: name.into(),
@@ -165,8 +181,6 @@ impl TenantConfig {
             backend: NoiseBackend::Reference,
             refresh_every: 1000,
             seed: 0,
-            shards: 4,
-            blocked_rebuild: false,
         }
     }
 
@@ -222,32 +236,6 @@ impl TenantConfig {
         self
     }
 
-    /// Opts the tenant's tree-backed releases (hierarchical and budgeted)
-    /// into the blocked prefix rebuild
-    /// ([`ConsistentSnapshot::rebuild_from_tree_values_blocked`]): the
-    /// publisher's prefix scan runs one serial add per 8-leaf block instead
-    /// of one per leaf.
-    ///
-    /// **This is an explicit bit opt-in.** The blocked scan reassociates
-    /// the leaf summation, so served answers differ in their low bits from
-    /// the default serial rebuild (the mode carries its own golden pins in
-    /// `tests/snapshot_serving.rs`). Flat releases already serve from fused
-    /// prefix arrays and are unaffected.
-    pub fn with_blocked_rebuild(mut self) -> Self {
-        self.blocked_rebuild = true;
-        self
-    }
-
-    /// Requests this many snapshot shards for the tenant's serving bank.
-    /// The registered shard count is `effective_threads(shards).max(1)` —
-    /// an `HC_THREADS` override wins, and at least one shard always exists.
-    /// Shard count never changes answers, only reader contention: every
-    /// shard serves clones of the same published snapshot.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// The tenant's name.
     pub fn name(&self) -> &str {
         &self.name
@@ -286,6 +274,8 @@ struct BudgetedPipeline {
 /// ledger, and the release pipeline. Readers never touch this.
 struct WriteState {
     counts: Vec<u64>,
+    /// Sum of `counts`, kept at or below [`MAX_TOTAL_COUNT`].
+    total: u64,
     domain: Domain,
     pending_deltas: u64,
     releases: u64,
@@ -316,7 +306,7 @@ pub struct PublishReport {
 ///
 /// Registration and ingest go through `&self` with interior locking per
 /// tenant, so one service value can be shared across threads; reads go
-/// through each tenant's lock-free [`SnapshotCell`].
+/// through each tenant's lock-free [`SnapshotShards`] bank.
 ///
 /// ```
 /// use hc_serve::{HistogramService, RangeQuery, TenantConfig};
@@ -417,6 +407,7 @@ impl HistogramService {
             .map_err(ServeError::Budget)?;
         let write = WriteState {
             counts: vec![0; config.domain_size],
+            total: 0,
             domain,
             pending_deltas: 0,
             releases: 0,
@@ -425,11 +416,10 @@ impl HistogramService {
         };
         let initial =
             ConsistentSnapshot::from_leaves(&vec![0.0; config.domain_size], config.domain_size);
-        let shard_count = effective_threads(config.shards).max(1);
         let id = TenantId(self.tenants.len());
         self.tenants.push(Tenant {
             config,
-            shards: SnapshotShards::new(initial, shard_count),
+            shards: SnapshotShards::new(initial, effective_threads(SHARDS).max(1)),
             write: Mutex::new(write),
         });
         Ok(id)
@@ -451,12 +441,13 @@ impl HistogramService {
 
     /// Ingests `(bin, count)` deltas into the tenant's true histogram.
     ///
-    /// Validates every bin before applying any delta (all-or-nothing). If
-    /// the tenant's refresh cadence fires and budget remains, a release is
-    /// published and its report returned; if the cadence fires but the
-    /// ledger is exhausted, ingest still succeeds and returns `Ok(None)` —
-    /// the service keeps serving the last published snapshot rather than
-    /// over-spending.
+    /// Validates every bin, and that the tenant's total count stays at or
+    /// below 2^53, before applying any delta
+    /// (all-or-nothing). If the tenant's refresh cadence fires and budget
+    /// remains, a release is published and its report returned; if the
+    /// cadence fires but the ledger is exhausted, ingest still succeeds and
+    /// returns `Ok(None)` — the service keeps serving the last published
+    /// snapshot rather than over-spending.
     pub fn ingest(
         &self,
         id: TenantId,
@@ -468,9 +459,17 @@ impl HistogramService {
         if let Some(&(bin, _)) = deltas.iter().find(|&&(bin, _)| bin >= domain_size) {
             return Err(ServeError::BinOutOfRange { bin, domain_size });
         }
+        // Sum the whole batch before touching a count: with the total
+        // capped at 2^53, no bin can overflow when the deltas land.
+        let total = deltas
+            .iter()
+            .try_fold(state.total, |acc, &(_, count)| acc.checked_add(count))
+            .filter(|&total| total <= MAX_TOTAL_COUNT)
+            .ok_or(ServeError::CountOverflow)?;
         for &(bin, count) in deltas {
             state.counts[bin] += count;
         }
+        state.total = total;
         state.pending_deltas += deltas.len() as u64;
         let cadence = tenant.config.refresh_every;
         if cadence > 0 && state.pending_deltas >= cadence {
@@ -524,12 +523,8 @@ impl HistogramService {
                     inferred,
                 } = hier.as_mut();
                 engine.release_and_infer(prepared, &histogram, &mut rng, inferred);
-                let mut snapshot = Self::tree_snapshot(
-                    shape,
-                    inferred,
-                    domain_size,
-                    tenant.config.blocked_rebuild,
-                );
+                let mut snapshot =
+                    ConsistentSnapshot::from_tree_values(shape, inferred, domain_size);
                 snapshot.set_noise_scale(Some(prepared.noise_scale()));
                 snapshot
             }
@@ -540,11 +535,10 @@ impl HistogramService {
                 // Per-level scales differ under a geometric split, so no
                 // single Laplace scale is attached: confidence queries
                 // report `None` rather than a wrong union bound.
-                Self::tree_snapshot(
+                ConsistentSnapshot::from_tree_values(
                     release.shape(),
                     tree.node_values(),
                     domain_size,
-                    tenant.config.blocked_rebuild,
                 )
             }
         };
@@ -557,25 +551,6 @@ impl HistogramService {
             spent,
             remaining: state.budget.remaining(),
         })
-    }
-
-    /// Builds the published snapshot from a tree-node vector, routing to
-    /// the blocked prefix scan only for tenants that opted in via
-    /// [`TenantConfig::with_blocked_rebuild`]. The default path is the
-    /// frozen serial rebuild — bit-identical to every existing pin.
-    fn tree_snapshot(
-        shape: &TreeShape,
-        values: &[f64],
-        domain_size: usize,
-        blocked: bool,
-    ) -> ConsistentSnapshot {
-        if blocked {
-            let mut snapshot = ConsistentSnapshot::from_leaves(&[], 0);
-            snapshot.rebuild_from_tree_values_blocked(shape, values, domain_size);
-            snapshot
-        } else {
-            ConsistentSnapshot::from_tree_values(shape, values, domain_size)
-        }
     }
 
     /// Answers one range query from the tenant's current snapshot. Empty
@@ -665,8 +640,7 @@ impl HistogramService {
         Ok(self.tenant(id)?.shards.epoch())
     }
 
-    /// The tenant's resolved shard count: the registered
-    /// `effective_threads(config.shards).max(1)`.
+    /// The tenant's resolved shard count: `effective_threads(4).max(1)`.
     pub fn shard_count(&self, id: TenantId) -> Result<usize, ServeError> {
         Ok(self.tenant(id)?.shards.shard_count())
     }
@@ -815,34 +789,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_rebuild_opt_in_serves_within_tolerance_of_the_default() {
-        // Two tenants, identical strategy/seed/data — one on the default
-        // serial rebuild, one opted into the blocked scan. The blocked
-        // tenant's answers must agree to float tolerance (the reassociation
-        // only moves low bits); its bits are pinned separately in
-        // tests/snapshot_serving.rs.
-        let mut service = HistogramService::new();
-        let serial = service.register(config("serial", 64)).unwrap();
-        let blocked = service
-            .register(config("blocked", 64).with_blocked_rebuild())
-            .unwrap();
-        let deltas: Vec<(usize, u64)> = (0..64).map(|i| (i, (i as u64 * 7) % 13)).collect();
-        for id in [serial, blocked] {
-            service.ingest(id, &deltas).unwrap();
-            service.publish(id).unwrap();
-        }
-        for (lo, hi) in [(0usize, 64usize), (3, 40), (17, 18), (0, 1)] {
-            let q = RangeQuery::new(lo, hi);
-            let a = service.answer(serial, q).unwrap();
-            let b = service.answer(blocked, q).unwrap();
-            assert!(
-                (a - b).abs() <= 1e-9 * a.abs().max(1.0),
-                "[{lo},{hi}) {a} vs {b}"
-            );
-        }
-    }
-
-    #[test]
     fn batch_answers_come_from_one_epoch() {
         let mut service = HistogramService::new();
         let id = service.register(config("t", 8)).unwrap();
@@ -906,6 +852,40 @@ mod tests {
             service.answer(bogus, RangeQuery::new(0, 1)).unwrap_err(),
             ServeError::UnknownTenant { tenant: 42 }
         );
+    }
+
+    #[test]
+    fn ingest_overflow_is_refused_before_any_count_moves() {
+        let mut service = HistogramService::new();
+        let id = service.register(config("t", 8)).unwrap();
+        // A single delta past the exact-f64 bound, and a batch whose sum
+        // overflows u64, are refused whole.
+        assert_eq!(
+            service.ingest(id, &[(0, u64::MAX)]),
+            Err(ServeError::CountOverflow)
+        );
+        assert_eq!(
+            service.ingest(id, &[(1, 5), (0, u64::MAX)]),
+            Err(ServeError::CountOverflow)
+        );
+        // Filling bin 0 to the bound exactly is fine; one more count is not,
+        // and the valid-looking delta to bin 1 ahead of it must not land.
+        service.ingest(id, &[(0, MAX_TOTAL_COUNT)]).unwrap();
+        assert_eq!(
+            service.ingest(id, &[(1, 5), (0, 2)]),
+            Err(ServeError::CountOverflow)
+        );
+        // The tenant lock is healthy and the release sees exactly the
+        // accepted counts: bin 0 at the bound, bin 1 untouched.
+        service.publish(id).unwrap();
+        let mut counts = vec![0u64; 8];
+        counts[0] = MAX_TOTAL_COUNT;
+        let hist = Histogram::from_counts(Domain::new("t", 8).unwrap(), counts);
+        let mut engine = BatchInference::for_shape(&TreeShape::for_domain(8, 2));
+        let expected = HierarchicalUniversal::new(Epsilon::new(0.25).unwrap(), 2)
+            .release(&hist, &mut SeedStream::new(7).rng(0))
+            .infer_snapshot(&mut engine);
+        assert_eq!(service.snapshot(id).unwrap().snapshot(), &expected);
     }
 
     #[test]
@@ -979,29 +959,6 @@ mod tests {
         assert_eq!(service.ingest(id, &[(4, 1), (5, 1)]).unwrap(), None);
         assert_eq!(service.epoch(id).unwrap(), 2);
         assert_eq!(service.remaining_budget(id).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn shard_count_is_a_contention_knob_not_a_semantics_knob() {
-        let build = |shards: usize| {
-            let mut service = HistogramService::new();
-            let id = service
-                .register(config("t", 32).with_shards(shards))
-                .unwrap();
-            service.ingest(id, &[(1, 4), (17, 2), (30, 8)]).unwrap();
-            service.publish(id).unwrap();
-            let queries: Vec<RangeQuery> = (0..32).map(|lo| RangeQuery::new(lo, 32)).collect();
-            let mut out = Vec::new();
-            service.answer_into(id, &queries, &mut out).unwrap();
-            (service.shard_count(id).unwrap(), out)
-        };
-        let (one, serial) = build(1);
-        let (many, sharded) = build(4);
-        assert_eq!(one, effective_threads(1).max(1));
-        assert_eq!(many, effective_threads(4).max(1));
-        // Bit-identical across shard counts: every shard serves clones of
-        // the same published snapshot.
-        assert_eq!(sharded, serial);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! they are made of) perform **zero** heap allocations per trial — and the
 //! serving layer (`ConsistentSnapshot` rebuild + `answer_into`,
 //! `SubtreeServer::answer_into`) answers warm query batches with zero heap
-//! allocations per batch.
+//! allocations per batch. The same allocator also counts bytes, which pins
+//! that a snapshot broadcast to a sharded bank shares one copy of the
+//! prefix instead of copying it per shard.
 //!
 //! The whole check lives in a single `#[test]` because the counter is
 //! process-global: the default test harness runs tests on multiple threads,
@@ -14,17 +16,25 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hist_consistency::prelude::*;
+use hist_consistency::serve::SnapshotShards;
 
-/// Wraps the system allocator and counts every allocation call.
+/// Wraps the system allocator and counts every allocation call and the
+/// bytes each one requests.
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
+
+fn record(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes, Ordering::Relaxed);
+}
 
 // SAFETY: delegates directly to `System`, which upholds the `GlobalAlloc`
-// contract; the counter is a relaxed atomic with no further invariants.
+// contract; the counters are relaxed atomics with no further invariants.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        record(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -33,12 +43,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // The whole new block counts: a realloc may move and copy it all.
+        record(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        record(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -51,6 +62,13 @@ fn allocations_during(body: impl FnOnce()) -> usize {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     body();
     ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+/// Runs `body` and returns how many bytes its allocation calls requested.
+fn bytes_during(body: impl FnOnce()) -> usize {
+    let before = BYTES.load(Ordering::Relaxed);
+    body();
+    BYTES.load(Ordering::Relaxed) - before
 }
 
 #[test]
@@ -128,25 +146,30 @@ fn release_and_infer_pipeline_is_allocation_free_after_warmup() {
     assert_eq!(served.len(), queries.len());
     assert_eq!(folded.len(), queries.len());
 
-    // The sharded pool: once the hand-off buffers and every shard's
-    // snapshot clone have hit their high-water marks, republishing and
-    // answering warm batches allocate nothing — on the dispatching thread
-    // *or* the workers (the counter is process-global, so worker-side
-    // allocations would land in the delta too). Floor 0 forces the
-    // worker hand-off path rather than the serial fallback.
-    let mut pool = ShardPool::with_floor(&snapshot, 2, 0);
-    let mut pooled = Vec::new();
-    pool.publish(&snapshot);
-    pool.answer_into(&queries, &mut pooled);
-    let during_pool = allocations_during(|| {
-        for _ in 0..8 {
-            pool.publish(&snapshot);
-            pool.answer_into(&queries, &mut pooled);
-        }
+    // One copy of the bytes: broadcasting a 2^16-leaf snapshot to a
+    // 4-shard bank moves it into one shared allocation. A per-shard copy
+    // would cost a whole prefix for each of shards 1..4, so the broadcast
+    // must allocate less than one prefix.
+    let leaves = 1usize << 16;
+    let prefix_bytes = (leaves + 1) * std::mem::size_of::<f64>();
+    let bank = SnapshotShards::new(ConsistentSnapshot::from_leaves(&[0.0], 1), 4);
+    let published = ConsistentSnapshot::from_leaves(&vec![1.0; leaves], leaves);
+    let broadcast_bytes = bytes_during(|| {
+        bank.broadcast(published);
     });
-    assert_eq!(
-        during_pool, 0,
-        "warm ShardPool publish + answer_into allocated"
+    assert!(
+        broadcast_bytes < prefix_bytes,
+        "broadcast allocated {broadcast_bytes} bytes, a prefix is {prefix_bytes}"
     );
-    assert_eq!(pooled, served, "pool answers must match the serial batch");
+    // And every shard serves that one allocation: one round-robin lap of
+    // pins lands on each shard once, and all of them point at the same
+    // snapshot.
+    let lap: Vec<_> = (0..bank.shard_count()).map(|_| bank.pin()).collect();
+    for pinned in &lap {
+        assert_eq!(pinned.total(), leaves as f64);
+        assert!(
+            std::ptr::eq(pinned.snapshot(), lap[0].snapshot()),
+            "shards serve separate copies of one published snapshot"
+        );
+    }
 }

@@ -138,101 +138,6 @@ proptest! {
     }
 
     #[test]
-    fn sharded_pool_is_bit_identical_to_serial_serving(
-        height in 2usize..9,
-        seed in any::<u64>(),
-        threads in 1usize..9,
-    ) {
-        // The persistent pool answers from per-worker snapshot clones; at
-        // any worker count (HC_THREADS ∈ {1,2,4} ride the same resolver)
-        // the stitched batch must equal the serial kernel bit for bit.
-        let shape = TreeShape::new(2, height);
-        let values = random_values(shape.nodes(), seed);
-        let snapshot = ConsistentSnapshot::from_tree_values(&shape, &values, shape.leaves());
-        let queries = random_queries(shape.leaves(), 97, seed ^ 0x54A2);
-        let mut serial = Vec::new();
-        snapshot.answer_into(&queries, &mut serial);
-        let mut pool = ShardPool::with_floor(&snapshot, threads, 0);
-        let mut pooled = Vec::new();
-        pool.answer_into(&queries, &mut pooled);
-        let bits = |v: &Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        prop_assert_eq!(bits(&pooled), bits(&serial));
-        // And again through the default-floor constructor, which routes
-        // this batch serially: same bits either way.
-        let mut floored = ShardPool::new(&snapshot, threads);
-        pool.answer_into(&queries, &mut pooled);
-        floored.answer_into(&queries, &mut serial);
-        prop_assert_eq!(bits(&pooled), bits(&serial));
-    }
-
-    #[test]
-    fn lane_blocked_fold_is_bit_identical_to_serial_on_binary_trees(
-        height in 1usize..9,
-        seed in any::<u64>(),
-        rounded in any::<bool>(),
-    ) {
-        // k = 2: every contiguous sibling run the walk emits has at most
-        // one node, so the lane-blocked fold must degenerate to the serial
-        // fold exactly — the documented bit contract of `answer_blocked`.
-        let shape = TreeShape::new(2, height);
-        let values = random_values(shape.nodes(), seed);
-        let server = SubtreeServer::new(&shape);
-        let rounding = if rounded { Rounding::NonNegativeInteger } else { Rounding::None };
-        for q in random_queries(shape.leaves(), 48, seed ^ 0xB10C) {
-            prop_assert_eq!(
-                server.answer_blocked(&values, rounding, q).to_bits(),
-                server.answer(&values, rounding, q).to_bits(),
-                "height = {}, q = {}", height, q
-            );
-        }
-    }
-
-    #[test]
-    fn lane_blocked_fold_tracks_the_oracle_on_wide_trees(
-        k in 6usize..17,
-        seed in any::<u64>(),
-    ) {
-        // Wide branching exercises real lane blocks: the reassociated fold
-        // must agree with the recursive oracle to float tolerance on every
-        // query.
-        let height = 3usize;
-        let shape = TreeShape::new(k, height);
-        let values = random_values(shape.nodes(), seed);
-        let server = SubtreeServer::new(&shape);
-        for q in random_queries(shape.leaves(), 32, seed ^ 0x51DE) {
-            let oracle = server.answer_recursive(&values, Rounding::None, q);
-            let got = server.answer_blocked(&values, Rounding::None, q);
-            prop_assert!(
-                (got - oracle).abs() <= 1e-9 * oracle.abs().max(1.0),
-                "k = {}, q = {}: {} vs {}", k, q, got, oracle
-            );
-        }
-    }
-
-    #[test]
-    fn blocked_rebuild_tracks_the_serial_prefix_scan(
-        height in 1usize..9,
-        seed in any::<u64>(),
-    ) {
-        // The blocked scan reassociates — bits may move — but every served
-        // answer must agree with the serial rebuild to float tolerance.
-        let shape = TreeShape::new(2, height);
-        let values = random_values(shape.nodes(), seed);
-        let domain = shape.leaves();
-        let serial = ConsistentSnapshot::from_tree_values(&shape, &values, domain);
-        let mut blocked = ConsistentSnapshot::from_leaves(&[], 0);
-        blocked.rebuild_from_tree_values_blocked(&shape, &values, domain);
-        for q in random_queries(domain, 48, seed ^ 0x810C) {
-            let a = serial.answer(q);
-            let b = blocked.answer(q);
-            prop_assert!(
-                (a - b).abs() <= 1e-9 * a.abs().max(1.0),
-                "q = {}: {} vs {}", q, a, b
-            );
-        }
-    }
-
-    #[test]
     fn iterative_subtree_fold_matches_the_recursive_oracle(
         k in 2usize..6,
         height in 1usize..8,
@@ -254,33 +159,6 @@ proptest! {
             );
         }
     }
-}
-
-#[test]
-fn degenerate_shard_pool_inputs_are_well_defined() {
-    let shape = TreeShape::new(2, 5);
-    let values: Vec<f64> = (0..shape.nodes()).map(|i| i as f64 * 0.5 - 3.0).collect();
-    let snapshot = ConsistentSnapshot::from_tree_values(&shape, &values, shape.leaves());
-    // 0 queries: output truncated, no worker woken, at any width.
-    for workers in [1usize, 2, 8] {
-        let mut pool = ShardPool::with_floor(&snapshot, workers, 0);
-        let mut out = vec![1.0, 2.0];
-        pool.answer_into(&[], &mut out);
-        assert!(out.is_empty(), "workers = {workers}");
-    }
-    // More shards than queries: trailing workers stay parked, the stitched
-    // prefix of chunks still equals the serial batch.
-    let queries = random_queries(shape.leaves(), 3, 404);
-    let mut serial = Vec::new();
-    snapshot.answer_into(&queries, &mut serial);
-    let mut wide = ShardPool::with_floor(&snapshot, 8, 0);
-    let mut out = Vec::new();
-    wide.answer_into(&queries, &mut out);
-    assert_eq!(out, serial);
-    // 1 shard: every batch is answered inline from the lone clone.
-    let mut single = ShardPool::with_floor(&snapshot, 1, 0);
-    single.answer_into(&queries, &mut out);
-    assert_eq!(out, serial);
 }
 
 #[test]
@@ -469,64 +347,6 @@ fn fast_ln_wide_golden_served_batch_seed_7177() {
     let expected_noisy_rounded = [47.0, 100.0, 86.0, 48.0, 86.0, 64.0, 81.0, 86.0];
     assert_eq!(inferred, expected_inferred);
     assert_eq!(noisy_rounded, expected_noisy_rounded);
-}
-
-#[test]
-fn reference_golden_blocked_rebuild_served_batch_seed_7177() {
-    // The opt-in blocked prefix scan over the *same* reference release the
-    // `reference_golden_served_batch_seed_7177` pin serves: the
-    // reassociated scan moves low bits (compare the two pins' tails), and
-    // those bits are themselves frozen — the blocked mode is a versioned
-    // serving surface, not an accident.
-    let n = 32usize;
-    let counts: Vec<u64> = (0..n as u64).map(|i| (i * 11 + 3) % 13).collect();
-    let histogram = Histogram::from_counts(Domain::new("golden", n).unwrap(), counts);
-    let shape = TreeShape::for_domain(n, 2);
-    let release = HierarchicalUniversal::binary(Epsilon::new(0.5).unwrap())
-        .release(&histogram, &mut rng_from_seed(7177));
-    let mut engine = BatchInference::for_shape(&shape);
-    let hbar = engine.infer(release.noisy_values());
-    let mut blocked = ConsistentSnapshot::from_leaves(&[], 0);
-    blocked.rebuild_from_tree_values_blocked(&shape, &hbar, n);
-    let queries = RangeWorkload::new(n, 9).sample_many(&mut rng_from_seed(9331), 8);
-    let mut answers = Vec::new();
-    blocked.answer_into(&queries, &mut answers);
-    let expected = [
-        49.5106039713376,
-        67.13964409874215,
-        72.99662893615442,
-        33.54392938759957,
-        60.801160455571875,
-        34.090703805616755,
-        74.59911891468388,
-        60.801160455571875,
-    ];
-    assert_eq!(answers, expected);
-}
-
-#[test]
-fn golden_blocked_fold_wide_tree_seed_6007() {
-    // The lane-blocked subtree fold on a branching-8 tree — the shape class
-    // the blocked fold exists for — pinned at fixed seeds. On wide trees
-    // the per-run lane combine reassociates, so these bits are the blocked
-    // fold's own frozen sequence.
-    let shape = TreeShape::new(8, 3);
-    let values = random_values(shape.nodes(), 6007);
-    let server = SubtreeServer::new(&shape);
-    let queries = RangeWorkload::new(shape.leaves(), 37).sample_many(&mut rng_from_seed(6011), 8);
-    let mut folded = Vec::new();
-    server.answer_blocked_into(&values, Rounding::None, &queries, &mut folded);
-    let expected = [
-        143.0402203312359,
-        207.39149803023105,
-        274.5674192371539,
-        390.2506380436623,
-        390.2506380436623,
-        390.2506380436623,
-        190.11758564958265,
-        269.0458843017897,
-    ];
-    assert_eq!(folded, expected);
 }
 
 #[test]
