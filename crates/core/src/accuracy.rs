@@ -25,8 +25,8 @@
 //!   platforms.
 //!
 //! [`AccuracyTarget`] carries the request; `StrategyPlanner::plan` (and
-//! `plan_ranked`) in [`crate::snapshot`] turn it into ranked, runnable
-//! [`crate::snapshot::StrategyPlan`]s.
+//! `plan_ranked`) in [`crate::plan`] turn it into ranked, runnable
+//! [`crate::plan::StrategyPlan`]s.
 //!
 //! The (ε, δ) stability-mechanism forms ([`stability_alpha_error`] /
 //! [`stability_epsilon`]) follow the PSI Library's accuracy arithmetic for

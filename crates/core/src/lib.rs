@@ -27,12 +27,13 @@
 //!   precomputed per-level weight tables, scratch-buffer reuse, batched
 //!   trials, and scoped-thread parallel passes. Every estimator's hot path
 //!   goes through it; the test suite pins it to the oracle bit for bit.
-//! * [`snapshot::ConsistentSnapshot`] / [`snapshot::SubtreeServer`] /
-//!   [`snapshot::StrategyPlanner`] — the matching *read* path: O(1)
-//!   prefix-summed range serving over engine output, allocation-free
-//!   decomposition folds for the `H̃`-style estimators, and a
-//!   workload-driven planner that picks flat vs hierarchical vs budgeted
-//!   releases from the paper's closed-form error analysis.
+//! * [`snapshot::ConsistentSnapshot`] / [`snapshot::SubtreeServer`] — the
+//!   matching *read* path: O(1) prefix-summed range serving over engine
+//!   output, and allocation-free decomposition folds for the `H̃`-style
+//!   estimators.
+//! * [`plan::StrategyPlanner`] — a workload-driven planner that picks flat
+//!   vs hierarchical vs budgeted releases from the paper's closed-form
+//!   error analysis.
 //!
 //! End-to-end estimators wrap the pipeline for the paper's two tasks:
 //!
@@ -55,6 +56,7 @@ pub mod engine;
 pub mod error;
 pub mod hier;
 pub mod isotonic;
+pub mod plan;
 pub mod snapshot;
 pub mod theory;
 pub mod unattributed;
@@ -71,9 +73,9 @@ pub use engine::{effective_threads, BatchInference, LevelTree};
 pub use error::{mean_absolute_error, per_position_squared_error, sum_squared_error};
 pub use hier::{enforce_nonnegativity, hierarchical_inference, ConsistentTree};
 pub use isotonic::{isotonic_regression, isotonic_regression_weighted, minmax_reference};
+pub use plan::{PlanInput, ReleaseStrategy, SizePrediction, StrategyPlan, StrategyPlanner};
 pub use snapshot::{
-    union_bound_interval, ConsistentSnapshot, PlanInput, ReleaseStrategy, SizePrediction,
-    StrategyPlan, StrategyPlanner, SubtreeServer, PARALLEL_SERIAL_FLOOR,
+    union_bound_interval, ConsistentSnapshot, SubtreeServer, PARALLEL_SERIAL_FLOOR,
 };
 pub use unattributed::{SortedRelease, UnattributedHistogram};
 pub use universal::{
