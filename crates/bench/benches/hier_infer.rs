@@ -253,22 +253,15 @@ fn bench_pipeline_batched(c: &mut Criterion) {
     group.finish();
 }
 
-/// The Laplace-draw phase in isolation, per noise backend: the ISSUE-4
-/// acceptance criterion is `fast_ln` ≥ 2× faster than `reference` at the
-/// pipeline's 2^21-draw scale (one draw per node of the 2^20-leaf tree),
-/// and the ISSUE-10 criterion is `fast_ln_wide` ≥ 1.5× faster again than
-/// `fast_ln` at the same scale.
+/// The Laplace-draw phase in isolation, per noise backend, including the
+/// pipeline's 2^21-draw scale (one draw per node of the 2^20-leaf tree).
 fn bench_laplace_fill(c: &mut Criterion) {
     let mut group = c.benchmark_group("laplace_fill");
     let noise = Laplace::centered(210.0).expect("positive scale");
     for &n in &[1usize << 17, (1 << 21) - 1, (1 << 27) - 1] {
         // −1 keeps the 2^21 and 2^27 cases honest about the scalar tail.
         let mut buf = vec![0.0f64; n];
-        for backend in [
-            NoiseBackend::Reference,
-            NoiseBackend::FastLn,
-            NoiseBackend::FastLnWide,
-        ] {
+        for backend in [NoiseBackend::Reference, NoiseBackend::FastLnWide] {
             let mut rng = rng_from_seed(31);
             group.throughput(Throughput::Elements(n as u64));
             group.bench_with_input(BenchmarkId::new(backend.name(), n + n % 2), &n, |b, _| {

@@ -1,7 +1,7 @@
 //! Criterion bench: noise sampling throughput (Laplace, geometric, Zipf).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use hc_noise::{rng_from_seed, Laplace, NoiseBackend, TwoSidedGeometric, Zipf};
+use hc_noise::{rng_from_seed, Laplace, TwoSidedGeometric, Zipf};
 use std::hint::black_box;
 
 fn bench_laplace(c: &mut Criterion) {
@@ -15,15 +15,6 @@ fn bench_laplace(c: &mut Criterion) {
         let mut buf = vec![0.0f64; n];
         b.iter(|| {
             d.sample_into(&mut rng, black_box(&mut buf));
-        });
-    });
-
-    group.bench_function("laplace_65536_fast_ln", |b| {
-        let d = Laplace::centered(10.0).expect("positive scale");
-        let mut rng = rng_from_seed(1);
-        let mut buf = vec![0.0f64; n];
-        b.iter(|| {
-            d.fill_with(NoiseBackend::FastLn, &mut rng, black_box(&mut buf));
         });
     });
 

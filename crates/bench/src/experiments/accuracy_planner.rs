@@ -31,7 +31,7 @@ pub struct PlanRow {
 /// Measured execution of the winning plan under one noise backend.
 #[derive(Debug, Clone)]
 pub struct ExecPoint {
-    /// Backend label (`reference` / `fast-ln`).
+    /// Backend label (`reference` / `fast-ln-wide`).
     pub backend: &'static str,
     /// Mean absolute range error across trials × queries.
     pub mean_abs: f64,
@@ -112,7 +112,7 @@ pub fn compute(cfg: RunConfig) -> PlannerReport {
     let mut execution = Vec::new();
     for (b_idx, (backend, name)) in [
         (NoiseBackend::Reference, "reference"),
-        (NoiseBackend::FastLn, "fast-ln"),
+        (NoiseBackend::FastLnWide, "fast-ln-wide"),
     ]
     .into_iter()
     .enumerate()

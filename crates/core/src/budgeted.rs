@@ -112,17 +112,21 @@ impl BudgetedHierarchical {
         histogram: &Histogram,
         rng: &mut R,
     ) -> BudgetedTreeRelease {
-        let query = HierarchicalQuery::new(self.branching);
-        let shape = query.shape(histogram.len());
-        let mut out = BudgetedTreeRelease {
-            shape,
-            domain_size: histogram.len(),
+        let mut out = self.empty_release(histogram.len());
+        self.release_into(histogram, rng, &mut out);
+        out
+    }
+
+    /// An unreleased [`BudgetedTreeRelease`] over `domain_size` bins with
+    /// empty buffers — the slot [`Self::release_into`] fills.
+    pub(crate) fn empty_release(&self, domain_size: usize) -> BudgetedTreeRelease {
+        BudgetedTreeRelease {
+            shape: HierarchicalQuery::new(self.branching).shape(domain_size),
+            domain_size,
             noisy: Vec::new(),
             level_variances: Vec::new(),
             epsilon: self.epsilon,
-        };
-        self.release_into(histogram, rng, &mut out);
-        out
+        }
     }
 
     /// Re-releases into an existing [`BudgetedTreeRelease`], reusing its

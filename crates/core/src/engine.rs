@@ -1747,7 +1747,7 @@ mod tests {
         let shape = TreeShape::for_domain(n, 2);
         let seeds = SeedStream::new(91);
         let trials = 11;
-        for backend in [NoiseBackend::Reference, NoiseBackend::FastLn] {
+        for backend in [NoiseBackend::Reference, NoiseBackend::FastLnWide] {
             let prepared = LaplaceMechanism::new(Epsilon::new(0.5).unwrap())
                 .with_backend(backend)
                 .prepare(HierarchicalQuery::binary(), n);

@@ -73,7 +73,9 @@ pub use engine::{effective_threads, BatchInference, LevelTree};
 pub use error::{mean_absolute_error, per_position_squared_error, sum_squared_error};
 pub use hier::{enforce_nonnegativity, hierarchical_inference, ConsistentTree};
 pub use isotonic::{isotonic_regression, isotonic_regression_weighted, minmax_reference};
-pub use plan::{PlanInput, ReleaseStrategy, SizePrediction, StrategyPlan, StrategyPlanner};
+pub use plan::{
+    PlanInput, ReleaseStrategy, SizePrediction, StrategyPipeline, StrategyPlan, StrategyPlanner,
+};
 pub use snapshot::{
     union_bound_interval, ConsistentSnapshot, SubtreeServer, PARALLEL_SERIAL_FLOOR,
 };

@@ -8,16 +8,16 @@
 //! error alongside the pick, as a runnable [`StrategyPlan`].
 
 use hc_data::{Histogram, RangeWorkload};
-use hc_mech::{Epsilon, TreeShape};
+use hc_mech::{Epsilon, HierarchicalQuery, PreparedMechanism, TreeShape};
 use hc_noise::{NoiseBackend, SeedStream};
 use rand::Rng;
 
 use crate::accuracy::{self, AccuracyTarget, Guarantee};
-use crate::budgeted::{BudgetSplit, BudgetedHierarchical};
+use crate::budgeted::{BudgetSplit, BudgetedHierarchical, BudgetedTreeRelease};
 use crate::engine::BatchInference;
 use crate::snapshot::{ConsistentSnapshot, SubtreeServer};
 use crate::theory;
-use crate::universal::{FlatUniversal, HierarchicalUniversal, Rounding};
+use crate::universal::{FlatRelease, FlatUniversal, HierarchicalUniversal, Rounding};
 
 /// A release strategy the planner can recommend for a range workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,15 +111,105 @@ impl StrategyPlan {
 
     /// [`Self::run`] with an explicit backend and caller-owned RNG — the
     /// hook for releasing several epochs from one stream, or pricing both
-    /// noise backends at fixed seeds.
-    ///
-    /// Flat and hierarchical snapshots carry their release's Laplace scale
-    /// (confidence queries work); budgeted snapshots carry none (per-level
-    /// scales differ, so a single union-bound scale would be wrong).
+    /// noise backends at fixed seeds. One cold [`StrategyPipeline`] release;
+    /// callers that release repeatedly should keep the pipeline instead.
     pub fn run_with<R: Rng + ?Sized>(
         &self,
         histogram: &Histogram,
         backend: NoiseBackend,
+        rng: &mut R,
+    ) -> ConsistentSnapshot {
+        StrategyPipeline::new(&self.choice, self.epsilon(), backend, self.domain_size)
+            .release(histogram, rng)
+    }
+}
+
+/// The one release dispatch: a [`ReleaseStrategy`] compiled once into warm
+/// release machinery over a fixed domain, then run once per release.
+///
+/// The pipeline owns every buffer its strategy needs (the prepared query,
+/// the inference engine's tables and scratch, the noisy and inferred
+/// vectors), so after the first release the only allocation a release makes
+/// is the returned snapshot's prefix. Both [`StrategyPlan::run_with`] and
+/// the serving layer release through it, so a snapshot is bit-identical
+/// whichever of them produced it at the same RNG state.
+///
+/// Flat and hierarchical snapshots carry their release's Laplace scale
+/// (confidence queries work); budgeted snapshots carry none (per-level
+/// scales differ, so a single union-bound scale would be wrong).
+#[derive(Debug)]
+pub struct StrategyPipeline {
+    domain_size: usize,
+    stage: Stage,
+}
+
+/// The strategy-specific machinery behind [`StrategyPipeline`].
+#[derive(Debug)]
+enum Stage {
+    Flat {
+        mech: FlatUniversal,
+        release: FlatRelease,
+    },
+    Hierarchical {
+        prepared: PreparedMechanism<HierarchicalQuery>,
+        shape: TreeShape,
+        engine: BatchInference,
+        inferred: Vec<f64>,
+    },
+    Budgeted {
+        mech: BudgetedHierarchical,
+        release: BudgetedTreeRelease,
+        engine: BatchInference,
+        inferred: Vec<f64>,
+    },
+}
+
+impl StrategyPipeline {
+    /// Compiles `strategy` at `epsilon` per release, sampling through
+    /// `backend`, for histograms over `domain_size` bins.
+    pub fn new(
+        strategy: &ReleaseStrategy,
+        epsilon: Epsilon,
+        backend: NoiseBackend,
+        domain_size: usize,
+    ) -> Self {
+        let stage = match strategy {
+            ReleaseStrategy::Flat => Stage::Flat {
+                mech: FlatUniversal::new(epsilon).with_backend(backend),
+                release: FlatRelease::from_noisy(epsilon, Vec::new()),
+            },
+            ReleaseStrategy::Hierarchical { branching } => {
+                let mech = HierarchicalUniversal::new(epsilon, *branching).with_backend(backend);
+                let shape = TreeShape::for_domain(domain_size, *branching);
+                Stage::Hierarchical {
+                    prepared: mech.prepare(domain_size),
+                    engine: BatchInference::for_shape(&shape),
+                    inferred: Vec::new(),
+                    shape,
+                }
+            }
+            ReleaseStrategy::Budgeted { branching, split } => {
+                let mech = BudgetedHierarchical::new(epsilon, *branching, split.clone())
+                    .with_backend(backend);
+                let release = mech.empty_release(domain_size);
+                Stage::Budgeted {
+                    engine: BatchInference::for_shape(release.shape()),
+                    mech,
+                    release,
+                    inferred: Vec::new(),
+                }
+            }
+        };
+        Self { domain_size, stage }
+    }
+
+    /// Releases `histogram` under the compiled strategy, drawing noise from
+    /// `rng`, infers the consistent estimate, and serves it as a
+    /// [`ConsistentSnapshot`]. Panics if `histogram` does not cover the
+    /// compiled domain.
+    pub fn release<R: Rng + ?Sized>(
+        &mut self,
+        histogram: &Histogram,
         rng: &mut R,
     ) -> ConsistentSnapshot {
         assert_eq!(
@@ -127,35 +217,33 @@ impl StrategyPlan {
             self.domain_size,
             "histogram does not match the planned domain"
         );
-        let eps = self.epsilon();
-        match &self.choice {
-            ReleaseStrategy::Flat => FlatUniversal::new(eps)
-                .with_backend(backend)
-                .release(histogram, rng)
-                .snapshot(Rounding::None),
-            ReleaseStrategy::Hierarchical { branching } => {
-                let mech = HierarchicalUniversal::new(eps, *branching).with_backend(backend);
-                let prepared = mech.prepare(self.domain_size);
-                let shape = TreeShape::for_domain(self.domain_size, *branching);
-                let mut engine = BatchInference::for_shape(&shape);
-                let mut inferred = Vec::new();
-                engine.release_and_infer(&prepared, histogram, rng, &mut inferred);
+        match &mut self.stage {
+            Stage::Flat { mech, release } => {
+                mech.release_into(histogram, rng, release);
+                release.snapshot(Rounding::None)
+            }
+            Stage::Hierarchical {
+                prepared,
+                shape,
+                engine,
+                inferred,
+            } => {
+                engine.release_and_infer(prepared, histogram, rng, inferred);
                 let mut snapshot =
-                    ConsistentSnapshot::from_tree_values(&shape, &inferred, self.domain_size);
+                    ConsistentSnapshot::from_tree_values(shape, inferred, self.domain_size);
                 snapshot.set_noise_scale(Some(prepared.noise_scale()));
                 snapshot
             }
-            ReleaseStrategy::Budgeted { branching, split } => {
-                let mech =
-                    BudgetedHierarchical::new(eps, *branching, split.clone()).with_backend(backend);
-                let release = mech.release(histogram, rng);
-                let mut engine = BatchInference::for_shape(release.shape());
-                let tree = release.infer_with(&mut engine);
-                ConsistentSnapshot::from_tree_values(
-                    release.shape(),
-                    tree.node_values(),
-                    self.domain_size,
-                )
+            Stage::Budgeted {
+                mech,
+                release,
+                engine,
+                inferred,
+            } => {
+                mech.release_into(histogram, rng, release);
+                engine.ensure_level_variances(release.shape(), release.level_variances());
+                engine.infer_into(release.noisy_values(), inferred);
+                ConsistentSnapshot::from_tree_values(release.shape(), inferred, self.domain_size)
             }
         }
     }

@@ -644,7 +644,7 @@ impl SubtreeServer {
     }
 
     /// Number of decomposition nodes for `target` — the `H̃` variance
-    /// multiplier of [`theory::error_hier_range`].
+    /// multiplier of [`crate::theory::error_hier_range`].
     pub fn decomposition_len(&self, target: Interval) -> usize {
         let mut count = 0usize;
         self.for_each_node(target, |_| count += 1);

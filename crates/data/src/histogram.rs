@@ -61,6 +61,12 @@ impl Histogram {
         &self.counts
     }
 
+    /// The unit counts, mutable in place (the domain cannot change) — for
+    /// owners that accumulate counts without rebuilding the histogram.
+    pub fn counts_mut(&mut self) -> &mut [u64] {
+        &mut self.counts
+    }
+
     /// Unit counts as `f64` — the numeric form consumed by mechanisms.
     pub fn counts_f64(&self) -> Vec<f64> {
         self.counts.iter().map(|&c| c as f64).collect()

@@ -172,15 +172,12 @@ pub const HOT_FUNCTIONS: &[(&str, &[&str])] = &[
             "fill_with",
             "add_noise",
             "add_noise_with",
-            "fast_ln_pass",
-            "fast_magnitude",
             "sample_from_bits",
             "fill_wide",
             "draw_strip",
             "transform_strip",
         ],
     ),
-    ("crates/noise/src/backend.rs", &["fast_ln"]),
     (
         "crates/serve/src/cell.rs",
         &[

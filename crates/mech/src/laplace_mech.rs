@@ -439,13 +439,13 @@ mod tests {
         let h = example();
         let mech = LaplaceMechanism::new(Epsilon::new(0.4).unwrap());
         assert_eq!(mech.backend(), NoiseBackend::Reference);
-        let fast = mech.with_backend(NoiseBackend::FastLn);
-        assert_eq!(fast.backend(), NoiseBackend::FastLn);
+        let fast = mech.with_backend(NoiseBackend::FastLnWide);
+        assert_eq!(fast.backend(), NoiseBackend::FastLnWide);
         assert_eq!(fast.epsilon(), mech.epsilon());
         let prepared = fast.prepare(HierarchicalQuery::binary(), h.len());
-        assert_eq!(prepared.backend(), NoiseBackend::FastLn);
+        assert_eq!(prepared.backend(), NoiseBackend::FastLnWide);
 
-        // All three FastLn release paths consume the stream identically.
+        // All three FastLnWide release paths consume the stream identically.
         let owned = fast.release(&HierarchicalQuery::binary(), &h, &mut rng_from_seed(73));
         let mut via_into = Vec::new();
         fast.release_into(
@@ -460,11 +460,8 @@ mod tests {
         assert_eq!(owned.values(), via_prepared);
 
         // And the backend really changes the sample bits (same seed, same
-        // scale, different ln arithmetic) while staying close.
+        // scale, different bits-to-sample transform).
         let reference = mech.release(&HierarchicalQuery::binary(), &h, &mut rng_from_seed(73));
         assert_ne!(reference.values(), owned.values());
-        for (r, f) in reference.values().iter().zip(owned.values()) {
-            assert!((r - f).abs() <= 1e-9 * (1.0 + r.abs()), "{r} vs {f}");
-        }
     }
 }

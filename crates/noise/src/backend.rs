@@ -10,22 +10,17 @@
 //! * [`NoiseBackend::Reference`] — the original scalar inverse-CDF sampler
 //!   using the platform `ln`. Its bits are frozen forever: all pre-backend
 //!   golden pins were recorded against it and must never change.
-//! * [`NoiseBackend::FastLn`] — the same inverse-CDF transform with the
-//!   platform `ln` replaced by [`fast_ln`], a branch-free polynomial
-//!   evaluated in blocks so the compiler vectorizes it. Different bits
-//!   (within [`FAST_LN_MAX_ULP`] of the reference per sample, and exactly
-//!   Laplace-distributed either way), pinned by its own golden snapshots.
 //! * [`NoiseBackend::FastLnWide`] — the fused wide-lane pass: raw RNG bits
 //!   go straight through a branch-free bits→uniform→ln→sign→scale kernel
 //!   written over fixed-width lanes, with no staging buffer and no boundary
 //!   select (the uniform is constructed as an odd multiple of 2⁻⁵², so the
-//!   `ln` argument is always a positive normal). Its logarithm is a fused
-//!   variant of [`fast_ln`] that folds the uniform's 2⁻⁵² scale into the
+//!   `ln` argument is always a positive normal). Its logarithm is a
+//!   branch-free polynomial that folds the uniform's 2⁻⁵² scale into the
 //!   range-reduction constant and keeps the reduced exponent in float form
-//!   throughout — same [`FAST_LN_MAX_ULP`] accuracy contract, fewer
-//!   cross-domain moves. It consumes one `u64` per draw in index order like
-//!   the others, but *transforms* those bits differently — a new frozen
-//!   algorithm with its own pins.
+//!   throughout, accurate to [`FAST_LN_MAX_ULP`] ulp of `f64::ln`. It
+//!   consumes one `u64` per draw in index order like `Reference`, but
+//!   *transforms* those bits differently — a frozen algorithm with its own
+//!   pins.
 //!
 //! The versioning policy, in full:
 //!
@@ -41,6 +36,13 @@
 //!    hc-lint `backend-pins` rule enforces both).
 //! 3. `Reference` is the default everywhere; faster backends are opt-in via
 //!    `with_backend` constructors on the mechanism and pipeline types.
+//! 4. A backend that another dominates may be retired: its name and
+//!    version stay reserved forever (no later backend may reuse them), and
+//!    its pins, tests and bench labels are deleted in the change that
+//!    retires it, recorded in the changelog.
+//!
+//! Retired: `fast_ln` (v2), a blocked-polynomial `ln` sampler dominated by
+//! `FastLnWide` (3.59 vs 2.30 ns/draw at 2^21 draws).
 
 /// Identifies one frozen sampling algorithm for the batch noise paths.
 ///
@@ -55,21 +57,16 @@ pub enum NoiseBackend {
     /// are `Reference` pins.
     #[default]
     Reference,
-    /// v2 — inverse-CDF sampling through the vectorizable [`fast_ln`]
-    /// polynomial, evaluated over 256-sample blocks with a scalar tail.
-    /// ≥ 2× faster per draw on an AVX2 target; samples differ from
-    /// `Reference` by at most a few ulp and carry their own golden pins.
-    FastLn,
     /// v3 — the fused wide-lane pass: one `u64` of raw RNG bits per draw is
     /// mapped to the sign (bit 0) and a uniform that is an odd multiple of
     /// 2⁻⁵² in (0, 1) (bits 12…63), then pushed through the kernel's own
-    /// fused `ln` (the [`fast_ln`] range reduction with the 2⁻⁵² scale
+    /// fused `ln` (a branch-free range reduction with the 2⁻⁵² scale
     /// folded into the integer offset, accurate to [`FAST_LN_MAX_ULP`] ulp
     /// of `f64::ln`) — all straight-line lane arithmetic with no staging
     /// copy and no boundary select, so the whole draw pipeline, RNG block
     /// included, vectorizes at the pinned `x86-64-v3` target. Uniform
-    /// *bits* differ from the other backends (same stream position,
-    /// different transform), so its samples are not ulp-close to theirs;
+    /// *bits* differ from `Reference` (same stream position, different
+    /// transform), so its samples are not ulp-close to `Reference`'s;
     /// it is an exact Laplace sampler with its own frozen golden pins.
     FastLnWide,
 }
@@ -79,16 +76,16 @@ impl NoiseBackend {
     pub fn name(self) -> &'static str {
         match self {
             NoiseBackend::Reference => "reference",
-            NoiseBackend::FastLn => "fast_ln",
             NoiseBackend::FastLnWide => "fast_ln_wide",
         }
     }
 }
 
-/// Documented accuracy bound for [`fast_ln`]: the result is within this many
-/// ulp of `f64::ln` for every positive normal input (the unit tests verify a
-/// stricter 2 ulp empirically over adversarial and random points; the extra
-/// headroom keeps the contract stable across platforms).
+/// Documented accuracy bound for the [`NoiseBackend::FastLnWide`] kernel's
+/// `ln`: within this many ulp of `f64::ln` for every uniform the kernel can
+/// produce (the ulp audits in `laplace.rs` and `tests/noise_backends.rs`
+/// verify a stricter 2 ulp empirically over adversarial and random draws;
+/// the extra headroom keeps the contract stable across platforms).
 pub const FAST_LN_MAX_ULP: u64 = 4;
 
 /// `ln 2` split hi/lo (the fdlibm constants, given by their exact bits): the
@@ -102,137 +99,14 @@ pub(crate) const LN2_LO: f64 = f64::from_bits(0x3DEA_39EF_3579_3C76); // 1.90821
 /// `z ∈ [0.6875, 1.375)` without a compare on the mantissa.
 pub(crate) const REDUCTION_OFF: u64 = 0x3FE6_0000_0000_0000;
 
-/// Natural logarithm via branch-free range reduction and a fixed-degree
-/// polynomial — the kernel of [`NoiseBackend::FastLn`].
-///
-/// The computation is pure straight-line f64/integer arithmetic (no table,
-/// no branch, no platform call), so it auto-vectorizes when evaluated over a
-/// block. Every multiply-add is an explicit [`f64::mul_add`] — fused
-/// multiply-add is *exactly rounded* by IEEE 754, on FMA hardware and in the
-/// software fallback alike — so the function returns *identical bits* for a
-/// given input on every target, scalar or SIMD. That is what lets `FastLn`
-/// golden snapshots be pinned once and checked everywhere. (Speed, unlike
-/// bits, does assume FMA hardware: the workspace pins
-/// `target-cpu = x86-64-v3` in `.cargo/config.toml`; without it each
-/// `mul_add` becomes a libm call and `Reference` is the faster backend.)
-///
-/// Algorithm: reduce `x = z·2^k` with `z ∈ [0.6875, 1.375)`, set
-/// `s = (z−1)/(z+1)` (so `|s| ≤ 0.1852` at the left edge, `w = s² < 0.0344`),
-/// and evaluate
-/// `ln z = 2s·(1 + w·P(w))` where `P` carries the exact Taylor coefficients
-/// `1/3 … 1/23` of `atanh` in Estrin form (truncation < 1.1e−16 relative at
-/// the radius, below one ulp; the shallow Estrin tree lets independent
-/// lanes overlap where Horner's 10-deep chain would serialize). Recombine
-/// as `k·ln2 + ln z` with `ln2` split hi/lo. Accuracy: within
-/// [`FAST_LN_MAX_ULP`] ulp of `f64::ln` on every **positive normal** input;
-/// zero, subnormal, infinite, or NaN inputs are outside the contract (the
-/// Laplace sampler guards its one reachable boundary case, `x = 0`,
-/// explicitly).
-#[inline]
-pub fn fast_ln(x: f64) -> f64 {
-    debug_assert!(
-        x.is_normal() && x > 0.0,
-        "fast_ln domain is positive normal f64, got {x:e}"
-    );
-    let ix = x.to_bits();
-    let tmp = ix.wrapping_sub(REDUCTION_OFF);
-    let k = ((tmp as i64) >> 52) as f64;
-    let z = f64::from_bits(ix.wrapping_sub(tmp & (0xFFFu64 << 52)));
-    let s = (z - 1.0) / (z + 1.0);
-    let w = s * s;
-    let w2 = w * w;
-    let w4 = w2 * w2;
-    let a0 = w.mul_add(1.0 / 5.0, 1.0 / 3.0);
-    let a1 = w.mul_add(1.0 / 9.0, 1.0 / 7.0);
-    let a2 = w.mul_add(1.0 / 13.0, 1.0 / 11.0);
-    let a3 = w.mul_add(1.0 / 17.0, 1.0 / 15.0);
-    let a4 = w.mul_add(1.0 / 21.0, 1.0 / 19.0);
-    let b0 = w2.mul_add(a1, a0);
-    let b1 = w2.mul_add(a3, a2);
-    let c1 = w2.mul_add(1.0 / 23.0, a4);
-    let p = w4.mul_add(w4.mul_add(c1, b1), b0);
-    let t = (2.0 * s).mul_add(w * p, 2.0 * s);
-    k.mul_add(LN2_HI, k.mul_add(LN2_LO, t))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng_from_seed;
-    use rand::Rng;
-
-    fn ulp_distance(a: f64, b: f64) -> u64 {
-        (a.to_bits() as i64 - b.to_bits() as i64).unsigned_abs()
-    }
 
     #[test]
     fn backend_names_are_stable() {
         assert_eq!(NoiseBackend::Reference.name(), "reference");
-        assert_eq!(NoiseBackend::FastLn.name(), "fast_ln");
         assert_eq!(NoiseBackend::FastLnWide.name(), "fast_ln_wide");
         assert_eq!(NoiseBackend::default(), NoiseBackend::Reference);
-    }
-
-    #[test]
-    fn fast_ln_matches_library_ln_within_documented_ulp() {
-        let mut rng = rng_from_seed(2027);
-        let mut max_ulp = 0u64;
-        let mut worst = 1.0f64;
-        let mut check = |x: f64| {
-            let got = fast_ln(x);
-            let want = x.ln();
-            let ulp = ulp_distance(got, want);
-            if ulp > max_ulp {
-                max_ulp = ulp;
-                worst = x;
-            }
-        };
-        // The sampler's exact input set is {2m·2^-53 : m ∈ 1..=2^52}; cover
-        // it plus magnitudes far outside (the documented domain is all
-        // positive normals).
-        for i in 0..200_000u64 {
-            let r: f64 = rng.random();
-            match i % 5 {
-                0 => check(r.max(f64::MIN_POSITIVE)),
-                1 => check((r * 1e-6).max(1e-12)),
-                2 => check(1.0 - r * 1e-9 - 1e-12), // just below the x = 1 kink
-                3 => check(1.0 + r * 1e-9 + 1e-12), // just above it
-                _ => check(r * 1e18 + 0.5),
-            }
-        }
-        // Reduction boundaries and extremes of the normal range.
-        for x in [
-            f64::MIN_POSITIVE,
-            f64::MAX,
-            1.0,
-            2.0,
-            0.5,
-            0.6875,
-            1.375,
-            0.687_499_999_999_999_9,
-            1.374_999_999_999_999_8,
-            f64::from_bits(1.0f64.to_bits() - 1),
-            f64::from_bits(1.0f64.to_bits() + 1),
-            2.0f64.powi(-52), // the sampler's smallest reachable argument
-        ] {
-            check(x);
-        }
-        assert!(
-            max_ulp <= FAST_LN_MAX_ULP,
-            "max ulp {max_ulp} at x = {worst:e} exceeds the documented bound"
-        );
-        // The empirical bound is tighter than the documented one; record it
-        // so a regression inside the documented envelope is still visible.
-        assert!(max_ulp <= 2, "empirical bound drifted: {max_ulp} ulp");
-    }
-
-    #[test]
-    fn fast_ln_exact_anchors() {
-        // ln 1 = 0 exactly (s = 0, k = 0 — every term vanishes).
-        assert_eq!(fast_ln(1.0), 0.0);
-        // Powers of two reduce to k·ln2 with z = 1.
-        assert_eq!(fast_ln(2.0), 2.0f64.ln());
-        assert_eq!(fast_ln(0.25), 0.25f64.ln());
-        assert_eq!(fast_ln(2.0f64.powi(40)), (2.0f64.powi(40)).ln());
     }
 }

@@ -2,19 +2,8 @@
 
 use rand::Rng;
 
-use crate::backend::fast_ln;
 use crate::backend::{LN2_HI, LN2_LO, REDUCTION_OFF};
 use crate::{NoiseBackend, NoiseError};
-
-/// Samples per block in the [`NoiseBackend::FastLn`] batch paths: the
-/// uniforms for one block land in the output slice itself (fill) or in a
-/// stack buffer (add-noise, where the output holds the values being
-/// perturbed), then the branch-free `fast_ln` transform runs over the block
-/// so the compiler can vectorize it. 256 × 8 B = 2 KiB — resident in L1
-/// alongside the output. Block size never affects sample bits (the
-/// transform is elementwise and consumes exactly one uniform per sample, in
-/// index order).
-const FAST_BLOCK: usize = 256;
 
 /// Lane width of the [`NoiseBackend::FastLnWide`] fused kernel: the RNG
 /// bits for one step live in a `[u64; WIDE_LANES]` register block and the
@@ -165,17 +154,13 @@ impl Laplace {
 
     /// One sample through the named backend.
     ///
-    /// Consumes exactly one uniform draw either way, so a stream of
+    /// Consumes exactly one `u64` of the stream either way, so a stream of
     /// `sample_with` calls stays draw-for-draw aligned with [`Self::sample`]
-    /// (and with the batch paths) regardless of backend; only the `ln`
-    /// arithmetic — and therefore the low bits of the sample — differs.
+    /// (and with the batch paths) regardless of backend; only the transform
+    /// from those bits to a sample differs.
     pub fn sample_with<R: Rng + ?Sized>(&self, backend: NoiseBackend, rng: &mut R) -> f64 {
         match backend {
             NoiseBackend::Reference => self.sample(rng),
-            NoiseBackend::FastLn => {
-                let u = 0.5 - rng.random::<f64>();
-                self.mu + self.fast_magnitude(u).copysign(u)
-            }
             NoiseBackend::FastLnWide => self.sample_from_bits(rng.next_u64()),
         }
     }
@@ -187,22 +172,20 @@ impl Laplace {
     ///   of the (always-positive) magnitude — equivalent to `copysign`.
     /// * **Uniform** comes from bits 12…63: `x = ((bits >> 12) | 1) · 2⁻⁵²`,
     ///   an *odd* multiple of 2⁻⁵² in (0, 1). Odd means `x` is never zero
-    ///   (no `±∞` guard — the one select `FastLn` needs) and never 1, and
-    ///   every value is a positive normal.
-    /// * **Logarithm** is the kernel's own fused `ln`, not a call to
-    ///   [`fast_ln`]: the same `z ∈ [0.6875, 1.375)` range reduction and
-    ///   `2·atanh`-series evaluation, but operating on the raw integer
-    ///   `y = 2⁵² + v` directly. Because the 2⁻⁵² scale is an exact power
-    ///   of two it is folded into the reduction constant ([`WIDE_OFF`]) —
-    ///   the uniform is never materialized — and the reduced exponent `k`
-    ///   is rebuilt through the same `from_bits(2⁵² | m) − bias` trick
+    ///   (no `±∞` guard) and never 1, and every value is a positive normal.
+    /// * **Logarithm** is the kernel's own fused `ln`: musl's branch-free
+    ///   `z ∈ [0.6875, 1.375)` range reduction ([`REDUCTION_OFF`]) and an
+    ///   Estrin-form `2·atanh` series over the exact Taylor terms
+    ///   `1/3 … 1/21`, operating on the raw integer `y = 2⁵² + v` directly.
+    ///   Because the 2⁻⁵² scale is an exact power of two it is folded into
+    ///   the reduction constant ([`WIDE_OFF`]) — the uniform is never
+    ///   materialized — and the reduced exponent `k` is rebuilt through
+    ///   the same `from_bits(2⁵² | m) − bias` trick
     ///   ([`WIDE_K_BIAS`]; `k + 64 ∈ [12, 64]` always fits the low 12 bits)
-    ///   instead of a cross-lane integer→f64 conversion. The reduction is
-    ///   bit-for-bit the one `fast_ln` performs (the tests pin this); the
-    ///   polynomial drops `fast_ln`'s final 1/23 term, whose contribution
-    ///   over this kernel's input set (`|s| ≤ 0.1852`, `w < 0.0344`) is far
-    ///   below one ulp — the audited bound is
-    ///   [`crate::backend::FAST_LN_MAX_ULP`], measured ≤ 2
+    ///   instead of a cross-lane integer→f64 conversion. The series stops
+    ///   at 1/21: the next term's contribution over this kernel's input
+    ///   set (`|s| ≤ 0.1852`, `w < 0.0344`) is far below one ulp — the
+    ///   audited bound is [`crate::backend::FAST_LN_MAX_ULP`], measured ≤ 2
     ///   (`wide_kernel_ln_stays_within_documented_ulp`).
     ///
     /// Everything is straight-line lane arithmetic — OR, integer subtract,
@@ -251,23 +234,6 @@ impl Laplace {
         self.mu + f64::from_bits(magnitude.to_bits() ^ ((bits & 1) << 63))
     }
 
-    /// The `FastLn` magnitude `−b · fast_ln(1 − 2|u|)` for `u ∈ (−1/2, 1/2]`.
-    ///
-    /// The argument `1 − 2|u|` is an even multiple of 2⁻⁵³ in `(0, 1]`, so
-    /// it is a positive normal — inside [`fast_ln`]'s domain — except for
-    /// the single point `u = 1/2` (uniform draw exactly 0, probability
-    /// 2⁻⁵³), which the select maps to the reference answer `+∞`.
-    #[inline]
-    fn fast_magnitude(&self, u: f64) -> f64 {
-        let x = 1.0 - 2.0 * u.abs();
-        let l = if x == 0.0 {
-            f64::NEG_INFINITY
-        } else {
-            fast_ln(x)
-        };
-        -self.b * l
-    }
-
     /// Fills `out` with i.i.d. samples, overwriting its contents.
     ///
     /// This is the buffer-reuse primitive behind the allocation-free release
@@ -280,63 +246,14 @@ impl Laplace {
 
     /// [`Self::fill`] through the named backend.
     ///
-    /// `Reference` is exactly [`Self::fill`]. `FastLn` draws each block's
-    /// uniforms first and then runs the polynomial transform over the block
-    /// (vectorized), with a scalar tail; its output is bit-identical to
-    /// calling [`Self::sample_with`]`(FastLn)` once per slot, so sample
-    /// values never depend on buffer length or block boundaries.
+    /// `Reference` is exactly [`Self::fill`]. `FastLnWide` runs the fused
+    /// lane kernel with a scalar tail; its output is bit-identical to
+    /// calling [`Self::sample_with`]`(FastLnWide)` once per slot, so sample
+    /// values never depend on buffer length or lane boundaries.
     pub fn fill_with<R: Rng + ?Sized>(&self, backend: NoiseBackend, rng: &mut R, out: &mut [f64]) {
         match backend {
             NoiseBackend::Reference => self.fill(rng, out),
-            NoiseBackend::FastLn => self.fast_ln_pass::<false, R>(rng, out),
             NoiseBackend::FastLnWide => self.fill_wide::<false, R>(rng, out),
-        }
-    }
-
-    /// The shared `FastLn` block loop behind [`Self::fill_with`] and
-    /// [`Self::add_noise_with`] — one implementation so the draw order, the
-    /// blocking, and the per-sample transform cannot drift apart between
-    /// the two entry points. `ACCUMULATE` selects write (`=`, fill) versus
-    /// perturb (`+=`, add-noise); the sample value expression is identical,
-    /// so both stay bit-aligned with the scalar [`Self::sample_with`] path.
-    ///
-    /// The fill case stages nothing: the block's uniforms are drawn into
-    /// the output slots themselves and transformed in place (same draw
-    /// order, same per-sample arithmetic, identical bits — the golden pins
-    /// are the regression net). Only add-noise keeps the stack `us` buffer,
-    /// because there the output holds the values being perturbed.
-    fn fast_ln_pass<const ACCUMULATE: bool, R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        values: &mut [f64],
-    ) {
-        let mut us = [0.0f64; FAST_BLOCK];
-        let mut blocks = values.chunks_exact_mut(FAST_BLOCK);
-        for block in &mut blocks {
-            if ACCUMULATE {
-                for u in us.iter_mut() {
-                    *u = 0.5 - rng.random::<f64>();
-                }
-                for (slot, &u) in block.iter_mut().zip(&us) {
-                    *slot += self.mu + self.fast_magnitude(u).copysign(u);
-                }
-            } else {
-                for slot in block.iter_mut() {
-                    *slot = 0.5 - rng.random::<f64>();
-                }
-                for slot in block.iter_mut() {
-                    let u = *slot;
-                    *slot = self.mu + self.fast_magnitude(u).copysign(u);
-                }
-            }
-        }
-        for slot in blocks.into_remainder() {
-            let sample = self.sample_with(NoiseBackend::FastLn, rng);
-            if ACCUMULATE {
-                *slot += sample;
-            } else {
-                *slot = sample;
-            }
         }
     }
 
@@ -470,7 +387,7 @@ impl Laplace {
     }
 
     /// [`Self::add_noise`] through the named backend (see
-    /// [`Self::fill_with`] for the `FastLn` blocking; the perturbation adds
+    /// [`Self::fill_with`] for the `FastLnWide` lanes; the perturbation adds
     /// the same samples, so `v + sample` bits match the per-sample path).
     pub fn add_noise_with<R: Rng + ?Sized>(
         &self,
@@ -480,7 +397,6 @@ impl Laplace {
     ) {
         match backend {
             NoiseBackend::Reference => self.add_noise(rng, values),
-            NoiseBackend::FastLn => self.fast_ln_pass::<true, R>(rng, values),
             NoiseBackend::FastLnWide => self.fill_wide::<true, R>(rng, values),
         }
     }
@@ -637,65 +553,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_backend_is_block_boundary_independent() {
-        // Sizes straddling the 256-sample block: bits must equal the scalar
-        // per-sample path at every length, remainder included.
-        let d = Laplace::new(-2.0, 3.1).unwrap();
-        for len in [0usize, 1, 255, 256, 257, 512, 700] {
-            let mut filled = vec![f64::NAN; len];
-            d.fill_with(NoiseBackend::FastLn, &mut rng_from_seed(16), &mut filled);
-            let mut rng = rng_from_seed(16);
-            let singles: Vec<f64> = (0..len)
-                .map(|_| d.sample_with(NoiseBackend::FastLn, &mut rng))
-                .collect();
-            assert_eq!(filled, singles, "len = {len}");
-
-            let base: Vec<f64> = (0..len).map(|i| i as f64 * 0.25 - 8.0).collect();
-            let mut perturbed = base.clone();
-            d.add_noise_with(NoiseBackend::FastLn, &mut rng_from_seed(17), &mut perturbed);
-            let mut rng = rng_from_seed(17);
-            let expect: Vec<f64> = base
-                .iter()
-                .map(|v| v + d.sample_with(NoiseBackend::FastLn, &mut rng))
-                .collect();
-            assert_eq!(perturbed, expect, "len = {len}");
-        }
-    }
-
-    #[test]
-    fn backends_stay_draw_aligned_and_close() {
-        // Same seed ⇒ same uniforms ⇒ samples agree to fast_ln's accuracy:
-        // relatively for the magnitude, hence to ~1e-14 relative per sample.
-        let d = Laplace::centered(4.0).unwrap();
-        let n = 4096;
-        let mut reference = vec![0.0f64; n];
-        let mut fast = vec![0.0f64; n];
-        d.fill(&mut rng_from_seed(18), &mut reference);
-        d.fill_with(NoiseBackend::FastLn, &mut rng_from_seed(18), &mut fast);
-        for (i, (r, f)) in reference.iter().zip(&fast).enumerate() {
-            assert_eq!(r.signum(), f.signum(), "sample {i} changed sign");
-            let rel = (r - f).abs() / r.abs().max(f64::MIN_POSITIVE);
-            assert!(rel < 1e-12, "sample {i}: {r} vs {f} (rel {rel:e})");
-        }
-    }
-
-    #[test]
-    fn fast_backend_moments_match_theory() {
-        let d = Laplace::centered(2.0).unwrap();
-        let mut rng = rng_from_seed(19);
-        let n = 200_000;
-        let mut samples = vec![0.0f64; n];
-        d.fill_with(NoiseBackend::FastLn, &mut rng, &mut samples);
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.05, "mean = {mean}");
-        assert!(
-            (var - d.variance()).abs() / d.variance() < 0.05,
-            "var = {var}"
-        );
-    }
-
-    #[test]
     fn wide_backend_is_lane_boundary_independent() {
         // Sizes straddling the 8-lane step: bits must equal the scalar
         // per-sample path at every length, remainder included.
@@ -822,20 +679,8 @@ mod tests {
             max_ulp <= crate::backend::FAST_LN_MAX_ULP,
             "max ulp {max_ulp} at bits = {worst:#x} exceeds the documented bound"
         );
-        // Empirically the fused kernel matches fast_ln's ≤ 2 ulp envelope
-        // (measured max 1); record the tighter bound so drift is visible.
+        // Empirically the fused kernel stays within 2 ulp (measured max 1);
+        // record the tighter bound so drift is visible.
         assert!(max_ulp <= 2, "empirical bound drifted: {max_ulp} ulp");
-    }
-
-    #[test]
-    fn fast_backend_guards_the_zero_uniform() {
-        // A uniform draw of exactly 0 maps to u = 1/2 and a +∞ magnitude in
-        // the reference; fast_ln's domain excludes the zero argument, so the
-        // sampler's select must reproduce the ±∞ answer rather than feed 0
-        // into the polynomial.
-        let d = Laplace::centered(1.0).unwrap();
-        assert_eq!(d.fast_magnitude(0.5), f64::INFINITY);
-        assert_eq!(d.fast_magnitude(-0.5), f64::INFINITY);
-        assert!(d.fast_magnitude(0.25).is_finite());
     }
 }

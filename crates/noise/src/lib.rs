@@ -13,10 +13,10 @@
 //!   from a master seed, so every experiment in the repository is exactly
 //!   reproducible.
 //! * [`NoiseBackend`] — versioned sampling algorithms for the batch Laplace
-//!   paths: the frozen [`NoiseBackend::Reference`] scalar sampler, the
-//!   vectorized-[`fast_ln`] [`NoiseBackend::FastLn`] sampler, and the fused
-//!   wide-lane [`NoiseBackend::FastLnWide`] sampler, each with its own
-//!   golden-release pins (see [`backend`] for the versioning policy).
+//!   paths: the frozen [`NoiseBackend::Reference`] scalar sampler and the
+//!   fused wide-lane [`NoiseBackend::FastLnWide`] sampler, each with its own
+//!   golden-release pins (see [`backend`] for the versioning policy and the
+//!   retired backends whose names stay reserved).
 //!
 //! The `rand` crate supplies only the uniform bit stream; all distribution
 //! logic lives here so it can be tested against closed forms.
@@ -32,7 +32,7 @@ mod poisson;
 mod seeds;
 mod zipf;
 
-pub use backend::{fast_ln, NoiseBackend, FAST_LN_MAX_ULP};
+pub use backend::{NoiseBackend, FAST_LN_MAX_ULP};
 pub use geometric::TwoSidedGeometric;
 pub use laplace::Laplace;
 pub use poisson::Poisson;

@@ -16,9 +16,11 @@
 //! * [`HistogramService`] / [`TenantConfig`] — per-tenant domain shape,
 //!   [`hc_core::ReleaseStrategy`] (hand-picked, or planned at registration
 //!   from an [`hc_core::AccuracyTarget`] via
-//!   [`TenantConfig::with_accuracy`]), and a [`hc_mech::PrivacyAccountant`]
-//!   debited once per release under sequential composition, with typed
-//!   [`hc_mech::LedgerEntry`] audit rows.
+//!   [`TenantConfig::with_accuracy`]) compiled once into an
+//!   [`hc_core::StrategyPipeline`] — the same warm release dispatch the
+//!   planner's `StrategyPlan::run_with` uses — and a
+//!   [`hc_mech::PrivacyAccountant`] debited once per release under
+//!   sequential composition, with typed [`hc_mech::LedgerEntry`] audit rows.
 //! * [`RangeQuery`] — the half-open wire query; unlike the core's
 //!   structurally non-empty `Interval`, empty client requests are
 //!   representable and answered exactly. The conversion convention is

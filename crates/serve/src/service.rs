@@ -8,17 +8,16 @@
 //! shards — holding the currently-served [`ConsistentSnapshot`]. Ingest
 //! accumulates count deltas behind the tenant's write lock, checked against
 //! the exact-f64 total bound before any count moves; a release — on the
-//! configured cadence or on demand — spends `ε` from the ledger, runs the
-//! tenant's [`ReleaseStrategy`] through the allocation-free
-//! release+inference pipeline ([`BatchInference::release_and_infer`] for
-//! the hierarchical path), and broadcasts the fresh snapshot: one shared
-//! `Arc` that every shard serves, so a publish copies no snapshot bytes.
-//! Readers pin round-robin, never block, and never see the true counts:
-//! only published post-inference snapshots.
+//! configured cadence or on demand — spends `ε` from the ledger, releases
+//! the tenant's histogram in place through its warm [`StrategyPipeline`]
+//! (hc-core's one release dispatch, built at registration), and broadcasts
+//! the fresh snapshot: one shared `Arc` that every shard serves, so a
+//! publish copies no snapshot bytes. Readers pin round-robin, never block,
+//! and never see the true counts: only published post-inference snapshots.
 //!
 //! Determinism: release `i` of a tenant draws its noise from
 //! `SeedStream::new(seed).rng(i)`, so the served answers are bit-identical
-//! to running the same strategy serially at the same seeds — pinned by the
+//! to [`hc_core::StrategyPlan::run_with`] at the same seeds — pinned by the
 //! crate's tests and the `serve_load --verify` subprocess check across
 //! `HC_THREADS` settings.
 
@@ -26,14 +25,11 @@ use std::fmt;
 use std::sync::Mutex;
 
 use hc_core::{
-    effective_threads, AccuracyTarget, BatchInference, BudgetedHierarchical, ConsistentSnapshot,
-    FlatUniversal, HierarchicalUniversal, ReleaseStrategy, Rounding, StrategyPlanner,
+    effective_threads, AccuracyTarget, ConsistentSnapshot, ReleaseStrategy, StrategyPipeline,
+    StrategyPlanner,
 };
 use hc_data::{Domain, Histogram};
-use hc_mech::{
-    BudgetError, ConfidenceInterval, Epsilon, HierarchicalQuery, LedgerEntry, PreparedMechanism,
-    PrivacyAccountant, TreeShape,
-};
+use hc_mech::{BudgetError, ConfidenceInterval, Epsilon, LedgerEntry, PrivacyAccountant};
 use hc_noise::{NoiseBackend, SeedStream};
 
 use crate::cell::{PinnedSnapshot, SnapshotShards};
@@ -91,6 +87,11 @@ pub enum ServeError {
     /// exact-f64 bound (or overflow `u64` on the way). Nothing in the batch
     /// was applied.
     CountOverflow,
+    /// A confidence level outside the open interval `(0, 1)`, or NaN.
+    InvalidLevel {
+        /// The level presented.
+        level: f64,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -123,6 +124,9 @@ impl fmt::Display for ServeError {
                 f,
                 "ingest would push the tenant's total count past {MAX_TOTAL_COUNT}"
             ),
+            ServeError::InvalidLevel { level } => {
+                write!(f, "confidence level {level} outside (0, 1)")
+            }
         }
     }
 }
@@ -247,40 +251,17 @@ impl TenantConfig {
     }
 }
 
-/// The strategy-specific release machinery, built once at registration so
-/// the per-release path reuses prepared queries and engine scratch. The
-/// hierarchical payloads are boxed: `TreeShape` carries an inline offset
-/// array of over 500 bytes, and this enum lives behind the tenant lock —
-/// built once, matched once per release, never on the read path.
-enum Pipeline {
-    Flat { mech: FlatUniversal },
-    Hierarchical(Box<HierPipeline>),
-    Budgeted(Box<BudgetedPipeline>),
-}
-
-struct HierPipeline {
-    prepared: PreparedMechanism<HierarchicalQuery>,
-    shape: TreeShape,
-    engine: BatchInference,
-    inferred: Vec<f64>,
-}
-
-struct BudgetedPipeline {
-    mech: BudgetedHierarchical,
-    engine: BatchInference,
-}
-
-/// Everything behind the tenant's write lock: the true counts, the budget
-/// ledger, and the release pipeline. Readers never touch this.
+/// Everything behind the tenant's write lock: the true histogram, the
+/// budget ledger, and the warm release pipeline (built once at
+/// registration). Readers never touch this.
 struct WriteState {
-    counts: Vec<u64>,
-    /// Sum of `counts`, kept at or below [`MAX_TOTAL_COUNT`].
+    histogram: Histogram,
+    /// Sum of the histogram's counts, kept at or below [`MAX_TOTAL_COUNT`].
     total: u64,
-    domain: Domain,
     pending_deltas: u64,
     releases: u64,
     budget: PrivacyAccountant,
-    pipeline: Pipeline,
+    pipeline: StrategyPipeline,
 }
 
 struct Tenant {
@@ -378,37 +359,18 @@ impl HistogramService {
         let total = Epsilon::new(config.total_epsilon)?;
         let domain =
             Domain::new(config.name.as_str(), config.domain_size).expect("size checked above");
-        let pipeline = match &config.strategy {
-            ReleaseStrategy::Flat => Pipeline::Flat {
-                mech: FlatUniversal::new(epsilon).with_backend(config.backend),
-            },
-            ReleaseStrategy::Hierarchical { branching } => {
-                let mech =
-                    HierarchicalUniversal::new(epsilon, *branching).with_backend(config.backend);
-                let shape = TreeShape::for_domain(config.domain_size, *branching);
-                Pipeline::Hierarchical(Box::new(HierPipeline {
-                    prepared: mech.prepare(config.domain_size),
-                    engine: BatchInference::for_shape(&shape),
-                    inferred: Vec::new(),
-                    shape,
-                }))
-            }
-            ReleaseStrategy::Budgeted { branching, split } => {
-                let shape = TreeShape::for_domain(config.domain_size, *branching);
-                Pipeline::Budgeted(Box::new(BudgetedPipeline {
-                    mech: BudgetedHierarchical::new(epsilon, *branching, split.clone())
-                        .with_backend(config.backend),
-                    engine: BatchInference::for_shape(&shape),
-                }))
-            }
-        };
+        let pipeline = StrategyPipeline::new(
+            &config.strategy,
+            epsilon,
+            config.backend,
+            config.domain_size,
+        );
         let budget = PrivacyAccountant::new(total)
             .with_delta(delta_allowance)
             .map_err(ServeError::Budget)?;
         let write = WriteState {
-            counts: vec![0; config.domain_size],
+            histogram: Histogram::from_counts(domain, vec![0; config.domain_size]),
             total: 0,
-            domain,
             pending_deltas: 0,
             releases: 0,
             budget,
@@ -466,8 +428,9 @@ impl HistogramService {
             .try_fold(state.total, |acc, &(_, count)| acc.checked_add(count))
             .filter(|&total| total <= MAX_TOTAL_COUNT)
             .ok_or(ServeError::CountOverflow)?;
+        let counts = state.histogram.counts_mut();
         for &(bin, count) in deltas {
-            state.counts[bin] += count;
+            counts[bin] += count;
         }
         state.total = total;
         state.pending_deltas += deltas.len() as u64;
@@ -511,37 +474,7 @@ impl HistogramService {
             )?
             .value();
         let mut rng = SeedStream::new(tenant.config.seed).rng(release_index);
-        let histogram = Histogram::from_counts(state.domain.clone(), state.counts.clone());
-        let domain_size = tenant.config.domain_size;
-        let snapshot = match &mut state.pipeline {
-            Pipeline::Flat { mech } => mech.release(&histogram, &mut rng).snapshot(Rounding::None),
-            Pipeline::Hierarchical(hier) => {
-                let HierPipeline {
-                    prepared,
-                    shape,
-                    engine,
-                    inferred,
-                } = hier.as_mut();
-                engine.release_and_infer(prepared, &histogram, &mut rng, inferred);
-                let mut snapshot =
-                    ConsistentSnapshot::from_tree_values(shape, inferred, domain_size);
-                snapshot.set_noise_scale(Some(prepared.noise_scale()));
-                snapshot
-            }
-            Pipeline::Budgeted(budgeted) => {
-                let BudgetedPipeline { mech, engine } = budgeted.as_mut();
-                let release = mech.release(&histogram, &mut rng);
-                let tree = release.infer_with(engine);
-                // Per-level scales differ under a geometric split, so no
-                // single Laplace scale is attached: confidence queries
-                // report `None` rather than a wrong union bound.
-                ConsistentSnapshot::from_tree_values(
-                    release.shape(),
-                    tree.node_values(),
-                    domain_size,
-                )
-            }
-        };
+        let snapshot = state.pipeline.release(&state.histogram, &mut rng);
         state.releases += 1;
         state.pending_deltas = 0;
         let epoch = tenant.shards.broadcast(snapshot);
@@ -605,7 +538,8 @@ impl HistogramService {
     /// A union-bound confidence interval for one query at `level`, from the
     /// current snapshot. `None` when the serving snapshot carries no single
     /// noise scale (budgeted releases, or the unreleased epoch-0 zeros).
-    /// Empty queries get the exact zero-width interval at `0.0`.
+    /// Empty queries get the exact zero-width interval at `0.0`. A `level`
+    /// outside `(0, 1)`, or NaN, is refused with [`ServeError::InvalidLevel`].
     pub fn confidence(
         &self,
         id: TenantId,
@@ -613,6 +547,9 @@ impl HistogramService {
         level: f64,
     ) -> Result<Option<ConfidenceInterval>, ServeError> {
         let tenant = self.tenant(id)?;
+        if !(level > 0.0 && level < 1.0) {
+            return Err(ServeError::InvalidLevel { level });
+        }
         let domain_size = tenant.config.domain_size;
         if query.hi() > domain_size {
             return Err(ServeError::QueryOutOfRange {
@@ -697,7 +634,9 @@ impl HistogramService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hc_core::{BatchInference, HierarchicalUniversal, StrategyPlan};
     use hc_data::Interval;
+    use hc_mech::TreeShape;
 
     fn config(name: &str, n: usize) -> TenantConfig {
         TenantConfig::new(name, n)
@@ -775,12 +714,29 @@ mod tests {
                 }),
             )
             .unwrap();
+        let mut counts = vec![0u64; 16];
+        counts[2] = 4;
+        counts[9] = 4;
+        let hist = Histogram::from_counts(Domain::new("t", 16).unwrap(), counts);
         for id in [flat, budgeted] {
             service.ingest(id, &[(2, 4), (9, 4)]).unwrap();
-            let report = service.publish(id).unwrap();
-            assert_eq!(report.epoch, 1);
-            let total = service.answer(id, RangeQuery::new(0, 16)).unwrap();
-            assert!(total.is_finite());
+            let plan = StrategyPlan {
+                choice: service.strategy(id).unwrap(),
+                epsilon: 0.25,
+                predicted_error: 0.0,
+                guarantee: None,
+                per_size: Vec::new(),
+                domain_size: 16,
+            };
+            // Two releases: the second runs on the warm buffers of the first
+            // and must still match a cold serial release at its own index.
+            for i in 0..2u64 {
+                let report = service.publish(id).unwrap();
+                assert_eq!((report.epoch, report.release_index), (i as usize + 1, i));
+                let mut rng = SeedStream::new(7).rng(i);
+                let expected = plan.run_with(&hist, NoiseBackend::Reference, &mut rng);
+                assert_eq!(service.snapshot(id).unwrap().snapshot(), &expected);
+            }
         }
         // Flat releases carry a single Laplace scale; budgeted ones do not.
         let q = RangeQuery::new(2, 10);
@@ -816,6 +772,30 @@ mod tests {
         assert_eq!(service.answer(id, empty).unwrap(), 0.0);
         let ci = service.confidence(id, empty, 0.95).unwrap().unwrap();
         assert_eq!((ci.lo, ci.hi), (0.0, 0.0));
+    }
+
+    #[test]
+    fn confidence_refuses_levels_outside_the_unit_interval() {
+        let mut service = HistogramService::new();
+        let id = service.register(config("t", 4)).unwrap();
+        let paths = [RangeQuery::new(0, 4), RangeQuery::new(2, 2)];
+        for epoch in 0..2 {
+            if epoch == 1 {
+                service.ingest(id, &[(1, 3)]).unwrap();
+                service.publish(id).unwrap();
+            }
+            assert_eq!(service.epoch(id).unwrap(), epoch);
+            for query in paths {
+                for level in [f64::NAN, -5.0, 1.0, 1.5] {
+                    let err = service.confidence(id, query, level).unwrap_err();
+                    let ServeError::InvalidLevel { level: got } = &err else {
+                        panic!("epoch {epoch}, {query:?}, level {level}: {err:?}");
+                    };
+                    assert_eq!(got.to_bits(), level.to_bits());
+                }
+                assert!(service.confidence(id, query, 0.9).is_ok());
+            }
+        }
     }
 
     #[test]

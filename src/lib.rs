@@ -77,8 +77,8 @@ pub mod prelude {
         mean_absolute_error, sum_squared_error, weighted_hierarchical_inference, AccuracyTarget,
         BatchInference, BudgetSplit, BudgetedHierarchical, ConsistentSnapshot, ConsistentTree,
         FlatUniversal, Guarantee, HierarchicalUniversal, LevelTree, PlanInput, ReleaseStrategy,
-        RoundedTree, Rounding, SortedRelease, StrategyPlan, StrategyPlanner, SubtreeServer,
-        TreeRelease, UnattributedHistogram,
+        RoundedTree, Rounding, SortedRelease, StrategyPipeline, StrategyPlan, StrategyPlanner,
+        SubtreeServer, TreeRelease, UnattributedHistogram,
     };
     pub use hc_data::{Domain, Graph, Histogram, Interval, RangeWorkload, Relation};
     pub use hc_mech::{

@@ -6,7 +6,9 @@
 //! `SubtreeServer::answer_into`) answers warm query batches with zero heap
 //! allocations per batch. The same allocator also counts bytes, which pins
 //! that a snapshot broadcast to a sharded bank shares one copy of the
-//! prefix instead of copying it per shard.
+//! prefix instead of copying it per shard, and that a warm service publish
+//! of every release strategy allocates little more than the new snapshot's
+//! prefix.
 //!
 //! The whole check lives in a single `#[test]` because the counter is
 //! process-global: the default test harness runs tests on multiple threads,
@@ -170,6 +172,41 @@ fn release_and_infer_pipeline_is_allocation_free_after_warmup() {
         assert!(
             std::ptr::eq(pinned.snapshot(), lap[0].snapshot()),
             "shards serve separate copies of one published snapshot"
+        );
+    }
+
+    // A warm publish releases the tenant's histogram in place through its
+    // warm release pipeline: the one unavoidable allocation is the new
+    // snapshot's prefix, so each strategy's second publish must stay under
+    // 1.5 prefixes. A counts copy or a cold release would cost more.
+    let n = 1usize << 16;
+    let prefix_bytes = (n + 1) * std::mem::size_of::<f64>();
+    let deltas: Vec<(usize, u64)> = (0..n).step_by(7).map(|b| (b, b as u64 % 5 + 1)).collect();
+    let split = BudgetSplit::Geometric { ratio: 1.5 };
+    let mut service = HistogramService::new();
+    for strategy in [
+        ReleaseStrategy::Flat,
+        ReleaseStrategy::Hierarchical { branching: 2 },
+        ReleaseStrategy::Budgeted {
+            branching: 2,
+            split,
+        },
+    ] {
+        let name = format!("{strategy:?}");
+        let config = TenantConfig::new(name.as_str(), n).with_refresh_every(0);
+        let id = service
+            .register(config.with_strategy(strategy))
+            .expect("valid tenant");
+        service.ingest(id, &deltas).expect("bins in domain");
+        service.publish(id).expect("budget for the warm-up publish");
+        let publish_bytes = bytes_during(|| {
+            service
+                .publish(id)
+                .expect("budget for the measured publish");
+        });
+        assert!(
+            2 * publish_bytes < 3 * prefix_bytes,
+            "{name}: warm publish allocated {publish_bytes} bytes, a prefix is {prefix_bytes}"
         );
     }
 }

@@ -83,7 +83,7 @@ fn accuracy_planner_reports_ranked_ladder_and_both_backends() {
     assert!(out.contains("Accuracy-first planning"));
     assert!(out.contains("ranked by solved ε"));
     assert!(out.contains("reference"));
-    assert!(out.contains("fast-ln"));
+    assert!(out.contains("fast-ln-wide"));
     assert!(out.contains("Winning plan executed"));
 }
 
@@ -137,9 +137,9 @@ fn accuracy_planner_quick_golden_seed_20100913() {
                 0.0
             ),
             (
-                "fast-ln",
-                2.073066474177375f64.to_bits(),
-                10.242673825490783f64.to_bits(),
+                "fast-ln-wide",
+                2.1617553410327894f64.to_bits(),
+                9.187267598994367f64.to_bits(),
                 0.0
             ),
         ]

@@ -1,15 +1,15 @@
 //! Backend-versioning contract tests (see `hc_noise::backend`): property
 //! tests that the `Reference` backend is frozen to the pre-backend sampler,
-//! that `FastLn` and the fused wide-lane `FastLnWide` are faithful Laplace
-//! samplers within their documented accuracy, that the wide fill's bits are
+//! that the fused wide-lane `FastLnWide` is a faithful Laplace sampler
+//! within its documented accuracy, that the wide fill's bits are
 //! independent of call splitting and lane position, and that the
-//! trial-parallel batch pipeline is bit-identical to serial for all three
+//! trial-parallel batch pipeline is bit-identical to serial for both
 //! backends at any fan-out. (`HC_THREADS` ∈ {1, 2, unset}
 //! is exercised end-to-end over real experiment binaries in
 //! `crates/bench/tests/hc_threads.rs`; here the fan-out is passed
 //! explicitly, which reaches the same code path `effective_threads` feeds.)
 
-use hist_consistency::noise::{fast_ln, FAST_LN_MAX_ULP};
+use hist_consistency::noise::FAST_LN_MAX_ULP;
 use hist_consistency::prelude::*;
 use proptest::prelude::*;
 use rand::Rng;
@@ -42,56 +42,6 @@ proptest! {
                 "sample {i} drifted: {v:?} vs pre-refactor {old:?}"
             );
         }
-    }
-
-    #[test]
-    fn fast_ln_is_within_documented_ulp_of_library_ln(
-        mantissa in 0u64..(1u64 << 52),
-        exponent in 1u64..2046,
-    ) {
-        // Arbitrary positive normal f64, assembled from its fields.
-        let x = f64::from_bits((exponent << 52) | mantissa);
-        let got = fast_ln(x);
-        let want = x.ln();
-        let ulp = (got.to_bits() as i64 - want.to_bits() as i64).unsigned_abs();
-        prop_assert!(
-            ulp <= FAST_LN_MAX_ULP,
-            "fast_ln({x:e}) = {got:e} vs ln = {want:e} ({ulp} ulp)"
-        );
-    }
-
-    #[test]
-    fn fast_backend_samples_track_reference_samples(
-        seed in 0u64..1_000_000,
-        scale in 0.01f64..100.0,
-    ) {
-        // Same uniforms, two ln implementations: per sample the backends
-        // agree to fast_ln's relative accuracy (so moments, tails, and
-        // everything downstream agree to far better than Monte-Carlo noise).
-        let d = Laplace::centered(scale).unwrap();
-        let n = 512;
-        let mut reference = vec![0.0f64; n];
-        let mut fast = vec![0.0f64; n];
-        d.fill(&mut rng_from_seed(seed), &mut reference);
-        d.fill_with(NoiseBackend::FastLn, &mut rng_from_seed(seed), &mut fast);
-        for (r, f) in reference.iter().zip(&fast) {
-            prop_assert!(r.signum() == f.signum());
-            prop_assert!((r - f).abs() <= 1e-12 * r.abs().max(1e-300), "{r} vs {f}");
-        }
-    }
-
-    #[test]
-    fn fast_backend_empirical_moments_are_sane(seed in 0u64..100_000) {
-        let d = Laplace::centered(3.0).unwrap();
-        let n = 20_000;
-        let mut samples = vec![0.0f64; n];
-        d.fill_with(NoiseBackend::FastLn, &mut rng_from_seed(seed), &mut samples);
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        // std of the mean is sqrt(2·9/20000) ≈ 0.03; allow ~6σ so the
-        // property holds across every generated seed.
-        prop_assert!(mean.abs() < 0.2, "mean = {mean}");
-        prop_assert!((var - d.variance()).abs() / d.variance() < 0.15, "var = {var}");
     }
 
     #[test]
@@ -176,13 +126,9 @@ proptest! {
         master in 0u64..1_000_000,
         trials in 1usize..9,
         height in 2usize..7,
-        backend_idx in 0usize..3,
+        backend_idx in 0usize..2,
     ) {
-        let backend = [
-            NoiseBackend::Reference,
-            NoiseBackend::FastLn,
-            NoiseBackend::FastLnWide,
-        ][backend_idx];
+        let backend = [NoiseBackend::Reference, NoiseBackend::FastLnWide][backend_idx];
         let n = 1usize << (height - 1);
         let counts: Vec<u64> = (0..n as u64).map(|i| i % 7).collect();
         let histogram = Histogram::from_counts(Domain::new("x", n).unwrap(), counts);
