@@ -175,9 +175,9 @@ fn bench_snapshot_scale(c: &mut Criterion) {
     group.finish();
 }
 
-/// The iterative two-fringe fold at scale: O(log n) per query over a
-/// DRAM-resident node vector (1 GB at 2^26 leaves) — the regime where the
-/// fold's pointer-free arithmetic spans matter most.
+/// The table-driven fold at scale: O(log n) per query over a
+/// DRAM-resident node vector (1 GB at 2^26 leaves) — the regime where
+/// memory latency, not the fold's digit arithmetic, sets the cost.
 fn bench_subtree_fold_scale(c: &mut Criterion) {
     let mut group = c.benchmark_group("range_serving_subtree_scale");
     for &lg in &[20usize, 26] {

@@ -16,6 +16,7 @@ use rand::Rng;
 
 use crate::engine::{BatchInference, LevelTree};
 use crate::hier::ConsistentTree;
+use crate::snapshot::SubtreeServer;
 
 /// How the total ε is divided among the tree's levels (depth 0 = root).
 #[derive(Debug, Clone, PartialEq)]
@@ -121,7 +122,7 @@ impl BudgetedHierarchical {
     /// empty buffers — the slot [`Self::release_into`] fills.
     pub(crate) fn empty_release(&self, domain_size: usize) -> BudgetedTreeRelease {
         BudgetedTreeRelease {
-            shape: HierarchicalQuery::new(self.branching).shape(domain_size),
+            server: SubtreeServer::new(&HierarchicalQuery::new(self.branching).shape(domain_size)),
             domain_size,
             noisy: Vec::new(),
             level_variances: Vec::new(),
@@ -153,7 +154,7 @@ impl BudgetedHierarchical {
             let noise = Laplace::centered(1.0 / eps_d).expect("positive scale");
             noise.add_noise_with(self.backend, rng, &mut out.noisy[shape.level(depth)]);
         }
-        out.shape = shape;
+        out.server.ensure_shape(shape);
         out.domain_size = histogram.len();
         out.epsilon = self.epsilon;
     }
@@ -162,7 +163,8 @@ impl BudgetedHierarchical {
 /// A hierarchical release with heteroscedastic noise and its GLS decoder.
 #[derive(Debug, Clone)]
 pub struct BudgetedTreeRelease {
-    shape: TreeShape,
+    /// The decomposition server, compiled once per shape.
+    server: SubtreeServer,
     domain_size: usize,
     noisy: Vec<f64>,
     /// One noise variance per tree level — the single source of truth the
@@ -180,7 +182,7 @@ impl BudgetedTreeRelease {
 
     /// The tree geometry.
     pub fn shape(&self) -> &TreeShape {
-        &self.shape
+        self.server.shape()
     }
 
     /// The raw noisy node values (BFS order).
@@ -191,9 +193,9 @@ impl BudgetedTreeRelease {
     /// The per-node noise variances of the release, expanded on demand from
     /// [`Self::level_variances`] (each node carries its level's variance).
     pub fn variances(&self) -> Vec<f64> {
-        let mut out = vec![0.0f64; self.shape.nodes()];
+        let mut out = vec![0.0f64; self.server.shape().nodes()];
         for (d, &var) in self.level_variances.iter().enumerate() {
-            for v in self.shape.level(d) {
+            for v in self.server.shape().level(d) {
                 out[v] = var;
             }
         }
@@ -214,11 +216,8 @@ impl BudgetedTreeRelease {
             "query {interval} outside domain of size {}",
             self.domain_size
         );
-        crate::snapshot::SubtreeServer::new(&self.shape).answer(
-            &self.noisy,
-            crate::universal::Rounding::None,
-            interval,
-        )
+        self.server
+            .answer(&self.noisy, crate::universal::Rounding::None, interval)
     }
 
     /// GLS constrained inference (the `H̄` analogue, weighted).
@@ -228,9 +227,9 @@ impl BudgetedTreeRelease {
     /// [`crate::weighted::weighted_hierarchical_inference`] over the
     /// per-node expansion of the level variances, which the test suite pins.
     pub fn infer(&self) -> ConsistentTree {
-        let engine = LevelTree::with_level_variances(&self.shape, &self.level_variances);
+        let engine = LevelTree::with_level_variances(self.server.shape(), &self.level_variances);
         ConsistentTree::new(
-            self.shape.clone(),
+            self.server.shape().clone(),
             engine.infer(&self.noisy),
             self.domain_size,
         )
@@ -241,9 +240,9 @@ impl BudgetedTreeRelease {
     /// change ([`BatchInference::ensure_level_variances`]) and the scratch
     /// buffer is reused, so repeated budgeted trials allocate only results.
     pub fn infer_with(&self, engine: &mut BatchInference) -> ConsistentTree {
-        engine.ensure_level_variances(&self.shape, &self.level_variances);
+        engine.ensure_level_variances(self.server.shape(), &self.level_variances);
         let h = engine.infer(&self.noisy);
-        ConsistentTree::new(self.shape.clone(), h, self.domain_size)
+        ConsistentTree::new(self.server.shape().clone(), h, self.domain_size)
     }
 }
 

@@ -152,13 +152,14 @@ enum Stage {
     },
     Hierarchical {
         prepared: PreparedMechanism<HierarchicalQuery>,
-        shape: TreeShape,
         engine: BatchInference,
         inferred: Vec<f64>,
     },
     Budgeted {
         mech: BudgetedHierarchical,
-        release: BudgetedTreeRelease,
+        /// Boxed: the release holds a compiled subtree server, which would
+        /// otherwise make this variant several times the others' size.
+        release: Box<BudgetedTreeRelease>,
         engine: BatchInference,
         inferred: Vec<f64>,
     },
@@ -185,13 +186,12 @@ impl StrategyPipeline {
                     prepared: mech.prepare(domain_size),
                     engine: BatchInference::for_shape(&shape),
                     inferred: Vec::new(),
-                    shape,
                 }
             }
             ReleaseStrategy::Budgeted { branching, split } => {
                 let mech = BudgetedHierarchical::new(epsilon, *branching, split.clone())
                     .with_backend(backend);
-                let release = mech.empty_release(domain_size);
+                let release = Box::new(mech.empty_release(domain_size));
                 Stage::Budgeted {
                     engine: BatchInference::for_shape(release.shape()),
                     mech,
@@ -224,11 +224,11 @@ impl StrategyPipeline {
             }
             Stage::Hierarchical {
                 prepared,
-                shape,
                 engine,
                 inferred,
             } => {
                 engine.release_and_infer(prepared, histogram, rng, inferred);
+                let shape = engine.tree().shape();
                 let mut snapshot =
                     ConsistentSnapshot::from_tree_values(shape, inferred, self.domain_size);
                 snapshot.set_noise_scale(Some(prepared.noise_scale()));

@@ -21,7 +21,14 @@
 //!   summation order, bit-identical to materializing
 //!   [`TreeShape::subtree_decomposition`] and summing — without the
 //!   per-query index vector (the decomposition stays as the test oracle).
+//!   Per-level tables compiled once per shape (level offsets, an exact
+//!   divisor per span `k^j`) and digit masks over the packed base-`k` digits
+//!   of the query's ends pick the emitted nodes, with no division and no
+//!   per-level data-dependent branch.
 
+use std::ops::{
+    Add, BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, Not, Shl, Shr, Sub,
+};
 use std::sync::OnceLock;
 
 use hc_data::{Histogram, Interval};
@@ -401,6 +408,109 @@ pub fn union_bound_interval(scale: f64, m: usize, level: f64, center: f64) -> Co
     }
 }
 
+/// Per-level table capacity of [`SubtreeServer`]: `TreeShape` caps heights
+/// at 64 levels, so every level `j` (counted up from the leaves) is below 64.
+const MAX_LEVELS: usize = 64;
+
+/// Exact unsigned division by an invariant divisor `d ≥ 1`, for every
+/// 64-bit dividend, with one widening multiply, two shifts, an add and a
+/// subtract (Granlund & Montgomery 1994, "Division by invariant integers
+/// using multiplication", Fig. 4.1). For `d = 2^l` the magic is 1, its high
+/// product word is 0 for every dividend, and the quotient reduces to the
+/// shift `n >> l`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Divisor {
+    magic: u64,
+    pre: u32,
+    post: u32,
+}
+
+impl Divisor {
+    fn new(d: u64) -> Self {
+        let d = d.max(1);
+        // l = ⌈log2 d⌉; the magic `⌊2^64 (2^l − d) / d⌋ + 1` is below 2^64.
+        let l = 64 - (d - 1).leading_zeros();
+        let magic = ((((1u128 << l) - u128::from(d)) << 64) / u128::from(d)) as u64 + 1;
+        Self {
+            magic,
+            pre: l.min(1),
+            post: l.saturating_sub(1),
+        }
+    }
+
+    #[inline]
+    fn quotient(self, n: u64) -> u64 {
+        let t = ((u128::from(self.magic) * u128::from(n)) >> 64) as u64;
+        (t + ((n - t) >> self.pre)) >> self.post
+    }
+}
+
+/// One level of a compiled [`SubtreeServer`]: the nodes whose span is
+/// `k^j` leaves, `j = 0` being the leaf level.
+#[derive(Debug, Clone, Copy, Default)]
+struct Level {
+    /// BFS index of the level's first node.
+    first: usize,
+    /// Division by the span `k^j`: leaf position → position in the level.
+    span: Divisor,
+}
+
+/// A packed-digit word: `u64` when every digit of a shape fits in 64 bits
+/// (every power-of-two `k`, and the other `k` on shallower trees), `u128`
+/// otherwise — the one fold is compiled for both.
+trait DigitWord:
+    Copy
+    + PartialEq
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + BitAnd<Output = Self>
+    + BitOr<Output = Self>
+    + BitXor<Output = Self>
+    + BitOrAssign
+    + BitXorAssign
+    + BitAndAssign
+    + Not<Output = Self>
+    + Shl<u32, Output = Self>
+    + Shr<u32, Output = Self>
+{
+    const BITS: u32;
+    const ZERO: Self;
+    const ONE: Self;
+    /// Truncates `word`, whose set bits are below `BITS`.
+    fn from_u128(word: u128) -> Self;
+    fn low_u64(self) -> u64;
+    fn leading(self) -> u32;
+    fn trailing(self) -> u32;
+}
+
+macro_rules! digit_word {
+    ($($t:ty),*) => {$(
+        impl DigitWord for $t {
+            const BITS: u32 = <$t>::BITS;
+            const ZERO: Self = 0;
+            const ONE: Self = 1;
+            #[inline]
+            fn from_u128(word: u128) -> Self {
+                word as $t
+            }
+            #[inline]
+            fn low_u64(self) -> u64 {
+                self as u64
+            }
+            #[inline]
+            fn leading(self) -> u32 {
+                self.leading_zeros()
+            }
+            #[inline]
+            fn trailing(self) -> u32 {
+                self.trailing_zeros()
+            }
+        }
+    )*};
+}
+
+digit_word!(u64, u128);
+
 /// Allocation-free serving for the decomposition-answered estimators: `H̃`
 /// (noisy trees) and the Sec. 4.2 zeroed/rounded `H̄` (whose consistency is
 /// deliberately broken at zeroed boundaries, so leaf prefix sums would
@@ -409,21 +519,81 @@ pub fn union_bound_interval(scale: f64, m: usize, level: f64, center: f64) -> Co
 /// [`answer`](Self::answer) folds the node values of the minimal subtree
 /// decomposition in the exact order
 /// [`TreeShape::subtree_decomposition`] emits them (depth-first, left to
-/// right), starting from `0.0` — bit-identical to materializing the
-/// decomposition and summing, with no per-query index vector and no
-/// `leaf_span`/`depth` recomputation per node (per-level span widths come
-/// straight from the compiled level offsets).
+/// right), starting from `-0.0` — bit-identical to materializing the
+/// decomposition and summing, with no per-query index vector.
+///
+/// [`new`](Self::new) compiles per-level tables once: each level's first
+/// BFS index and an exact divisor for its span `k^j` (a shift when `k` is a
+/// power of two, a multiply-shift otherwise). A query then reads
+/// everything it needs off the base-`k` digits of `lo` and `hi`, packed one
+/// digit per `⌈log2 k⌉`-bit field of a 64- or 128-bit word (for a
+/// power-of-two `k` the packed digits are the index bits themselves): the
+/// split level from
+/// the highest differing digit, each fringe's stop level from the trailing
+/// zero digits of `lo` and trailing `k − 1` digits of `hi`, and the levels
+/// that emit a covered-sibling run as digit masks walked with trailing- and
+/// leading-zero counts. No division and no per-level data-dependent branch.
 #[derive(Debug, Clone)]
 pub struct SubtreeServer {
     shape: TreeShape,
+    /// `levels[j]` for `j < height`.
+    levels: [Level; MAX_LEVELS],
+    /// Bits per packed digit: `⌈log2 k⌉`, enough to hold `k − 1`.
+    digit_bits: u32,
+    /// `⌈2^16 / digit_bits⌉`: `bit * digit_recip >> 16` is the digit holding
+    /// `bit`, exact for every `bit < 192`.
+    digit_recip: u32,
+    /// Whether the index bits are already the packed digits (`k = 2^bits`).
+    digits_are_bits: bool,
+    /// Whether the packed digits need a `u128` word.
+    wide: bool,
+    /// Every digit `k − 1` — the packed digits of the last leaf.
+    all_max: u128,
+    /// The low `digit_bits − 1` bits of every digit field.
+    field_low: u128,
+    /// The top bit of every digit field.
+    field_top: u128,
 }
 
 impl SubtreeServer {
-    /// Compiles a server for one tree geometry (`TreeShape` is heap-free, so
-    /// this allocates nothing).
+    /// Compiles a server for one tree geometry: O(height) work and no heap
+    /// allocation.
+    ///
+    /// The tables are exact for every shape `TreeShape::new` builds: its
+    /// node count fits a `usize`, so every span `k^j` and leaf position fits
+    /// 64 bits and the `height − 1` packed digits fit below bit 128.
     pub fn new(shape: &TreeShape) -> Self {
+        let k = shape.branching() as u64;
+        let leaf_level = shape.height() - 1;
+        let offsets = shape.level_offsets();
+        let digit_bits = 64 - (k - 1).leading_zeros();
+        let field_low_bits = (1u64 << (digit_bits - 1)) - 1;
+        let mut levels = [Level::default(); MAX_LEVELS];
+        let (mut all_max, mut field_low, mut field_top) = (0u128, 0u128, 0u128);
+        let mut span = 1u64;
+        for (j, level) in levels.iter_mut().enumerate().take(leaf_level + 1) {
+            *level = Level {
+                first: offsets[leaf_level - j],
+                span: Divisor::new(span),
+            };
+            if j < leaf_level {
+                let at = digit_bits * j as u32;
+                all_max |= u128::from(k - 1) << at;
+                field_low |= u128::from(field_low_bits) << at;
+                field_top |= 1u128 << (at + digit_bits - 1);
+            }
+            span = span.wrapping_mul(k);
+        }
         Self {
             shape: shape.clone(),
+            levels,
+            digit_bits,
+            digit_recip: (1u32 << 16).div_ceil(digit_bits),
+            digits_are_bits: k.is_power_of_two(),
+            wide: digit_bits as usize * leaf_level > 64,
+            all_max,
+            field_low,
+            field_top,
         }
     }
 
@@ -433,9 +603,17 @@ impl SubtreeServer {
         &self.shape
     }
 
+    /// Recompiles the tables for `shape` unless they already serve it — the
+    /// warm re-release paths keep one server across releases.
+    pub fn ensure_shape(&mut self, shape: TreeShape) {
+        if self.shape != shape {
+            *self = Self::new(&shape);
+        }
+    }
+
     /// Visits the nodes of the minimal subtree decomposition of `target` in
-    /// emission order — the iteration core shared by every fold below and by
-    /// the planner's decomposition pricing.
+    /// emission order — the walk behind the recursive oracle and the
+    /// planner's decomposition pricing.
     pub fn for_each_node(&self, target: Interval, mut visit: impl FnMut(usize)) {
         self.for_each_node_at_depth(target, |v, _| visit(v));
     }
@@ -490,146 +668,186 @@ impl SubtreeServer {
     /// bit-identical to materializing the decomposition and `.sum()`ing it
     /// even in the all-negative-zero corner.
     ///
-    /// Implementation: the iterative two-fringe walk
-    /// ([`Self::fold_two_fringe`]) — no recursion, no closure dispatch per
-    /// node. [`Self::answer_recursive`] keeps the recursive fold as the
-    /// bitwise oracle; `tests/snapshot_serving.rs` pins the two equal to the
-    /// bit across shapes, values, and rounding policies.
+    /// Implementation: the table-driven fold ([`Self::fold`]).
+    /// [`Self::answer_recursive`] keeps the recursive fold as the bitwise
+    /// oracle; `tests/snapshot_serving.rs` and this module's exhaustive test
+    /// pin the two equal to the bit across shapes, values, and rounding
+    /// policies.
     pub fn answer(&self, values: &[f64], rounding: Rounding, target: Interval) -> f64 {
-        assert_eq!(
-            values.len(),
-            self.shape.nodes(),
-            "value vector must cover the tree"
-        );
-        self.fold_two_fringe(values, rounding, target)
+        self.check_values(values);
+        let apply = |v| rounding.apply(v);
+        if self.wide {
+            self.fold::<u128>(values, target, apply)
+        } else {
+            self.fold::<u64>(values, target, apply)
+        }
     }
 
     /// The recursive decomposition fold — the bitwise oracle
-    /// [`Self::answer`]'s iterative walk is pinned against. Same visit
+    /// [`Self::answer`]'s table-driven fold is pinned against. Same visit
     /// order, same `-0.0` seed, same per-node arithmetic, one closure call
     /// per node.
     pub fn answer_recursive(&self, values: &[f64], rounding: Rounding, target: Interval) -> f64 {
-        assert_eq!(
-            values.len(),
-            self.shape.nodes(),
-            "value vector must cover the tree"
-        );
+        self.check_values(values);
         let mut acc = -0.0f64;
         self.for_each_node(target, |v| acc += rounding.apply(values[v]));
         acc
     }
 
-    /// The iterative decomposition fold: descend to the *split node* (the
-    /// deepest node whose span still contains the whole target), then walk
-    /// the left fringe down to `target.lo()` stacking covered-sibling runs
-    /// (emitted deepest-first on unwind, matching the recursion's postorder
-    /// on that flank), emit the split node's fully-covered middle children,
-    /// and walk the right fringe down to `target.hi()` emitting covered
-    /// left-siblings on the way (the recursion's preorder on that flank).
+    fn check_values(&self, values: &[f64]) {
+        assert_eq!(
+            values.len(),
+            self.shape.nodes(),
+            "value vector must cover the tree"
+        );
+    }
+
+    /// The base-`k` digits of leaf position `x`, digit `j` (the child index
+    /// taken into level `j`) in the field at bit `j · digit_bits`.
+    #[inline]
+    fn packed_digits<W: DigitWord>(&self, x: usize) -> W {
+        let x = x as u64;
+        if self.digits_are_bits {
+            return W::from_u128(u128::from(x));
+        }
+        let k = self.shape.branching() as u64;
+        let mut digits = W::ZERO;
+        let mut above = x;
+        for j in 0..self.shape.height() - 1 {
+            let next = self.levels[j + 1].span.quotient(x);
+            digits |= W::from_u128(u128::from(above - next * k)) << (self.digit_bits * j as u32);
+            above = next;
+        }
+        digits
+    }
+
+    /// The digit (level) whose field holds bit `bit`.
+    #[inline]
+    fn digit_of_bit(&self, bit: u32) -> usize {
+        ((bit * self.digit_recip) >> 16) as usize
+    }
+
+    /// Digit `j` of a packed word.
+    #[inline]
+    fn digit<W: DigitWord>(&self, word: W, j: usize) -> usize {
+        let field = (word >> (self.digit_bits * j as u32)).low_u64();
+        (field & (u64::MAX >> (64 - self.digit_bits))) as usize
+    }
+
+    /// The top bit of every nonzero digit field of `word`.
+    #[inline]
+    fn nonzero_digits<W: DigitWord>(&self, word: W) -> W {
+        // Per field: the low bits plus all-ones-below-the-top carry into the
+        // top bit iff any low bit is set; fields never carry into each other.
+        let low = W::from_u128(self.field_low);
+        (((word & low) + low) | word) & W::from_u128(self.field_top)
+    }
+
+    /// The bits of digit fields `a..b` (`b < height − 1`, so the shift stays
+    /// below the word width).
+    #[inline]
+    fn digits_between<W: DigitWord>(&self, a: usize, b: usize) -> W {
+        let below = |j: usize| (W::ONE << (self.digit_bits * j as u32)) - W::ONE;
+        below(b) & !below(a)
+    }
+
+    /// BFS index of the level-`j` node holding leaf position `x`: `x / k^j`
+    /// is a shift when the digits are the index bits, the level's exact
+    /// divisor otherwise.
+    #[inline]
+    fn node_at(&self, j: usize, x: usize) -> usize {
+        let level = self.levels[j];
+        let x = x as u64;
+        let position = if self.digits_are_bits {
+            x >> (self.digit_bits * j as u32)
+        } else {
+            level.span.quotient(x)
+        };
+        level.first + position as usize
+    }
+
+    /// The table-driven decomposition fold. With `split` the level of the
+    /// deepest node holding the whole target, the recursion emits:
     ///
-    /// The emission sequence is exactly the recursive depth-first
-    /// left-to-right order of [`Self::for_each_node`], so the `-0.0`-seeded
-    /// float fold is bit-identical to [`Self::answer_recursive`] — while
-    /// spans stay in three integers per fringe and the only state is a
-    /// fixed-size run stack (`TreeShape` caps heights at 64, so it lives on
-    /// the stack and the fold allocates nothing).
-    fn fold_two_fringe(&self, values: &[f64], rounding: Rounding, target: Interval) -> f64 {
+    /// 1. the split node alone, when the target is exactly its span;
+    /// 2. otherwise the left fringe — the node where `lo`'s trailing zero
+    ///    digits stop the descent, then the covered siblings right of
+    ///    `lo`'s path at each level up to the split's children, deepest
+    ///    first (postorder on that flank);
+    /// 3. the split node's fully covered middle children;
+    /// 4. the right fringe — covered siblings left of `hi`'s path from the
+    ///    split's children down (preorder), then the node where `hi`'s
+    ///    trailing `k − 1` digits stop the descent.
+    ///
+    /// A left run at level `j` holds `k − 1 − digit_j(lo)` nodes, i.e. digit
+    /// `j` of `all_max − lo_digits` (no field borrows), and a right run
+    /// `digit_j(hi)` nodes; the nonzero-digit masks of those two words pick
+    /// the levels that emit, so the emission order is exactly the
+    /// recursion's and the `-0.0`-seeded float fold is bit-identical to
+    /// [`Self::answer_recursive`].
+    #[inline]
+    fn fold<W: DigitWord>(
+        &self,
+        values: &[f64],
+        target: Interval,
+        apply: impl Fn(f64) -> f64,
+    ) -> f64 {
+        let (lo, hi) = (target.lo(), target.hi());
         assert!(
-            target.hi() < self.shape.leaves(),
+            hi < self.shape.leaves(),
             "target {target} outside leaf range"
         );
-        let k = self.shape.branching();
+        let lo_digits: W = self.packed_digits(lo);
+        let hi_digits: W = self.packed_digits(hi);
+        let all_max = W::from_u128(self.all_max);
+        // One above the highest differing digit (0 when lo == hi).
+        let differing_bits = W::BITS - (lo_digits ^ hi_digits).leading();
+        let split = self.digit_of_bit(differing_bits + self.digit_bits - 1);
+        let lo_zeros = self.digit_of_bit(lo_digits.trailing());
+        let hi_full = self.digit_of_bit((hi_digits ^ all_max).trailing());
         let mut acc = -0.0f64;
-
-        // Phase 1: descend while one child holds the whole target. The
-        // descent invariant is `target ⊆ [span_lo, span_lo + span_len)`, so
-        // "covered" can only mean "equal" and the check needs no `max`/`min`.
-        let mut v = 0usize;
-        let mut span_lo = 0usize;
-        let mut span_len = self.shape.leaves();
-        let (first_child, child_len, ci_lo, ci_hi) = loop {
-            if target.lo() <= span_lo && span_lo + span_len - 1 <= target.hi() {
-                acc += rounding.apply(values[v]);
-                return acc;
-            }
-            let child_len = span_len / k;
-            let first_child = k * v + 1;
-            let ci_lo = (target.lo() - span_lo) / child_len;
-            let ci_hi = (target.hi() - span_lo) / child_len;
-            if ci_lo != ci_hi {
-                break (first_child, child_len, ci_lo, ci_hi);
-            }
-            v = first_child + ci_lo;
-            span_lo += ci_lo * child_len;
-            span_len = child_len;
-        };
-
-        // Phase 2: left fringe into child `ci_lo`. Invariant: `target.lo()`
-        // lies inside the node's span and the target covers through its
-        // right edge — so every sibling right of the descent child is fully
-        // covered. The recursion emits those runs *after* the deeper nodes
-        // (postorder on this flank); stack them and unwind deepest-first.
-        let mut pending = [(0usize, 0usize); 64];
-        let mut stacked = 0usize;
-        let mut lv = first_child + ci_lo;
-        let mut l_lo = span_lo + ci_lo * child_len;
-        let mut l_len = child_len;
-        loop {
-            if target.lo() <= l_lo {
-                acc += rounding.apply(values[lv]);
-                break;
-            }
-            let clen = l_len / k;
-            let fc = k * lv + 1;
-            let ci = (target.lo() - l_lo) / clen;
-            if ci + 1 < k {
-                pending[stacked] = (fc + ci + 1, k - 1 - ci);
-                stacked += 1;
-            }
-            lv = fc + ci;
-            l_lo += ci * clen;
-            l_len = clen;
+        if lo_zeros >= split && hi_full >= split {
+            acc += apply(values[self.node_at(split, lo)]);
+            return acc;
         }
-        while stacked > 0 {
-            stacked -= 1;
-            let (start, count) = pending[stacked];
-            for &node in &values[start..start + count] {
-                acc += rounding.apply(node);
+        let child = split - 1;
+        let left_stop = lo_zeros.min(child);
+        let right_stop = hi_full.min(child);
+
+        acc += apply(values[self.node_at(left_stop, lo)]);
+        let lo_rest = all_max - lo_digits;
+        let mut runs = self.nonzero_digits(lo_rest) & self.digits_between(left_stop, child);
+        while runs != W::ZERO {
+            let j = self.digit_of_bit(runs.trailing());
+            runs &= runs - W::ONE;
+            let first = self.node_at(j, lo) + 1;
+            for &v in &values[first..first + self.digit(lo_rest, j)] {
+                acc += apply(v);
             }
         }
 
-        // Phase 3: the split node's fully-covered middle children.
-        for &node in &values[first_child + ci_lo + 1..first_child + ci_hi] {
-            acc += rounding.apply(node);
+        for &v in &values[self.node_at(child, lo) + 1..self.node_at(child, hi)] {
+            acc += apply(v);
         }
 
-        // Phase 4: right fringe into child `ci_hi`. Invariant: `target.hi()`
-        // lies inside the node's span and the target covers from its left
-        // edge — siblings left of the descent child are fully covered, and
-        // the recursion emits them *before* descending (preorder).
-        let mut rv = first_child + ci_hi;
-        let mut r_lo = span_lo + ci_hi * child_len;
-        let mut r_len = child_len;
-        loop {
-            if target.hi() >= r_lo + r_len - 1 {
-                acc += rounding.apply(values[rv]);
-                break;
+        let mut runs = self.nonzero_digits(hi_digits) & self.digits_between(right_stop, child);
+        while runs != W::ZERO {
+            let top = W::BITS - 1 - runs.leading();
+            runs ^= W::ONE << top;
+            let j = self.digit_of_bit(top);
+            let end = self.node_at(j, hi);
+            for &v in &values[end - self.digit(hi_digits, j)..end] {
+                acc += apply(v);
             }
-            let clen = r_len / k;
-            let fc = k * rv + 1;
-            let ci = (target.hi() - r_lo) / clen;
-            for &node in &values[fc..fc + ci] {
-                acc += rounding.apply(node);
-            }
-            rv = fc + ci;
-            r_lo += ci * clen;
-            r_len = clen;
         }
+        acc += apply(values[self.node_at(right_stop, hi)]);
         acc
     }
 
     /// Batched [`Self::answer`] into a caller-owned buffer (resized to the
-    /// batch length; zero allocations after warm-up).
+    /// batch length; zero allocations after warm-up). The value vector is
+    /// checked once per batch, and the word width and rounding policy are
+    /// dispatched once.
     pub fn answer_into(
         &self,
         values: &[f64],
@@ -637,9 +855,34 @@ impl SubtreeServer {
         queries: &[Interval],
         out: &mut Vec<f64>,
     ) {
+        self.check_values(values);
         out.resize(queries.len(), 0.0);
-        for (slot, &q) in out.iter_mut().zip(queries) {
-            *slot = self.answer(values, rounding, q);
+        if self.wide {
+            self.fold_batch::<u128>(values, rounding, queries, out);
+        } else {
+            self.fold_batch::<u64>(values, rounding, queries, out);
+        }
+    }
+
+    fn fold_batch<W: DigitWord>(
+        &self,
+        values: &[f64],
+        rounding: Rounding,
+        queries: &[Interval],
+        out: &mut [f64],
+    ) {
+        let slots = out.iter_mut().zip(queries);
+        match rounding {
+            Rounding::None => {
+                for (slot, &q) in slots {
+                    *slot = self.fold::<W>(values, q, |v| v);
+                }
+            }
+            Rounding::NonNegativeInteger => {
+                for (slot, &q) in slots {
+                    *slot = self.fold::<W>(values, q, |v| rounding.apply(v));
+                }
+            }
         }
     }
 
@@ -784,6 +1027,137 @@ mod tests {
                         .sum();
                     assert_eq!(server.answer(&values, rounding, q), oracle);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn table_fold_matches_the_recursive_oracle_on_every_interval() {
+        // Every interval of every shape with at most 512 leaves, both word
+        // widths, both roundings, over random values and over all `-0.0`
+        // (the fold's seed corner).
+        for k in 2usize..=7 {
+            let mut height = 1;
+            while k.pow(height as u32 - 1) <= 512 {
+                let shape = TreeShape::new(k, height);
+                let n = shape.leaves();
+                let narrow = SubtreeServer::new(&shape);
+                let mut wide = narrow.clone();
+                wide.wide = true;
+                let random = random_values(shape.nodes(), (k * 64 + height) as u64);
+                let zeros = vec![-0.0f64; shape.nodes()];
+                let all: Vec<Interval> = (0..n)
+                    .flat_map(|lo| (lo..n).map(move |hi| Interval::new(lo, hi)))
+                    .collect();
+                for values in [&random, &zeros] {
+                    for rounding in [Rounding::None, Rounding::NonNegativeInteger] {
+                        let oracle: Vec<u64> = all
+                            .iter()
+                            .map(|&q| narrow.answer_recursive(values, rounding, q).to_bits())
+                            .collect();
+                        for server in [&narrow, &wide] {
+                            let mut batch = Vec::new();
+                            server.answer_into(values, rounding, &all, &mut batch);
+                            for ((&q, &want), got) in all.iter().zip(&oracle).zip(&batch) {
+                                assert_eq!(
+                                    got.to_bits(),
+                                    want,
+                                    "k={k} height={height} q={q} {rounding:?} wide={}",
+                                    server.wide
+                                );
+                                assert_eq!(server.answer(values, rounding, q).to_bits(), want);
+                            }
+                        }
+                    }
+                }
+                height += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn tables_build_exactly_for_2_40_bin_shapes() {
+        for k in [2usize, 3] {
+            let shape = TreeShape::for_domain(1 << 40, k);
+            let server = SubtreeServer::new(&shape);
+            let leaf_level = shape.height() - 1;
+            let n = shape.leaves();
+            for x in [0, 1, k - 1, k, n / 2, n - k, n - 2, n - 1] {
+                let digits: u64 = server.packed_digits(x);
+                let wide: u128 = server.packed_digits(x);
+                assert_eq!(u128::from(digits), wide, "k={k} x={x}");
+                let mut rebuilt = 0usize;
+                for j in (0..leaf_level).rev() {
+                    rebuilt = rebuilt * k + server.digit(digits, j);
+                }
+                assert_eq!(rebuilt, x, "k={k} x={x}");
+                let mut span = 1usize;
+                for j in 0..=leaf_level {
+                    let depth = leaf_level - j;
+                    assert_eq!(
+                        server.node_at(j, x),
+                        shape.level(depth).start + x / span,
+                        "k={k} x={x} level={j}"
+                    );
+                    span = span.saturating_mul(k);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn divisor_is_exact_at_the_edges() {
+        let divisors = [
+            1u64,
+            2,
+            3,
+            5,
+            7,
+            9,
+            10,
+            3u64.pow(20),
+            3u64.pow(40),
+            7u64.pow(22),
+            1 << 40,
+            (1 << 63) - 1,
+            1 << 63,
+            (1 << 63) + 1,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let mut rng = rng_from_seed(71);
+        for d in divisors {
+            let div = Divisor::new(d);
+            let mut dividends = vec![
+                0u64,
+                1,
+                d - 1,
+                d,
+                d.saturating_add(1),
+                u64::MAX,
+                u64::MAX - 1,
+            ];
+            dividends.extend((1..=4).map(|m| d.saturating_mul(m).saturating_sub(1)));
+            dividends.extend((0..64).map(|_| rng.random::<u64>()));
+            for n in dividends {
+                assert_eq!(div.quotient(n), n / d, "{n} / {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn digit_of_bit_is_exact_for_every_field_width() {
+        for w in 1..=64u32 {
+            // The smallest k whose digits need w bits.
+            let k = if w == 1 { 2 } else { (1usize << (w - 1)) + 1 };
+            let server = SubtreeServer::new(&TreeShape::new(k, 2));
+            assert_eq!(server.digit_bits, w);
+            for bit in 0..192u32 {
+                assert_eq!(
+                    server.digit_of_bit(bit),
+                    (bit / w) as usize,
+                    "w={w} bit={bit}"
+                );
             }
         }
     }

@@ -267,7 +267,7 @@ impl HierarchicalUniversal {
         mech.release_into(&self.query, histogram, rng, &mut noisy);
         TreeRelease {
             epsilon: self.epsilon,
-            shape: self.query.shape(histogram.len()),
+            server: SubtreeServer::new(&self.query.shape(histogram.len())),
             domain_size: histogram.len(),
             noisy,
         }
@@ -284,7 +284,7 @@ impl HierarchicalUniversal {
     ) {
         let mech = LaplaceMechanism::new(self.epsilon).with_backend(self.backend);
         mech.release_into(&self.query, histogram, rng, &mut out.noisy);
-        out.shape = self.query.shape(histogram.len());
+        out.server.ensure_shape(self.query.shape(histogram.len()));
         out.epsilon = self.epsilon;
         out.domain_size = histogram.len();
     }
@@ -297,7 +297,7 @@ impl HierarchicalUniversal {
         let noisy = vec![0.0; shape.nodes()];
         TreeRelease {
             epsilon: self.epsilon,
-            shape,
+            server: SubtreeServer::new(&shape),
             domain_size,
             noisy,
         }
@@ -319,7 +319,8 @@ impl HierarchicalUniversal {
 #[derive(Debug, Clone)]
 pub struct TreeRelease {
     epsilon: Epsilon,
-    shape: TreeShape,
+    /// The decomposition server, compiled once per shape.
+    server: SubtreeServer,
     domain_size: usize,
     noisy: Vec<f64>,
 }
@@ -339,7 +340,7 @@ impl TreeRelease {
         );
         Self {
             epsilon,
-            shape,
+            server: SubtreeServer::new(&shape),
             domain_size,
             noisy,
         }
@@ -352,7 +353,7 @@ impl TreeRelease {
 
     /// The tree geometry.
     pub fn shape(&self) -> &TreeShape {
-        &self.shape
+        self.server.shape()
     }
 
     /// The unpadded domain size.
@@ -377,7 +378,7 @@ impl TreeRelease {
             "query {interval} outside domain of size {}",
             self.domain_size
         );
-        SubtreeServer::new(&self.shape).answer(&self.noisy, rounding, interval)
+        self.server.answer(&self.noisy, rounding, interval)
     }
 
     /// An owned [`ConsistentSnapshot`] of the Theorem-3 inference — the
@@ -387,10 +388,10 @@ impl TreeRelease {
     /// [`ConsistentTree`] wrapper. The snapshot carries the release's
     /// per-node Laplace scale for confidence intervals.
     pub fn infer_snapshot(&self, engine: &mut BatchInference) -> ConsistentSnapshot {
-        engine.ensure_shape(&self.shape);
+        engine.ensure_shape(self.server.shape());
         let h = engine.infer(&self.noisy);
-        ConsistentSnapshot::from_tree_values(&self.shape, &h, self.domain_size)
-            .with_noise_scale(self.shape.height() as f64 / self.epsilon.value())
+        ConsistentSnapshot::from_tree_values(self.server.shape(), &h, self.domain_size)
+            .with_noise_scale(self.server.shape().height() as f64 / self.epsilon.value())
     }
 
     /// `H̄`: the exact Theorem 3 minimum-L2 consistent tree (no rounding).
@@ -400,24 +401,24 @@ impl TreeRelease {
     /// loops should prefer [`Self::infer_with`] to also reuse scratch
     /// buffers across releases.
     pub fn infer(&self) -> ConsistentTree {
-        let h = LevelTree::new(&self.shape).infer(&self.noisy);
-        ConsistentTree::new(self.shape.clone(), h, self.domain_size)
+        let h = LevelTree::new(self.server.shape()).infer(&self.noisy);
+        ConsistentTree::new(self.server.shape().clone(), h, self.domain_size)
     }
 
     /// [`Self::infer`] through a caller-owned [`BatchInference`]: the engine
     /// is recompiled only when the shape changes and its scratch buffer is
     /// reused, so repeated trials allocate nothing beyond the result.
     pub fn infer_with(&self, engine: &mut BatchInference) -> ConsistentTree {
-        engine.ensure_shape(&self.shape);
+        engine.ensure_shape(self.server.shape());
         let h = engine.infer(&self.noisy);
-        ConsistentTree::new(self.shape.clone(), h, self.domain_size)
+        ConsistentTree::new(self.server.shape().clone(), h, self.domain_size)
     }
 
     /// The raw Theorem-3 node values into a caller-owned buffer — the
     /// allocation-free core of [`Self::infer_with`] for trial loops that
     /// answer queries straight from the flat vector.
     pub fn infer_into(&self, engine: &mut BatchInference, out: &mut Vec<f64>) {
-        engine.ensure_shape(&self.shape);
+        engine.ensure_shape(self.server.shape());
         engine.infer_into(&self.noisy, out);
     }
 
@@ -431,7 +432,7 @@ impl TreeRelease {
     /// most `2ℓ` node values, so the clamping at zero cannot accumulate bias
     /// across a wide range the way per-leaf clamping would.
     pub fn infer_rounded(&self) -> RoundedTree {
-        let mut engine = BatchInference::for_shape(&self.shape);
+        let mut engine = BatchInference::for_shape(self.server.shape());
         self.infer_rounded_with(&mut engine)
     }
 
@@ -446,7 +447,7 @@ impl TreeRelease {
         let mut values = Vec::new();
         self.infer_rounded_into(engine, &mut values);
         RoundedTree {
-            shape: self.shape.clone(),
+            server: self.server.clone(),
             domain_size: self.domain_size,
             values,
         }
@@ -457,7 +458,7 @@ impl TreeRelease {
     /// form trial loops pair with [`HierarchicalUniversal::release_into`].
     /// The values written are exactly [`Self::infer_rounded`]'s.
     pub fn infer_rounded_into(&self, engine: &mut BatchInference, out: &mut Vec<f64>) {
-        engine.ensure_shape(&self.shape);
+        engine.ensure_shape(self.server.shape());
         engine.infer_zero_round_into(&self.noisy, out);
     }
 }
@@ -470,7 +471,8 @@ impl TreeRelease {
 /// decomposition rather than leaf prefix sums.
 #[derive(Debug, Clone)]
 pub struct RoundedTree {
-    shape: TreeShape,
+    /// The decomposition server, compiled once per shape.
+    server: SubtreeServer,
     domain_size: usize,
     values: Vec<f64>,
 }
@@ -478,7 +480,7 @@ pub struct RoundedTree {
 impl RoundedTree {
     /// The tree geometry.
     pub fn shape(&self) -> &TreeShape {
-        &self.shape
+        self.server.shape()
     }
 
     /// The unpadded domain size.
@@ -493,7 +495,7 @@ impl RoundedTree {
 
     /// The leaf estimates over the unpadded domain.
     pub fn leaves(&self) -> &[f64] {
-        let first = self.shape.leaf_node(0);
+        let first = self.server.shape().leaf_node(0);
         &self.values[first..first + self.domain_size]
     }
 
@@ -507,14 +509,13 @@ impl RoundedTree {
             "query {interval} outside domain of size {}",
             self.domain_size
         );
-        SubtreeServer::new(&self.shape).answer(&self.values, Rounding::None, interval)
+        self.server.answer(&self.values, Rounding::None, interval)
     }
 
-    /// A reusable decomposition server over this tree's geometry, for
-    /// callers answering many queries (amortizes nothing heap-side —
-    /// `TreeShape` is heap-free — but keeps the serving intent explicit).
-    pub fn server(&self) -> SubtreeServer {
-        SubtreeServer::new(&self.shape)
+    /// The tree's compiled decomposition server, for callers answering
+    /// many queries in batches ([`SubtreeServer::answer_into`]).
+    pub fn server(&self) -> &SubtreeServer {
+        &self.server
     }
 }
 

@@ -115,7 +115,15 @@ pub const HOT_FUNCTIONS: &[(&str, &[&str])] = &[
             "answer_parallel",
             "answer_parallel_with_floor",
             "answer_recursive",
-            "fold_two_fringe",
+            "fold",
+            "fold_batch",
+            "packed_digits",
+            "digit_of_bit",
+            "digit",
+            "nonzero_digits",
+            "digits_between",
+            "node_at",
+            "quotient",
             "rebuild_from_leaves",
             "rebuild_from_tree_values",
             "total",

@@ -14,6 +14,9 @@
 //! the fresh snapshot: one shared `Arc` that every shard serves, so a
 //! publish copies no snapshot bytes. Readers pin round-robin, never block,
 //! and never see the true counts: only published post-inference snapshots.
+//! A panic under a tenant's write lock poisons it for writes: ingest,
+//! publish and debit then refuse with [`ServeError::TenantPoisoned`], while
+//! the ledger stays readable and the last published epoch keeps serving.
 //!
 //! Determinism: release `i` of a tenant draws its noise from
 //! `SeedStream::new(seed).rng(i)`, so the served answers are bit-identical
@@ -22,7 +25,7 @@
 //! `HC_THREADS` settings.
 
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use hc_core::{
     effective_threads, AccuracyTarget, ConsistentSnapshot, ReleaseStrategy, StrategyPipeline,
@@ -92,6 +95,14 @@ pub enum ServeError {
         /// The level presented.
         level: f64,
     },
+    /// A panic while the tenant's write lock was held left its write state
+    /// (counts, ledger, release counter) possibly half-updated, so ingest,
+    /// publish and debit are refused for good. Reads keep serving the last
+    /// published epoch, and the ledger stays readable.
+    TenantPoisoned {
+        /// The tenant's id.
+        tenant: usize,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -127,6 +138,10 @@ impl fmt::Display for ServeError {
             ServeError::InvalidLevel { level } => {
                 write!(f, "confidence level {level} outside (0, 1)")
             }
+            ServeError::TenantPoisoned { tenant } => write!(
+                f,
+                "tenant id {tenant} refuses writes: a panic interrupted an update"
+            ),
         }
     }
 }
@@ -268,6 +283,26 @@ struct Tenant {
     config: TenantConfig,
     shards: SnapshotShards,
     write: Mutex<WriteState>,
+}
+
+impl Tenant {
+    /// The write state for a mutation, refused once poisoned. The write
+    /// path is deliberately not recovered: a release that panics after
+    /// `spend_at` leaves `releases` where it was, so a recovered publish
+    /// would reuse release index `i` — and its noise stream — on changed
+    /// counts, and the difference of the two releases would reveal the
+    /// count changes exactly.
+    fn write_state(&self, id: TenantId) -> Result<MutexGuard<'_, WriteState>, ServeError> {
+        self.write
+            .lock()
+            .map_err(|_| ServeError::TenantPoisoned { tenant: id.0 })
+    }
+
+    /// The write state for a read-only look (budget, ledger): reads
+    /// through a poisoned lock, since nothing is changed.
+    fn read_state(&self) -> MutexGuard<'_, WriteState> {
+        self.write.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Outcome of one successful release+publish.
@@ -416,7 +451,7 @@ impl HistogramService {
         deltas: &[(usize, u64)],
     ) -> Result<Option<PublishReport>, ServeError> {
         let tenant = self.tenant(id)?;
-        let mut state = tenant.write.lock().expect("tenant lock never poisoned");
+        let mut state = tenant.write_state(id)?;
         let domain_size = tenant.config.domain_size;
         if let Some(&(bin, _)) = deltas.iter().find(|&&(bin, _)| bin >= domain_size) {
             return Err(ServeError::BinOutOfRange { bin, domain_size });
@@ -450,7 +485,7 @@ impl HistogramService {
     /// [`ServeError::Budget`] when exhausted.
     pub fn publish(&self, id: TenantId) -> Result<PublishReport, ServeError> {
         let tenant = self.tenant(id)?;
-        let mut state = tenant.write.lock().expect("tenant lock never poisoned");
+        let mut state = tenant.write_state(id)?;
         Self::release_locked(tenant, &mut state)
     }
 
@@ -585,7 +620,7 @@ impl HistogramService {
     /// Budget remaining on the tenant's ledger.
     pub fn remaining_budget(&self, id: TenantId) -> Result<f64, ServeError> {
         let tenant = self.tenant(id)?;
-        let state = tenant.write.lock().expect("tenant lock never poisoned");
+        let state = tenant.read_state();
         Ok(state.budget.remaining())
     }
 
@@ -594,7 +629,7 @@ impl HistogramService {
     /// tuples.
     pub fn ledger(&self, id: TenantId) -> Result<Vec<LedgerEntry>, ServeError> {
         let tenant = self.tenant(id)?;
-        let state = tenant.write.lock().expect("tenant lock never poisoned");
+        let state = tenant.read_state();
         Ok(state.budget.ledger().to_vec())
     }
 
@@ -624,7 +659,7 @@ impl HistogramService {
         delta: f64,
     ) -> Result<(), ServeError> {
         let tenant = self.tenant(id)?;
-        let mut state = tenant.write.lock().expect("tenant lock never poisoned");
+        let mut state = tenant.write_state(id)?;
         let epsilon = Epsilon::new(epsilon)?;
         state.budget.spend_at(label, epsilon, delta, 0)?;
         Ok(())
@@ -1055,5 +1090,50 @@ mod tests {
             err,
             ServeError::Budget(BudgetError::DeltaExhausted { .. })
         ));
+    }
+
+    #[test]
+    fn a_poisoned_tenant_refuses_writes_and_keeps_serving() {
+        let mut service = HistogramService::new();
+        let id = service.register(config("t", 16)).unwrap();
+        let other = service.register(config("other", 16)).unwrap();
+        service.ingest(id, &[(2, 7), (9, 3)]).unwrap();
+        let report = service.publish(id).unwrap();
+        let q = RangeQuery::new(1, 12);
+        let served = service.answer(id, q).unwrap();
+        let ledger = service.ledger(id).unwrap();
+        let remaining = service.remaining_budget(id).unwrap();
+
+        // A fault while the write lock is held poisons it.
+        std::thread::scope(|scope| {
+            let tenant = &service.tenants[id.0];
+            let faulted = scope
+                .spawn(move || {
+                    let _state = tenant.write.lock().unwrap();
+                    panic!("injected fault under the tenant lock");
+                })
+                .join();
+            assert!(faulted.is_err());
+        });
+
+        let poisoned = ServeError::TenantPoisoned { tenant: id.0 };
+        assert_eq!(service.ingest(id, &[(0, 1)]), Err(poisoned.clone()));
+        assert_eq!(service.publish(id), Err(poisoned.clone()));
+        assert_eq!(service.debit(id, "late", 0.1, 0.0), Err(poisoned.clone()));
+        assert!(poisoned.to_string().contains("refuses writes"));
+        // Read-only views read through the poison, unchanged.
+        assert_eq!(service.ledger(id).unwrap(), ledger);
+        assert_eq!(service.remaining_budget(id).unwrap(), remaining);
+        // Serving never takes the write lock: the last epoch keeps answering.
+        assert_eq!(service.epoch(id).unwrap(), report.epoch);
+        assert_eq!(service.snapshot(id).unwrap().epoch(), report.epoch);
+        assert_eq!(service.answer(id, q).unwrap().to_bits(), served.to_bits());
+        let mut out = Vec::new();
+        assert_eq!(service.answer_into(id, &[q], &mut out), Ok(report.epoch));
+        assert_eq!(out[0].to_bits(), served.to_bits());
+        assert!(service.confidence(id, q, 0.9).unwrap().is_some());
+        // Other tenants are untouched.
+        service.ingest(other, &[(1, 1)]).unwrap();
+        assert_eq!(service.publish(other).unwrap().epoch, 1);
     }
 }

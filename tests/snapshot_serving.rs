@@ -39,6 +39,42 @@ fn random_queries(domain: usize, count: usize, seed: u64) -> Vec<Interval> {
         .collect()
 }
 
+/// Queries mixing uniform intervals with the fold's boundary cases: `lo`
+/// aligned to a span `k^j`, exact covers `[c·k^j, (c+1)·k^j − 1]`, `hi`
+/// ending a span, single leaves, the whole domain, and the last leaf.
+fn boundary_mixed_queries(shape: &TreeShape, count: usize, seed: u64) -> Vec<Interval> {
+    let mut rng = rng_from_seed(seed);
+    let n = shape.leaves();
+    let k = shape.branching();
+    (0..count)
+        .map(|_| {
+            let span = k.pow(rng.random_range(0..shape.height()) as u32);
+            let c = rng.random_range(0..n / span);
+            match rng.random_range(0..7u32) {
+                0 => {
+                    let lo = c * span;
+                    Interval::new(lo, rng.random_range(lo..n))
+                }
+                1 => Interval::new(c * span, (c + 1) * span - 1),
+                2 => {
+                    let hi = (c + 1) * span - 1;
+                    Interval::new(rng.random_range(0..=hi), hi)
+                }
+                3 => {
+                    let leaf = rng.random_range(0..n);
+                    Interval::new(leaf, leaf)
+                }
+                4 => Interval::new(0, n - 1),
+                5 => Interval::new(n - 1, n - 1),
+                _ => {
+                    let lo = rng.random_range(0..n);
+                    Interval::new(lo, rng.random_range(lo..n))
+                }
+            }
+        })
+        .collect()
+}
+
 proptest! {
     #[test]
     fn snapshot_is_bit_identical_to_consistent_tree(
@@ -139,24 +175,31 @@ proptest! {
 
     #[test]
     fn iterative_subtree_fold_matches_the_recursive_oracle(
-        k in 2usize..6,
-        height in 1usize..8,
+        k in 2usize..17,
+        height_pick in any::<u64>(),
         seed in any::<u64>(),
         rounded in any::<bool>(),
     ) {
-        // The two-fringe iterative walk must visit the same decomposition
-        // nodes in the same left-to-right order as the recursive fold, so
-        // the -0.0-seeded accumulation agrees bit for bit.
+        // The table-driven fold must visit the same decomposition nodes in
+        // the same left-to-right order as the recursive fold, so the
+        // -0.0-seeded accumulation agrees bit for bit. Heights reach 14 for
+        // binary trees (trees stay at or below 2^13 leaves for every k).
+        let mut max_height = 1;
+        while k.pow(max_height as u32) <= 1 << 13 {
+            max_height += 1;
+        }
+        let height = 1 + (height_pick % max_height as u64) as usize;
         let shape = TreeShape::new(k, height);
         let values = random_values(shape.nodes(), seed);
         let server = SubtreeServer::new(&shape);
         let rounding = if rounded { Rounding::NonNegativeInteger } else { Rounding::None };
-        for q in random_queries(shape.leaves(), 64, seed ^ 0x17E2) {
-            prop_assert_eq!(
-                server.answer(&values, rounding, q).to_bits(),
-                server.answer_recursive(&values, rounding, q).to_bits(),
-                "k = {}, height = {}, q = {}", k, height, q
-            );
+        let queries = boundary_mixed_queries(&shape, 96, seed ^ 0x17E2);
+        let mut batch = Vec::new();
+        server.answer_into(&values, rounding, &queries, &mut batch);
+        for (&q, served) in queries.iter().zip(&batch) {
+            let oracle = server.answer_recursive(&values, rounding, q).to_bits();
+            prop_assert_eq!(served.to_bits(), oracle, "k = {}, height = {}, q = {}", k, height, q);
+            prop_assert_eq!(server.answer(&values, rounding, q).to_bits(), oracle);
         }
     }
 }
