@@ -63,6 +63,31 @@ impl BudgetSplit {
             .map(|w| total.value() * w / sum)
             .collect()
     }
+
+    /// [`Self::level_epsilons`] without its panics, for validating a split
+    /// before it is deployed: `None` unless the split applies to a tree of
+    /// this height (a finite, positive geometric ratio; one finite,
+    /// positive custom weight per level) *and* resolves to a finite,
+    /// positive ε at every level whose noise variance `2/ε²` is finite
+    /// too. An extreme ratio fails the second test — `ratio^d` overflows
+    /// to ∞ and leaves NaN or zero budgets.
+    pub fn checked_level_epsilons(&self, total: Epsilon, height: usize) -> Option<Vec<f64>> {
+        let applies = match self {
+            BudgetSplit::Uniform => true,
+            BudgetSplit::Geometric { ratio } => *ratio > 0.0 && ratio.is_finite(),
+            BudgetSplit::Custom(w) => {
+                w.len() == height && w.iter().all(|&x| x > 0.0 && x.is_finite())
+            }
+        };
+        if !applies {
+            return None;
+        }
+        let levels = self.level_epsilons(total, height);
+        levels
+            .iter()
+            .all(|&e| e.is_finite() && e > 0.0 && (2.0 / (e * e)).is_finite())
+            .then_some(levels)
+    }
 }
 
 /// The hierarchical pipeline with a configurable per-level budget split.
@@ -275,6 +300,28 @@ mod tests {
             assert_eq!(levels.len(), 4);
             let total: f64 = levels.iter().sum();
             assert!((total - 0.8).abs() < 1e-12, "{split:?}: {total}");
+        }
+    }
+
+    #[test]
+    fn checked_split_is_the_split_or_none() {
+        for split in [
+            BudgetSplit::Uniform,
+            BudgetSplit::Geometric { ratio: 2.0 },
+            BudgetSplit::Custom(vec![1.0, 2.0, 3.0, 4.0]),
+        ] {
+            let checked = split.checked_level_epsilons(eps(0.8), 4).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&checked), bits(&split.level_epsilons(eps(0.8), 4)));
+        }
+        for split in [
+            BudgetSplit::Geometric { ratio: f64::NAN },
+            BudgetSplit::Geometric { ratio: 0.0 },
+            BudgetSplit::Geometric { ratio: 1e300 },
+            BudgetSplit::Custom(vec![1.0; 3]),
+            BudgetSplit::Custom(vec![1.0, 0.0, 1.0, 1.0]),
+        ] {
+            assert_eq!(split.checked_level_epsilons(eps(0.8), 4), None, "{split:?}");
         }
     }
 

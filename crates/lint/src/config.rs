@@ -171,15 +171,28 @@ pub const HOT_FUNCTIONS: &[(&str, &[&str])] = &[
         &["evaluate_into_slice"],
     ),
     (
+        "crates/noise/src/exact_ln.rs",
+        &[
+            // The Reference lane logarithm and its rounding test, once per
+            // draw.
+            "ln_scaled",
+            "fast_two_sum",
+        ],
+    ),
+    (
         "crates/noise/src/laplace.rs",
         &[
-            // The batched Laplace draw paths (2^21 draws per trial).
+            // The batched Laplace draw paths (2^21 draws per trial); the
+            // Reference lane kernel's fallback list lives on the stack.
             "sample",
             "sample_with",
             "fill",
             "fill_with",
             "add_noise",
             "add_noise_with",
+            "fill_reference",
+            "reference_lane",
+            "reference_from_bits",
             "sample_from_bits",
             "fill_wide",
             "draw_strip",

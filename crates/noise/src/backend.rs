@@ -9,7 +9,18 @@
 //!
 //! * [`NoiseBackend::Reference`] — the original scalar inverse-CDF sampler
 //!   using the platform `ln`. Its bits are frozen forever: all pre-backend
-//!   golden pins were recorded against it and must never change.
+//!   golden pins were recorded against it and must never change. Those
+//!   bits were always the platform libm's bits. The batch paths
+//!   ([`crate::Laplace::fill`], [`crate::Laplace::add_noise`]) reproduce
+//!   them with a lane kernel: a double-double `ln` whose result is kept
+//!   only when Ziv's rounding test proves it is the correctly rounded
+//!   value, with `f64::ln` itself for the rest (about 4.3% of draws). That
+//!   adds one assumption, that the platform `ln` is within 0.52 ulp
+//!   (glibc documents 0.519 for `log`), so that it returns the correctly
+//!   rounded value wherever the test accepts. The ignored `reference_ln_*`
+//!   differential tests (every input below 2⁻²⁰, 2³⁰ random inputs above,
+//!   and the edge cases; CI runs them in release mode) fail loudly on a
+//!   libm that breaks it, instead of letting pinned releases drift.
 //! * [`NoiseBackend::FastLnWide`] — the fused wide-lane pass: raw RNG bits
 //!   go straight through a branch-free bits→uniform→ln→sign→scale kernel
 //!   written over fixed-width lanes, with no staging buffer and no boundary
@@ -54,7 +65,10 @@
 pub enum NoiseBackend {
     /// v1 — scalar inverse-CDF sampling through the platform `ln`.
     /// Bit-identical to the pre-backend sampler; all historical golden pins
-    /// are `Reference` pins.
+    /// are `Reference` pins. The batch paths compute the same bits with a
+    /// lane kernel that falls back to `f64::ln` wherever its rounding test
+    /// cannot prove the result, assuming only that the platform `ln` is
+    /// within 0.52 ulp (see the module docs).
     #[default]
     Reference,
     /// v3 — the fused wide-lane pass: one `u64` of raw RNG bits per draw is

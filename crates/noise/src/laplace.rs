@@ -3,7 +3,14 @@
 use rand::Rng;
 
 use crate::backend::{LN2_HI, LN2_LO, REDUCTION_OFF};
+use crate::exact_ln::ln_scaled;
 use crate::{NoiseBackend, NoiseError};
+
+/// Draws per deferred-fallback block of the `Reference` lane kernel
+/// ([`Laplace::fill`]): one block's raw bits stay in a stack buffer so the
+/// lanes the kernel flags can be patched after the block, and the flags
+/// fit one `u64`.
+const REFERENCE_BLOCK: usize = 64;
 
 /// Lane width of the [`NoiseBackend::FastLnWide`] fused kernel: the RNG
 /// bits for one step live in a `[u64; WIDE_LANES]` register block and the
@@ -146,10 +153,7 @@ impl Laplace {
     /// `a + (-m)` is IEEE-identical to `a − m`, so the samples match the
     /// branching formulation bit for bit).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        // `random::<f64>()` is uniform on [0, 1); shift to (-1/2, 1/2].
-        let u = 0.5 - rng.random::<f64>();
-        let magnitude = -self.b * (1.0 - 2.0 * u.abs()).ln();
-        self.mu + magnitude.copysign(u)
+        self.reference_from_bits(rng.next_u64())
     }
 
     /// One sample through the named backend.
@@ -237,11 +241,90 @@ impl Laplace {
     /// Fills `out` with i.i.d. samples, overwriting its contents.
     ///
     /// This is the buffer-reuse primitive behind the allocation-free release
-    /// paths: the caller owns `out` and recycles it across trials.
+    /// paths: the caller owns `out` and recycles it across trials. Slot `i`
+    /// holds exactly the bits of the `i`-th of `out.len()` [`Self::sample`]
+    /// calls, whatever the length and however a fill is split across
+    /// calls; a lane kernel computes them without a libm call per draw.
     pub fn fill<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
-        for slot in out {
-            *slot = self.sample(rng);
+        self.fill_reference::<false, R>(rng, out);
+    }
+
+    /// The `Reference` lane kernel behind [`Self::fill`] and
+    /// [`Self::add_noise`]: bit for bit the samples of one
+    /// [`Self::sample`] call per slot, without a libm call per draw.
+    ///
+    /// Each block of [`REFERENCE_BLOCK`] draws takes its raw `u64`s from
+    /// one [`Rng::fill_u64`] (stream-identical to per-call draws), then
+    /// runs [`Self::reference_lane`] over the block as one vectorizable
+    /// pass. That lane is exact wherever `ln_scaled`'s rounding test
+    /// accepts (all but about 4.3% of draws); the rest are recorded
+    /// branch-free in a one-word bit list and patched after the pass by
+    /// the scalar [`Self::reference_from_bits`]. Deferring them keeps the
+    /// libm call — and the register spills around it — out of the vector
+    /// loop. In accumulate mode a flagged slot keeps its input until the
+    /// patch adds the sample, so `v + sample` rounds exactly as the
+    /// per-call path does.
+    fn fill_reference<const ACCUMULATE: bool, R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        values: &mut [f64],
+    ) {
+        let mut raw = [0u64; REFERENCE_BLOCK];
+        for block in values.chunks_mut(REFERENCE_BLOCK) {
+            let bits = &mut raw[..block.len()];
+            rng.fill_u64(bits);
+            let mut fallback = 0u64;
+            for (j, (slot, &b)) in block.iter_mut().zip(bits.iter()).enumerate() {
+                let (sample, exact) = self.reference_lane(b);
+                *slot = if ACCUMULATE {
+                    // −0.0 is the additive identity of every f64, +0.0
+                    // included, so a flagged slot keeps its exact input.
+                    *slot + if exact { sample } else { -0.0 }
+                } else {
+                    sample
+                };
+                fallback |= u64::from(!exact) << j;
+            }
+            while fallback != 0 {
+                let j = fallback.trailing_zeros() as usize;
+                fallback &= fallback - 1;
+                let sample = self.reference_from_bits(bits[j]);
+                if ACCUMULATE {
+                    block[j] += sample;
+                } else {
+                    block[j] = sample;
+                }
+            }
         }
+    }
+
+    /// One `Reference` draw from its raw `u64`, in lane form: the sample
+    /// and whether it is exact (`false` means the caller must replace it
+    /// with [`Self::reference_from_bits`]).
+    ///
+    /// [`Self::sample`] computes `mu − b·sign(u)·ln(1 − 2|u|)` with
+    /// `u = ½ − n·2⁻⁵³` and `n = bits >> 11`. Every step before the `ln`
+    /// is exact, so its argument is `m·2⁻⁵²` with `m = 2⁵² − |2⁵² − n| =
+    /// min(n, 2⁵³ − n)`, and `u < 0` exactly when `n > 2⁵²` (`n = 2⁵²`
+    /// gives `u = +0.0`). With the libm bits of `ln` from `ln_scaled`, the
+    /// remaining multiply, `copysign` and add are the oracle's own.
+    #[inline(always)]
+    fn reference_lane(&self, bits: u64) -> (f64, bool) {
+        let n = bits >> 11;
+        let (ln, exact) = ln_scaled(n.min((1 << 53) - n));
+        let magnitude = -self.b * ln;
+        let sign = f64::from_bits(u64::from(n > 1 << 52) << 63);
+        (self.mu + magnitude.copysign(sign), exact)
+    }
+
+    /// [`Self::sample`] on an already-drawn `u64`, and the deferred
+    /// fallback of [`Self::fill_reference`]. `(bits >> 11)·2⁻⁵³` is
+    /// exactly rand's `random::<f64>()`, uniform on [0, 1), so `u` is
+    /// uniform on (−½, ½].
+    fn reference_from_bits(&self, bits: u64) -> f64 {
+        let u = 0.5 - (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        let magnitude = -self.b * (1.0 - 2.0 * u.abs()).ln();
+        self.mu + magnitude.copysign(u)
     }
 
     /// [`Self::fill`] through the named backend.
@@ -381,9 +464,7 @@ impl Laplace {
     /// built on this consumes the RNG stream identically to one that calls
     /// [`Self::sample`] per answer.
     pub fn add_noise<R: Rng + ?Sized>(&self, rng: &mut R, values: &mut [f64]) {
-        for v in values {
-            *v += self.sample(rng);
-        }
+        self.fill_reference::<true, R>(rng, values);
     }
 
     /// [`Self::add_noise`] through the named backend (see
@@ -550,6 +631,77 @@ mod tests {
             d.sample(&mut rng_from_seed(15)),
             d.sample_with(NoiseBackend::Reference, &mut rng_from_seed(15))
         );
+    }
+
+    /// Replays a fixed list of raw `u64`s, cycling.
+    struct FixedBits {
+        words: Vec<u64>,
+        next: usize,
+    }
+
+    impl Rng for FixedBits {
+        fn next_u64(&mut self) -> u64 {
+            let w = self.words[self.next % self.words.len()];
+            self.next += 1;
+            w
+        }
+    }
+
+    #[test]
+    fn reference_kernel_matches_the_oracle_on_fixed_bits() {
+        let d = Laplace::centered(1.5).unwrap();
+        let one = |bits: u64| {
+            d.sample(&mut FixedBits {
+                words: vec![bits],
+                next: 0,
+            })
+        };
+        // bits >> 11 = 0: u = ½, ln 0 = −∞, a +∞ sample.
+        assert_eq!(one(0x7FF), f64::INFINITY);
+        // bits >> 11 = 2⁵²: u = +0.0, ln 1 = +0.0, a +0.0 sample.
+        assert_eq!(one(1 << 63).to_bits(), 0.0f64.to_bits());
+        // All ones: the smallest uniform on the negative side, finite.
+        assert!(one(u64::MAX) < -50.0 && one(u64::MAX).is_finite());
+
+        // Lanes the kernel itself flags for the libm fallback, found by a
+        // scan, next to the edge patterns and ordinary draws.
+        let mut rng = rng_from_seed(40);
+        let flagged: Vec<u64> = std::iter::from_fn(|| Some(rng.next_u64()))
+            .filter(|&b| !d.reference_lane(b).1)
+            .take(40)
+            .collect();
+        let mut words = vec![0, 0x7FF, 1 << 63, (1 << 63) | 0x7FF, u64::MAX, 1 << 11];
+        for (i, &f) in flagged.iter().enumerate() {
+            words.push(f);
+            words.push((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        }
+        // m = 0 and m = 2⁵² (u = ½ and u = +0.0) always fall back.
+        for &b in &words[..4] {
+            assert!(!d.reference_lane(b).1, "edge bits {b:#x} must fall back");
+        }
+        for len in [1usize, 7, 8, 9, 63, 64, 65, 86, 130, 200] {
+            let stream = || FixedBits {
+                words: words.clone(),
+                next: 0,
+            };
+            let mut oracle = stream();
+            let want: Vec<u64> = (0..len).map(|_| d.sample(&mut oracle).to_bits()).collect();
+            let mut filled = vec![f64::NAN; len];
+            d.fill(&mut stream(), &mut filled);
+            let got: Vec<u64> = filled.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "fill, len = {len}");
+
+            let base: Vec<f64> = (0..len).map(|i| [-0.0, 0.0, 3.25][i % 3]).collect();
+            let mut oracle = stream();
+            let want: Vec<u64> = base
+                .iter()
+                .map(|v| (v + d.sample(&mut oracle)).to_bits())
+                .collect();
+            let mut perturbed = base.clone();
+            d.add_noise(&mut stream(), &mut perturbed);
+            let got: Vec<u64> = perturbed.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "add_noise, len = {len}");
+        }
     }
 
     #[test]

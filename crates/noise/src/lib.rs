@@ -13,10 +13,13 @@
 //!   from a master seed, so every experiment in the repository is exactly
 //!   reproducible.
 //! * [`NoiseBackend`] — versioned sampling algorithms for the batch Laplace
-//!   paths: the frozen [`NoiseBackend::Reference`] scalar sampler and the
-//!   fused wide-lane [`NoiseBackend::FastLnWide`] sampler, each with its own
+//!   paths: the frozen [`NoiseBackend::Reference`] sampler and the fused
+//!   wide-lane [`NoiseBackend::FastLnWide`] sampler, each with its own
 //!   golden-release pins (see [`backend`] for the versioning policy and the
-//!   retired backends whose names stay reserved).
+//!   retired backends whose names stay reserved). `Reference` batches run
+//!   a lane kernel — a table-driven double-double `ln` with Ziv's rounding
+//!   test and a deferred `f64::ln` fallback — that returns the per-call
+//!   sampler's bits exactly.
 //!
 //! The `rand` crate supplies only the uniform bit stream; all distribution
 //! logic lives here so it can be tested against closed forms.
@@ -26,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod backend;
+mod exact_ln;
 mod geometric;
 mod laplace;
 mod poisson;

@@ -32,7 +32,9 @@ use hc_core::{
     StrategyPlanner,
 };
 use hc_data::{Domain, Histogram};
-use hc_mech::{BudgetError, ConfidenceInterval, Epsilon, LedgerEntry, PrivacyAccountant};
+use hc_mech::{
+    BudgetError, ConfidenceInterval, Epsilon, LedgerEntry, PrivacyAccountant, TreeShape,
+};
 use hc_noise::{NoiseBackend, SeedStream};
 
 use crate::cell::{PinnedSnapshot, SnapshotShards};
@@ -103,6 +105,15 @@ pub enum ServeError {
         /// The tenant's id.
         tenant: usize,
     },
+    /// The release strategy cannot run: a branching factor below 2, or a
+    /// budget split that does not give every tree level a finite, positive
+    /// ε (a non-finite or non-positive geometric ratio, custom weights of
+    /// the wrong length or sign, or a ratio so extreme that `ratio^depth`
+    /// overflows).
+    InvalidStrategy {
+        /// What is wrong with the strategy.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -142,6 +153,9 @@ impl fmt::Display for ServeError {
                 f,
                 "tenant id {tenant} refuses writes: a panic interrupted an update"
             ),
+            ServeError::InvalidStrategy { reason } => {
+                write!(f, "unusable release strategy: {reason}")
+            }
         }
     }
 }
@@ -152,6 +166,36 @@ impl From<BudgetError> for ServeError {
     fn from(e: BudgetError) -> Self {
         ServeError::Budget(e)
     }
+}
+
+/// Refuses a strategy that would panic when its pipeline is built or at
+/// its first publish — inside the tenant's write lock, poisoning it for
+/// good. A budget split is resolved once here, for the tree it will run
+/// on, with the release path's own arithmetic.
+fn check_strategy(
+    strategy: &ReleaseStrategy,
+    epsilon: Epsilon,
+    domain_size: usize,
+) -> Result<(), ServeError> {
+    let (branching, split) = match strategy {
+        ReleaseStrategy::Flat => return Ok(()),
+        ReleaseStrategy::Hierarchical { branching } => (*branching, None),
+        ReleaseStrategy::Budgeted { branching, split } => (*branching, Some(split)),
+    };
+    if branching < 2 {
+        return Err(ServeError::InvalidStrategy {
+            reason: "branching factor below 2",
+        });
+    }
+    if let Some(split) = split {
+        let height = TreeShape::for_domain(domain_size, branching).height();
+        if split.checked_level_epsilons(epsilon, height).is_none() {
+            return Err(ServeError::InvalidStrategy {
+                reason: "budget split does not give every tree level a finite, positive ε",
+            });
+        }
+    }
+    Ok(())
 }
 
 /// The largest total count a tenant may hold: `2^53`, the bound up to which
@@ -392,6 +436,7 @@ impl HistogramService {
         }
         let epsilon = Epsilon::new(config.epsilon_per_release)?;
         let total = Epsilon::new(config.total_epsilon)?;
+        check_strategy(&config.strategy, epsilon, config.domain_size)?;
         let domain =
             Domain::new(config.name.as_str(), config.domain_size).expect("size checked above");
         let pipeline = StrategyPipeline::new(
@@ -669,9 +714,8 @@ impl HistogramService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hc_core::{BatchInference, HierarchicalUniversal, StrategyPlan};
+    use hc_core::{BatchInference, BudgetSplit, HierarchicalUniversal, StrategyPlan};
     use hc_data::Interval;
-    use hc_mech::TreeShape;
 
     fn config(name: &str, n: usize) -> TenantConfig {
         TenantConfig::new(name, n)
@@ -1040,6 +1084,108 @@ mod tests {
         assert_eq!(ledger[1].label, "stability");
         assert_eq!(ledger[1].delta, 5e-8);
         assert_eq!(ledger[1].release_epoch, 0);
+    }
+
+    /// Registering `strategy` over `domain` bins fails with
+    /// `InvalidStrategy` before anything is built, and leaves nothing
+    /// behind: the name stays free, and a valid tenant under it ingests and
+    /// publishes without meeting a poisoned lock.
+    fn assert_refused_cleanly(strategy: ReleaseStrategy, domain: usize) {
+        let mut service = HistogramService::new();
+        let err = service
+            .register(config("bad", domain).with_strategy(strategy.clone()))
+            .unwrap_err();
+        assert!(
+            matches!(err, ServeError::InvalidStrategy { .. }),
+            "{strategy:?}: {err:?}"
+        );
+        assert!(err.to_string().starts_with("unusable release strategy"));
+        assert_eq!(service.tenant_id("bad"), None);
+        let id = service.register(config("bad", 16)).unwrap();
+        service.ingest(id, &[(3, 2)]).unwrap();
+        assert_eq!(service.publish(id).unwrap().epoch, 1);
+        assert_eq!(service.publish(id).unwrap().epoch, 2);
+    }
+
+    #[test]
+    fn branching_below_two_is_refused_at_registration() {
+        for branching in [0, 1] {
+            assert_refused_cleanly(ReleaseStrategy::Hierarchical { branching }, 64);
+            assert_refused_cleanly(
+                ReleaseStrategy::Budgeted {
+                    branching,
+                    split: BudgetSplit::Uniform,
+                },
+                64,
+            );
+        }
+    }
+
+    #[test]
+    fn unusable_geometric_ratios_are_refused_at_registration() {
+        for ratio in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -2.0] {
+            let split = BudgetSplit::Geometric { ratio };
+            assert_refused_cleanly(
+                ReleaseStrategy::Budgeted {
+                    branching: 2,
+                    split,
+                },
+                64,
+            );
+        }
+    }
+
+    #[test]
+    fn custom_weights_must_fit_the_tree_at_registration() {
+        // 64 bins at k = 2 is a height-7 tree.
+        for weights in [vec![1.0; 6], vec![1.0; 8], vec![], {
+            let mut w = vec![1.0; 7];
+            w[3] = -1.0;
+            w
+        }] {
+            let split = BudgetSplit::Custom(weights);
+            assert_refused_cleanly(
+                ReleaseStrategy::Budgeted {
+                    branching: 2,
+                    split,
+                },
+                64,
+            );
+        }
+        let fits = BudgetSplit::Custom(vec![1.0; 7]);
+        let mut service = HistogramService::new();
+        let id = service
+            .register(config("t", 64).with_strategy(ReleaseStrategy::Budgeted {
+                branching: 2,
+                split: fits,
+            }))
+            .unwrap();
+        assert_eq!(service.publish(id).unwrap().epoch, 1);
+    }
+
+    #[test]
+    fn an_overflowing_geometric_ratio_is_refused_at_registration() {
+        // 2^24 bins is a height-25 binary tree: 1e13^24 overflows to ∞, so
+        // the deepest level's ε is NaN and every other level's is 0. The
+        // check runs before any per-bin allocation.
+        let split = BudgetSplit::Geometric { ratio: 1e13 };
+        assert_refused_cleanly(
+            ReleaseStrategy::Budgeted {
+                branching: 2,
+                split,
+            },
+            1 << 24,
+        );
+        // The same ratio on a short tree is a legitimate (if lopsided) split.
+        let mut service = HistogramService::new();
+        let split = BudgetSplit::Geometric { ratio: 1e13 };
+        let id = service
+            .register(config("t", 4).with_strategy(ReleaseStrategy::Budgeted {
+                branching: 2,
+                split,
+            }))
+            .unwrap();
+        assert_eq!(service.publish(id).unwrap().epoch, 1);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Backend-versioning contract tests (see `hc_noise::backend`): property
-//! tests that the `Reference` backend is frozen to the pre-backend sampler,
-//! that the fused wide-lane `FastLnWide` is a faithful Laplace sampler
-//! within its documented accuracy, that the wide fill's bits are
+//! tests that the `Reference` backend is frozen to the pre-backend sampler
+//! and its lane kernel matches per-call sampling at every length and call
+//! split, that the fused wide-lane `FastLnWide` is a faithful Laplace
+//! sampler within its documented accuracy, that the wide fill's bits are
 //! independent of call splitting and lane position, and that the
 //! trial-parallel batch pipeline is bit-identical to serial for both
 //! backends at any fan-out. (`HC_THREADS` ∈ {1, 2, unset}
@@ -42,6 +43,66 @@ proptest! {
                 "sample {i} drifted: {v:?} vs pre-refactor {old:?}"
             );
         }
+    }
+
+    #[test]
+    fn reference_fill_and_add_noise_match_per_call_samples(
+        seed in any::<u64>(),
+        mu in -50.0f64..50.0,
+        scale in 0.01f64..100.0,
+        len in 0usize..300,
+    ) {
+        // The lane kernel with its deferred libm fallback must give every
+        // slot the per-call oracle's bits, at every length: lengths up to
+        // 300 straddle the 8-lane strips and several 64-draw fallback
+        // blocks, remainders included.
+        let d = Laplace::new(mu, scale).unwrap();
+        let mut filled = vec![f64::NAN; len];
+        d.fill_with(NoiseBackend::Reference, &mut rng_from_seed(seed), &mut filled);
+        let base: Vec<f64> = (0..len).map(|i| i as f64 * 0.75 - 40.0).collect();
+        let mut perturbed = base.clone();
+        d.add_noise_with(NoiseBackend::Reference, &mut rng_from_seed(seed), &mut perturbed);
+        let mut rng = rng_from_seed(seed);
+        for i in 0..len {
+            let one = d.sample(&mut rng);
+            prop_assert!(
+                filled[i].to_bits() == one.to_bits(),
+                "fill slot {i}: {:?} vs per-call {one:?}", filled[i]
+            );
+            let want = base[i] + one;
+            prop_assert!(
+                perturbed[i].to_bits() == want.to_bits(),
+                "add_noise slot {i}: {:?} vs per-call {want:?}", perturbed[i]
+            );
+        }
+    }
+
+    #[test]
+    fn reference_fill_bits_are_independent_of_call_splitting(
+        seed in any::<u64>(),
+        len in 0usize..300,
+        cuts in proptest::collection::vec(0usize..300, 0..4),
+    ) {
+        // One fill of N and a fill split at arbitrary points on one
+        // continued rng give identical bits, for `fill` and `add_noise`.
+        let d = Laplace::new(0.5, 3.0).unwrap();
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(len)).collect();
+        cuts.sort_unstable();
+        let mut whole = vec![0.0f64; len];
+        d.fill(&mut rng_from_seed(seed), &mut whole);
+        let mut whole_added = vec![1.0f64; len];
+        d.add_noise(&mut rng_from_seed(seed), &mut whole_added);
+        let (mut parts, mut parts_added) = (vec![0.0f64; len], vec![1.0f64; len]);
+        let (mut rng, mut rng_added) = (rng_from_seed(seed), rng_from_seed(seed));
+        let mut start = 0;
+        for end in cuts.into_iter().chain([len]) {
+            d.fill(&mut rng, &mut parts[start..end]);
+            d.add_noise(&mut rng_added, &mut parts_added[start..end]);
+            start = end;
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        prop_assert_eq!(bits(&whole), bits(&parts));
+        prop_assert_eq!(bits(&whole_added), bits(&parts_added));
     }
 
     #[test]
