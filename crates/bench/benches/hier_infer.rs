@@ -1,10 +1,11 @@
 //! Criterion bench: hierarchical inference — the Theorem-3 reference oracle
-//! vs the level-indexed engine (single trial, batched trials, parallel
-//! subtree passes), and both vs generic solvers (dense OLS, sparse CG).
+//! vs the level-indexed engine (one warm trial per call), and both vs
+//! generic solvers (dense OLS, sparse CG); plus the end-to-end trial
+//! pipelines, serial and trial-parallel.
 //!
-//! The headline comparison is the ISSUE-2 acceptance criterion: on a k = 2
-//! tree with 2^20 leaves, batched engine trials must run ≥ 2× faster per
-//! trial than `hierarchical_inference`. Pass `--quick` for a smoke run.
+//! The headline comparison: on a k = 2 tree with 2^20 leaves, a warm
+//! engine trial (`hier_infer_engine_single`) must run ≥ 2× faster than
+//! `hierarchical_inference`. Pass `--quick` for a smoke run.
 //!
 //! The engine groups additionally carry a 2^26-leaf grid point
 //! ([`SCALE_HEIGHT`]) where the node vector is DRAM-resident and rebuild
@@ -29,12 +30,12 @@ const HEADLINE_HEIGHTS: [usize; 3] = [11, 17, 21];
 /// sets the pace. Only the engine paths run here: the reference oracle's
 /// per-node allocation pattern would take minutes per iteration at this
 /// size without saying anything new (the bit-identity pins already cover
-/// it at every smaller height), and the 4-trial batch group would need a
-/// 4 GB input batch.
+/// it at every smaller height), and the 4-trial parallel pipeline would
+/// need 8 GB of batch buffers.
 const SCALE_HEIGHT: usize = 27;
 
-/// Trials per iteration in the batched benchmarks (per-trial time is the
-/// reported number via `Throughput::Elements`).
+/// Trials per iteration in the trial-parallel pipeline benchmark (per-trial
+/// time is the reported number via `Throughput::Elements`).
 const BATCH_TRIALS: usize = 4;
 
 fn noisy_tree(shape: &TreeShape, seed: u64) -> Vec<f64> {
@@ -91,62 +92,6 @@ fn bench_engine_single(c: &mut Criterion) {
             |b, noisy| {
                 b.iter(|| {
                     tree.infer_into(black_box(noisy), &mut z, &mut out);
-                    black_box(out[0])
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-/// The engine over a batch of trials with fully reused buffers; throughput
-/// counts nodes × trials, so elem/s stays comparable with the single-trial
-/// groups while the per-iteration time covers the whole batch.
-fn bench_engine_batch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hier_infer_engine_batch");
-    for &height in &HEADLINE_HEIGHTS {
-        let shape = TreeShape::new(2, height);
-        let n = shape.nodes();
-        let mut batch = Vec::with_capacity(BATCH_TRIALS * n);
-        for t in 0..BATCH_TRIALS {
-            batch.extend(noisy_tree(&shape, 7 + t as u64));
-        }
-        let mut engine = BatchInference::for_shape(&shape);
-        let mut out = Vec::new();
-        group.throughput(Throughput::Elements((n * BATCH_TRIALS) as u64));
-        group.bench_with_input(
-            BenchmarkId::from_parameter(shape.leaves()),
-            &batch,
-            |b, batch| {
-                b.iter(|| {
-                    engine.infer_batch_into(black_box(batch), &mut out);
-                    black_box(out.last().copied())
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-/// The engine with the root's subtrees split across scoped threads (one
-/// huge tree, single trial).
-fn bench_engine_parallel(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hier_infer_engine_parallel");
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    for &height in &[17usize, 21, SCALE_HEIGHT] {
-        let shape = TreeShape::new(2, height);
-        let noisy = noisy_tree(&shape, 7);
-        let tree = LevelTree::new(&shape);
-        let (mut z, mut out) = (Vec::new(), Vec::new());
-        group.throughput(Throughput::Elements(shape.nodes() as u64));
-        group.bench_with_input(
-            BenchmarkId::from_parameter(shape.leaves()),
-            &noisy,
-            |b, noisy| {
-                b.iter(|| {
-                    tree.infer_parallel_into(black_box(noisy), &mut z, &mut out, threads);
                     black_box(out[0])
                 });
             },
@@ -370,8 +315,6 @@ criterion_group!(
     benches,
     bench_reference,
     bench_engine_single,
-    bench_engine_batch,
-    bench_engine_parallel,
     bench_laplace_fill,
     bench_pipeline_pr2_path,
     bench_pipeline_batched,

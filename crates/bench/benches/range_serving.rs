@@ -4,14 +4,12 @@
 //! The acceptance shape: snapshot throughput (queries/s, reported via
 //! `Throughput::Elements`) must be flat in the range length — every answer
 //! is two prefix lookups — while the decomposition fold's cost tracks the
-//! tree height. The parallel group scales a large batch across cores
-//! (`HC_THREADS`-pinned in CI). Records land in `$BENCH_JSON` alongside the
-//! inference benches, so `bench_diff` gates serving throughput too.
+//! tree height. Records land in `$BENCH_JSON` alongside the inference
+//! benches, so `bench_diff` gates serving throughput too.
 //!
 //! The `*_scale` groups extend the grid to 2^20 and 2^26 leaves (synthetic
 //! values — the serving arithmetic is identical, only cache residency
-//! changes), including the scoped-thread split that is the one
-//! batch-parallel read path.
+//! changes).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hc_core::{
@@ -116,32 +114,6 @@ fn bench_subtree_fold(c: &mut Criterion) {
     group.finish();
 }
 
-/// Snapshot serving scaled across cores for a large batch (the query-flood
-/// shape); bit-identical to serial, throughput is the point.
-fn bench_snapshot_parallel(c: &mut Criterion) {
-    let (shape, _, hbar) = served_release();
-    let snapshot = ConsistentSnapshot::from_tree_values(&shape, &hbar, DOMAIN);
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let big_batch = 1usize << 14;
-    let queries = query_batch(1 << 10, big_batch);
-    let mut out = Vec::new();
-    let mut group = c.benchmark_group("range_serving_parallel");
-    group.throughput(Throughput::Elements(big_batch as u64));
-    group.bench_with_input(
-        BenchmarkId::new("queries", big_batch),
-        &queries,
-        |b, queries| {
-            b.iter(|| {
-                snapshot.answer_parallel(black_box(queries), &mut out, threads);
-                black_box(out[0])
-            });
-        },
-    );
-    group.finish();
-}
-
 /// The large-domain serving grid: 2^20 and 2^26 leaves, where the prefix
 /// array (8 MB / 512 MB) no longer fits in cache and each answer is two
 /// DRAM-resident loads. Per-query cost must stay flat in range length —
@@ -199,51 +171,6 @@ fn bench_subtree_fold_scale(c: &mut Criterion) {
                 });
             },
         );
-    }
-    group.finish();
-}
-
-/// Batch sizes for the threaded-serving grid: 2^12 is dispatch-bound (the
-/// per-call spawn cost is a visible fraction of the batch), 2^14 is
-/// bandwidth-bound (the prefix loads dominate).
-const THREADED_BATCHES: [usize; 2] = [1 << 12, 1 << 14];
-
-/// The per-call scoped-thread split at scale. Every iteration pays the
-/// spawn/join cycle.
-fn bench_snapshot_parallel_scale(c: &mut Criterion) {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut group = c.benchmark_group("range_serving_parallel_scale");
-    for &lg in &[20usize, 26] {
-        let domain = 1usize << lg;
-        let snapshot = {
-            let leaves = synthetic_leaves(domain);
-            ConsistentSnapshot::from_leaves(&leaves, domain)
-        };
-        for &batch in &THREADED_BATCHES {
-            let queries = query_batch_over(domain, 1 << 10, batch);
-            let mut out = Vec::new();
-            // Floor 0: the spawn-per-call split is the measured subject,
-            // so the serial fallback must not absorb the smaller batch.
-            snapshot.answer_parallel_with_floor(&queries, &mut out, threads, 0);
-            group.throughput(Throughput::Elements(batch as u64));
-            group.bench_with_input(
-                BenchmarkId::new(format!("d{lg}/queries"), batch),
-                &queries,
-                |b, queries| {
-                    b.iter(|| {
-                        snapshot.answer_parallel_with_floor(
-                            black_box(queries),
-                            &mut out,
-                            threads,
-                            0,
-                        );
-                        black_box(out[0])
-                    });
-                },
-            );
-        }
     }
     group.finish();
 }
@@ -317,11 +244,9 @@ criterion_group!(
     benches,
     bench_snapshot,
     bench_subtree_fold,
-    bench_snapshot_parallel,
     bench_snapshot_rebuild,
     bench_snapshot_scale,
     bench_subtree_fold_scale,
-    bench_snapshot_parallel_scale,
     bench_snapshot_rebuild_scale,
     bench_planner
 );

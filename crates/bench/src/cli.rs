@@ -67,7 +67,7 @@ impl RunConfig {
         cfg
     }
 
-    /// Parses the process arguments (skipping argv[0]).
+    /// Parses the process arguments (skipping `argv[0]`).
     pub fn from_env() -> Self {
         Self::from_args(std::env::args().skip(1))
     }

@@ -17,21 +17,21 @@
 //!    recurrences collapse into tables of `height` precomputed coefficients
 //!    ([`LevelTree`]), shared by every trial over the same shape.
 //!
-//! On top of the PR-2 layout this engine adds the allocation-free pipeline:
+//! On top of that layout this engine adds the allocation-free pipeline:
 //!
-//! * the two sweeps are **tiled** into vertical slabs of ≤ [`TILE_LEAVES`]
+//! * the two sweeps are **tiled** into vertical slabs of at most 8192
 //!   leaves, so a subtree's intermediate `z` values are still cache-resident
 //!   when its ancestors consume them (the untiled sweeps stream every level
 //!   from memory and are bandwidth-bound at large heights);
 //! * the binary-tree inner loops (`own·x + child·Σ(2-window)`) are manually
-//!   **4-way unrolled** ([`up_level_uniform`] and friends), preserving the
-//!   reference's floating-point expression per node so output stays
-//!   bit-identical;
-//! * the Sec. 4.2 non-negativity heuristic runs as a **top-down level sweep**
-//!   ([`LevelTree::zero_subtrees_in_place`]) instead of the per-node
-//!   `parent()` walk of [`crate::hier::enforce_nonnegativity`] (which is kept
-//!   as the oracle), exploiting the invariant that after the sweep a node is
-//!   zeroed iff its value is `0.0`;
+//!   **4-way unrolled**, preserving the reference's floating-point
+//!   expression per node so output stays bit-identical;
+//! * the Sec. 4.2 non-negativity heuristic and the Sec. 5.2 rounding run as
+//!   one **top-down level sweep** ([`LevelTree::zero_round_in_place`])
+//!   instead of the per-node `parent()` walk of
+//!   [`crate::hier::enforce_nonnegativity`] (which is kept as the oracle),
+//!   exploiting the invariant that after the sweep a node is zeroed iff its
+//!   value is `0.0`;
 //! * [`BatchInference::release_and_infer`] runs a whole trial — evaluate the
 //!   query, add Laplace noise through the preparation's
 //!   [`hc_noise::NoiseBackend`], both Theorem-3 passes, optional zeroing and
@@ -41,14 +41,11 @@
 //! * [`BatchInference::release_and_infer_batch_parallel`] scales that full
 //!   trial across scoped-thread workers, split by trial with per-worker
 //!   scratch and per-trial [`SeedStream`] seeding — bit-identical to the
-//!   serial batch for any thread count, per backend;
-//! * [`LevelTree::infer_parallel`] splits the tree at a depth with enough
-//!   subtrees to feed every worker (≥ 4 chunks per thread when the shape
-//!   allows), and workers claim subtrees from an atomic work queue — k = 2
-//!   trees no longer cap the fan-out at 2 the way the old
-//!   one-worker-per-root-subtree split did.
+//!   serial batch for any thread count, per backend. Trials are the only
+//!   unit of parallelism: a Fig. 5–7 curve is thousands of independent
+//!   trials, and one tree's two linear passes stay on one core.
 //!
-//! All paths produce bit-identical output to their serial counterparts, and
+//! The parallel batch produces bit-identical output to the serial one, and
 //! the uniform path is bit-identical to the reference
 //! `hierarchical_inference` (same floating-point expressions in the same
 //! order) — the cross-engine equivalence tests pin this.
@@ -63,8 +60,7 @@ use rand::Rng;
 
 /// Leaves per vertical slab in the tiled sweeps. A binary slab of 8192
 /// leaves touches ≈ 16 K `z` nodes plus the matching noisy/output slices —
-/// a few hundred KiB, comfortably inside L2 — while leaving enough slabs at
-/// experiment scale (128 at 2^20 leaves) for the work-stealing queue.
+/// a few hundred KiB, comfortably inside L2.
 const TILE_LEAVES: usize = 8192;
 
 /// Effective worker count for the parallel paths: the `HC_THREADS`
@@ -318,9 +314,9 @@ fn round_nonneg(v: f64) -> f64 {
 /// One parent-level step of the Sec. 4.2 zeroing sweep: zero each sibling
 /// window whose parent was zeroed (post-sweep value `0.0` ⟺ zeroed), clamp
 /// `≤ 0` children, and — once a parent's children no longer need its
-/// pre-round value as their flag — optionally round the parent in place.
+/// pre-round value as their flag — round the parent in place.
 #[inline]
-fn zero_level(parents: &mut [f64], children: &mut [f64], k: usize, round: bool) {
+fn zero_level(parents: &mut [f64], children: &mut [f64], k: usize) {
     for (i, p) in parents.iter_mut().enumerate() {
         let group = &mut children[i * k..(i + 1) * k];
         // Branchless select per child: on DP noise roughly half the values
@@ -331,11 +327,8 @@ fn zero_level(parents: &mut [f64], children: &mut [f64], k: usize, round: bool) 
         for c in group {
             *c = if parent_zeroed | (*c <= 0.0) { 0.0 } else { *c };
         }
-        if round {
-            // Post-zeroing values are never negative, so the fast path
-            // applies.
-            *p = round_nonneg(*p);
-        }
+        // Post-zeroing values are never negative, so the fast path applies.
+        *p = round_nonneg(*p);
     }
 }
 
@@ -533,7 +526,7 @@ impl LevelTree {
             if out[0] <= 0.0 {
                 out[0] = 0.0;
             }
-            self.zero_levels(out, 0..cut.saturating_sub(1), true);
+            self.zero_levels(out, 0..cut.saturating_sub(1));
         }
         for s in 0..self.shape.level_width(cut) {
             self.downward_slab(s, cut, noisy, z, out);
@@ -642,9 +635,9 @@ impl LevelTree {
     }
 
     /// The zero sweep over parent depths `depths` (children at `d + 1`),
-    /// optionally rounding each parent once its children are processed. The
-    /// root's own zero check is the caller's job.
-    fn zero_levels(&self, values: &mut [f64], depths: core::ops::Range<usize>, round: bool) {
+    /// rounding each parent once its children are processed. The root's own
+    /// zero check is the caller's job.
+    fn zero_levels(&self, values: &mut [f64], depths: core::ops::Range<usize>) {
         let offsets = self.shape.level_offsets();
         let k = self.shape.branching();
         for d in depths {
@@ -652,7 +645,7 @@ impl LevelTree {
             let (upper, lower) = values.split_at_mut(hi);
             let parents = &mut upper[lo..];
             let children = &mut lower[..(hi - lo) * k];
-            zero_level(parents, children, k, round);
+            zero_level(parents, children, k);
         }
     }
 
@@ -684,7 +677,7 @@ impl LevelTree {
             let (upper, lower) = values.split_at_mut(offsets[d + 1]);
             let parents = &mut upper[plo..plo + w];
             let children = &mut lower[s * w * k..(s + 1) * w * k];
-            zero_level(parents, children, k, true);
+            zero_level(parents, children, k);
         }
         let leaf_w = self.shape.leaves() / slabs;
         let leaf_lo = offsets[height - 1] + s * leaf_w;
@@ -847,32 +840,21 @@ impl LevelTree {
         }
     }
 
-    /// The Sec. 4.2 non-negativity heuristic as a top-down level sweep:
-    /// zeroes every subtree whose root value is ≤ 0, in place.
+    /// The Sec. 4.2 non-negativity heuristic fused with Sec. 5.2 rounding,
+    /// as one top-down level sweep: zeroes every subtree whose root value is
+    /// ≤ 0 and rounds every node to the nearest non-negative integer, in
+    /// place.
     ///
     /// Bit-identical to [`crate::hier::enforce_nonnegativity`] (the per-node
-    /// `parent()` walk, kept as the oracle) for every input: after a level
-    /// has been swept, a node is zeroed **iff its value is `0.0`** — a
-    /// non-zeroed node kept a value > 0, and a value ≤ 0 (including ±0.0)
-    /// was zeroed — so the parent's own swept value doubles as the
-    /// "parent-zeroed" flag and no flag array is needed.
-    pub fn zero_subtrees_in_place(&self, values: &mut [f64]) {
-        self.zero_subtrees_impl(values, false);
-    }
-
-    /// [`Self::zero_subtrees_in_place`] fused with Sec. 5.2 rounding: after
-    /// the zeroing decision for a level is complete, each node is rounded to
-    /// the nearest non-negative integer in the same sweep.
-    ///
-    /// Equivalent (bit for bit) to zeroing first and rounding every node
-    /// after: a node's *pre-round* value is always the one consulted for the
-    /// zeroing decisions — nodes are rounded only after their own children
-    /// have been processed.
+    /// `parent()` walk, kept as the oracle) followed by
+    /// [`Rounding::NonNegativeInteger`](crate::universal::Rounding::NonNegativeInteger) on every
+    /// node. After a level has been swept, a node is zeroed **iff its value
+    /// is `0.0`** — a non-zeroed node kept a value > 0, and a value ≤ 0
+    /// (including ±0.0) was zeroed — so the parent's own swept value doubles
+    /// as the "parent-zeroed" flag and no flag array is needed. A node is
+    /// rounded only after its own children have been processed, so every
+    /// zeroing decision reads a pre-round value.
     pub fn zero_round_in_place(&self, values: &mut [f64]) {
-        self.zero_subtrees_impl(values, true);
-    }
-
-    fn zero_subtrees_impl(&self, values: &mut [f64], round: bool) {
         let height = self.shape.height();
         assert_eq!(
             values.len(),
@@ -882,211 +864,17 @@ impl LevelTree {
         if values[0] <= 0.0 {
             values[0] = 0.0;
         }
-        self.zero_levels(values, 0..height - 1, round);
-        if round {
-            let first_leaf = self.shape.first_leaf();
-            for v in &mut values[first_leaf..] {
-                *v = round_nonneg(*v);
-            }
+        self.zero_levels(values, 0..height - 1);
+        let first_leaf = self.shape.first_leaf();
+        for v in &mut values[first_leaf..] {
+            *v = round_nonneg(*v);
         }
     }
-
-    /// Theorem 3 with the tree split across scoped-thread workers pulling
-    /// subtrees from an atomic work queue.
-    ///
-    /// The tree is cut at the shallowest depth that yields at least
-    /// `4 × threads` independent subtrees (so a binary tree keeps every core
-    /// busy — the old split was one worker per *root* subtree, capping
-    /// fan-out at k). Each worker owns one subtree's per-level slices at a
-    /// time, so the arithmetic (and therefore the output, bit for bit) is
-    /// identical to [`infer`](Self::infer); only the sweep order across
-    /// *independent* subtrees changes. `threads` is a cap (overridable via
-    /// `HC_THREADS`, see [`effective_threads`]); trees of height < 3 or an
-    /// effective cap of ≤ 1 fall back to the serial path.
-    pub fn infer_parallel(&self, noisy: &[f64], threads: usize) -> Vec<f64> {
-        let mut z = Vec::new();
-        let mut out = Vec::new();
-        self.infer_parallel_into(noisy, &mut z, &mut out, threads);
-        out
-    }
-
-    /// [`infer_parallel`](Self::infer_parallel) into caller-owned buffers.
-    pub fn infer_parallel_into(
-        &self,
-        noisy: &[f64],
-        z: &mut Vec<f64>,
-        out: &mut Vec<f64>,
-        threads: usize,
-    ) {
-        let threads = effective_threads(threads);
-        let height = self.shape.height();
-        if threads <= 1 || height < 3 {
-            self.infer_into(noisy, z, out);
-            return;
-        }
-        let n = self.shape.nodes();
-        assert_eq!(noisy.len(), n, "noisy vector must cover the tree");
-        z.resize(n, 0.0);
-        out.resize(n, 0.0);
-
-        let offsets = self.shape.level_offsets();
-        // Cut deep enough for ≥ 4 subtrees per worker; never below the
-        // second-to-last level (a subtree needs at least two levels).
-        let split = (1..=height - 2)
-            .find(|&d| self.shape.level_width(d) >= 4 * threads)
-            .unwrap_or(height - 2);
-        let slabs = self.shape.level_width(split);
-        let workers = threads.min(slabs);
-
-        // Phase 1: bottom-up within each subtree rooted at depth `split`
-        // (disjoint z slices, claimed from an atomic queue).
-        run_subtree_jobs(
-            split_at_depth(&mut z[offsets[split]..], offsets, split, slabs),
-            workers,
-            |s, levels| self.upward_subtree(s, split, levels, noisy),
-        );
-
-        // Serial top: z above the cut, then h̄ down to the cut (cheap — at
-        // most 4·threads·k/(k−1) nodes).
-        self.upward_levels(noisy, z, 0..split);
-        out[0] = z[0];
-        self.downward_levels(z, out, 0..split);
-
-        // Phase 2: top-down within each subtree (z is now read-only).
-        let z_ro = &z[..];
-        run_subtree_jobs(
-            split_at_depth(&mut out[offsets[split]..], offsets, split, slabs),
-            workers,
-            |s, levels| self.downward_subtree(s, split, levels, noisy, z_ro),
-        );
-    }
-
-    /// Bottom-up pass over subtree `s` rooted at depth `split`; `levels[j]`
-    /// is its z slice at depth `split + j` (leaf children are read straight
-    /// from `noisy` — see [`Self::upward`]).
-    fn upward_subtree(&self, s: usize, split: usize, levels: &mut [&mut [f64]], noisy: &[f64]) {
-        let height = self.shape.height();
-        let offsets = self.shape.level_offsets();
-        let k = self.shape.branching();
-        let slabs = self.shape.level_width(split);
-        let leaf_depth = height - 1;
-        for d in (split..leaf_depth).rev() {
-            let w = self.shape.level_width(d) / slabs;
-            let plo = offsets[d] + s * w;
-            if d + 1 == leaf_depth {
-                let clo = offsets[d + 1] + s * w * k;
-                let children = &noisy[clo..clo + w * k];
-                self.up_kernel(d, levels[d - split], &noisy[plo..plo + w], children, k);
-            } else {
-                let (lower, upper) = levels.split_at_mut(d - split + 1);
-                let parents = &mut lower[d - split];
-                let children = &upper[0];
-                self.up_kernel(d, parents, &noisy[plo..plo + w], children, k);
-            }
-        }
-    }
-
-    /// Top-down pass over subtree `s` rooted at depth `split`; `levels[j]`
-    /// is its h̄ slice at depth `split + j` (the subtree root's h̄ must
-    /// already be seeded).
-    fn downward_subtree(
-        &self,
-        s: usize,
-        split: usize,
-        levels: &mut [&mut [f64]],
-        noisy: &[f64],
-        z: &[f64],
-    ) {
-        let height = self.shape.height();
-        let offsets = self.shape.level_offsets();
-        let k = self.shape.branching();
-        let slabs = self.shape.level_width(split);
-        for d in split..height - 1 {
-            let w = self.shape.level_width(d) / slabs;
-            let child_lo = offsets[d + 1] + s * w * k;
-            let group_z = if d + 1 == height - 1 {
-                &noisy[child_lo..child_lo + w * k]
-            } else {
-                &z[child_lo..child_lo + w * k]
-            };
-            let (lower, upper) = levels.split_at_mut(d - split + 1);
-            let parents = &lower[d - split];
-            let children = &mut upper[0];
-            self.down_kernel(d, children, parents, group_z, k);
-        }
-    }
-}
-
-/// Splits `buf` (the node vector from `offsets[split]` on) into the
-/// `slabs` subtrees rooted at depth `split`, each as a vector of per-level
-/// slices: `result[s][j]` covers depth `split + j` of subtree `s`. The
-/// disjointness lets scoped workers mutate their subtree without locks.
-fn split_at_depth<'a>(
-    mut buf: &'a mut [f64],
-    offsets: &[usize],
-    split: usize,
-    slabs: usize,
-) -> Vec<Vec<&'a mut [f64]>> {
-    let height = offsets.len() - 1;
-    let mut per: Vec<Vec<&'a mut [f64]>> = (0..slabs)
-        .map(|_| Vec::with_capacity(height - split))
-        .collect();
-    for d in split..height {
-        let width = offsets[d + 1] - offsets[d];
-        let (mut level, rest) = buf.split_at_mut(width);
-        buf = rest;
-        let chunk = width / slabs;
-        for sub in per.iter_mut() {
-            let (c, remainder) = level.split_at_mut(chunk);
-            sub.push(c);
-            level = remainder;
-        }
-    }
-    per
-}
-
-/// One claimed-once work item of the splittable queue: a subtree index plus
-/// its per-level mutable slices, behind a mutex so the `&mut` slices can be
-/// handed across scoped threads without unsafe code.
-type SubtreeJob<'a> = Mutex<Option<(usize, Vec<&'a mut [f64]>)>>;
-
-/// Runs `body` over every subtree slice-set with `workers` scoped threads
-/// pulling indices from an atomic counter — the splittable work queue. Each
-/// job is claimed exactly once (the per-job mutex is never contended).
-fn run_subtree_jobs<F>(subtrees: Vec<Vec<&mut [f64]>>, workers: usize, body: F)
-where
-    F: Fn(usize, &mut [&mut [f64]]) + Sync,
-{
-    let jobs: Vec<SubtreeJob<'_>> = subtrees
-        .into_iter()
-        .enumerate()
-        .map(|(s, levels)| Mutex::new(Some((s, levels))))
-        .collect();
-    let next = AtomicUsize::new(0);
-    let body = &body;
-    let jobs = &jobs;
-    let next = &next;
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let (s, mut levels) = jobs[i]
-                    .lock()
-                    .expect("job mutex never poisoned")
-                    .take()
-                    .expect("each job claimed exactly once");
-                body(s, &mut levels);
-            });
-        }
-    });
 }
 
 /// Reusable inference executor: one set of scratch buffers, many trials.
 ///
-/// After the first call every `infer_*` and `release_and_infer*` method is
+/// After the first call every `infer*` and `release_and_infer*` method is
 /// allocation-free (buffers are recycled at their high-water mark), which is
 /// what the experiment loops need — thousands of trials over one shape.
 #[derive(Debug, Clone)]
@@ -1305,7 +1093,7 @@ impl BatchInference {
         };
         // One claimed-once job per trial: its disjoint (noisy, out) slices
         // behind a mutex so the `&mut` slices cross the scope without
-        // unsafe code (the same shape as the subtree work queue).
+        // unsafe code.
         type TrialJob<'a> = Mutex<Option<(Option<&'a mut [f64]>, &'a mut [f64])>>;
         let jobs: Vec<TrialJob<'_>> = noisy_chunks
             .into_iter()
@@ -1361,76 +1149,13 @@ impl BatchInference {
         self.tree.infer_zero_round_into(noisy, &mut z, out);
         self.z = z;
     }
-
-    /// Batched inference: `noisy_batch` is `trials` node vectors
-    /// concatenated; the result has the same layout. Bit-identical to
-    /// running the trials one by one.
-    pub fn infer_batch(&mut self, noisy_batch: &[f64]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.infer_batch_into(noisy_batch, &mut out);
-        out
-    }
-
-    /// [`infer_batch`](Self::infer_batch) into a caller-owned buffer.
-    pub fn infer_batch_into(&mut self, noisy_batch: &[f64], out: &mut Vec<f64>) {
-        let n = self.tree.nodes();
-        assert!(
-            n > 0 && noisy_batch.len() % n == 0,
-            "batch length {} is not a multiple of the node count {n}",
-            noisy_batch.len()
-        );
-        out.resize(noisy_batch.len(), 0.0);
-        let mut z = std::mem::take(&mut self.z);
-        z.resize(n, 0.0);
-        for (noisy, h) in noisy_batch.chunks_exact(n).zip(out.chunks_exact_mut(n)) {
-            self.tree.upward(noisy, &mut z);
-            self.tree.downward(noisy, &z, h);
-        }
-        self.z = z;
-    }
-
-    /// Batched inference with trials split across scoped-thread workers —
-    /// the shape the Fig. 5–7 protocol wants (many independent trials, one
-    /// shape). Bit-identical to [`infer_batch`](Self::infer_batch); each
-    /// worker carries its own scratch, allocated once per call and amortized
-    /// over its share of trials. `threads` honours the `HC_THREADS`
-    /// override ([`effective_threads`]).
-    pub fn infer_batch_parallel(&mut self, noisy_batch: &[f64], threads: usize) -> Vec<f64> {
-        let n = self.tree.nodes();
-        assert!(
-            n > 0 && noisy_batch.len() % n == 0,
-            "batch length {} is not a multiple of the node count {n}",
-            noisy_batch.len()
-        );
-        let trials = noisy_batch.len() / n;
-        let workers = effective_threads(threads).max(1).min(trials.max(1));
-        if workers <= 1 {
-            let mut out = Vec::new();
-            self.infer_batch_into(noisy_batch, &mut out);
-            return out;
-        }
-        let mut out = vec![0.0f64; noisy_batch.len()];
-        let per = trials.div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (in_chunk, out_chunk) in noisy_batch.chunks(per * n).zip(out.chunks_mut(per * n)) {
-                let tree = &self.tree;
-                scope.spawn(move || {
-                    let mut z = vec![0.0f64; n];
-                    for (noisy, h) in in_chunk.chunks_exact(n).zip(out_chunk.chunks_exact_mut(n)) {
-                        tree.upward(noisy, &mut z);
-                        tree.downward(noisy, &z, h);
-                    }
-                });
-            }
-        });
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hier::{enforce_nonnegativity, hierarchical_inference};
+    use crate::universal::Rounding;
     use hc_noise::rng_from_seed;
     use hc_testutil::assert_close;
     use rand::Rng;
@@ -1440,6 +1165,16 @@ mod tests {
         (0..shape.nodes())
             .map(|_| rng.random_range(-25.0..60.0))
             .collect()
+    }
+
+    /// The Sec. 4.2 + 5.2 oracle: the per-node zeroing walk, then rounding
+    /// every node.
+    fn zero_then_round(shape: &TreeShape, values: &[f64]) -> Vec<f64> {
+        let mut out = enforce_nonnegativity(shape, values);
+        for v in &mut out {
+            *v = Rounding::NonNegativeInteger.apply(*v);
+        }
+        out
     }
 
     #[test]
@@ -1490,37 +1225,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_is_bit_identical_to_serial() {
-        for (k, height, seed) in [(2usize, 6usize, 21u64), (3, 5, 22), (4, 4, 23)] {
-            let shape = TreeShape::new(k, height);
-            let noisy = random_noisy(&shape, seed);
-            let tree = LevelTree::new(&shape);
-            let serial = tree.infer(&noisy);
-            for threads in [2, 4, 8] {
-                assert_eq!(tree.infer_parallel(&noisy, threads), serial);
-            }
-        }
-    }
-
-    #[test]
-    fn batch_is_bit_identical_to_singles() {
-        let shape = TreeShape::new(2, 5);
-        let tree = LevelTree::new(&shape);
-        let n = shape.nodes();
-        let trials = 7;
-        let mut batch = Vec::with_capacity(trials * n);
-        let mut singles = Vec::with_capacity(trials * n);
-        for t in 0..trials {
-            let noisy = random_noisy(&shape, 31 + t as u64);
-            singles.extend(tree.infer(&noisy));
-            batch.extend(noisy);
-        }
-        let mut engine = BatchInference::new(tree);
-        assert_eq!(engine.infer_batch(&batch), singles);
-        assert_eq!(engine.infer_batch_parallel(&batch, 3), singles);
-    }
-
-    #[test]
     fn scratch_reuse_across_shapes_stays_correct() {
         let mut engine = BatchInference::for_shape(&TreeShape::new(2, 4));
         for (k, height, seed) in [(2usize, 4usize, 41u64), (3, 3, 42), (2, 6, 43)] {
@@ -1548,7 +1252,6 @@ mod tests {
             let reference = weighted_hierarchical_inference(&shape, &noisy, &per_node);
             let tree = LevelTree::with_level_variances(&shape, &level_vars);
             assert_eq!(tree.infer(&noisy), reference, "k={k} ℓ={height}");
-            assert_eq!(tree.infer_parallel(&noisy, 4), reference);
             assert_eq!(tree.infer_untiled(&noisy), reference);
         }
     }
@@ -1558,14 +1261,6 @@ mod tests {
         let shape = TreeShape::new(2, 1);
         let tree = LevelTree::new(&shape);
         assert_eq!(tree.infer(&[7.25]), vec![7.25]);
-        assert_eq!(tree.infer_parallel(&[7.25], 8), vec![7.25]);
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of the node count")]
-    fn batch_length_is_checked() {
-        let mut engine = BatchInference::for_shape(&TreeShape::new(2, 3));
-        let _ = engine.infer_batch(&[0.0; 10]);
     }
 
     #[test]
@@ -1583,10 +1278,10 @@ mod tests {
             let values: Vec<f64> = (0..shape.nodes())
                 .map(|_| rng.random_range(-4.0..4.0))
                 .collect();
-            let reference = enforce_nonnegativity(&shape, &values);
+            let reference = zero_then_round(&shape, &values);
             let tree = LevelTree::new(&shape);
             let mut engine = values.clone();
-            tree.zero_subtrees_in_place(&mut engine);
+            tree.zero_round_in_place(&mut engine);
             assert_eq!(engine, reference, "k={k} ℓ={height}");
         }
     }
@@ -1602,14 +1297,14 @@ mod tests {
             [6.0, -0.0, 7.0, 2.0, 5.0, 4.0, 3.0], // negative zero at node 1
             [-1.0, 3.0, 7.0, 2.0, 5.0, 4.0, 3.0], // zeroed root cascades
         ] {
-            let reference = enforce_nonnegativity(&shape, &values);
+            let reference = zero_then_round(&shape, &values);
             let mut engine = values;
-            tree.zero_subtrees_in_place(&mut engine);
+            tree.zero_round_in_place(&mut engine);
             assert_eq!(&engine[..], &reference[..], "input {values:?}");
         }
         // Node 1 subtree fully zeroed in the first two cases.
         let mut engine = [6.0, 0.0, 7.0, 2.0, 5.0, 4.0, 3.0];
-        tree.zero_subtrees_in_place(&mut engine);
+        tree.zero_round_in_place(&mut engine);
         assert_eq!(&engine[1..5], &[0.0, 7.0, 0.0, 0.0]);
     }
 
@@ -1622,11 +1317,7 @@ mod tests {
                 .map(|_| rng.random_range(-3.0..3.0))
                 .collect();
             let tree = LevelTree::new(&shape);
-            let mut split_path = values.clone();
-            tree.zero_subtrees_in_place(&mut split_path);
-            for v in &mut split_path {
-                *v = v.round().max(0.0);
-            }
+            let split_path = zero_then_round(&shape, &values);
             let mut fused = values.clone();
             tree.zero_round_in_place(&mut fused);
             assert_eq!(fused, split_path, "k={k} ℓ={height}");

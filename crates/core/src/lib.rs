@@ -24,9 +24,10 @@
 //!   deliberately close to the paper's notation.
 //! * [`engine::LevelTree`] / [`engine::BatchInference`] — the production
 //!   engine: the same two passes over a flat level-indexed layout with
-//!   precomputed per-level weight tables, scratch-buffer reuse, batched
-//!   trials, and scoped-thread parallel passes. Every estimator's hot path
-//!   goes through it; the test suite pins it to the oracle bit for bit.
+//!   precomputed per-level weight tables, scratch-buffer reuse, and whole
+//!   release→inference trials batched across scoped threads. Every
+//!   estimator's hot path goes through it; the test suite pins it to the
+//!   oracle bit for bit.
 //! * [`snapshot::ConsistentSnapshot`] / [`snapshot::SubtreeServer`] — the
 //!   matching *read* path: O(1) prefix-summed range serving over engine
 //!   output, and allocation-free decomposition folds for the `H̃`-style
@@ -76,9 +77,7 @@ pub use isotonic::{isotonic_regression, isotonic_regression_weighted, minmax_ref
 pub use plan::{
     PlanInput, ReleaseStrategy, SizePrediction, StrategyPipeline, StrategyPlan, StrategyPlanner,
 };
-pub use snapshot::{
-    union_bound_interval, ConsistentSnapshot, SubtreeServer, PARALLEL_SERIAL_FLOOR,
-};
+pub use snapshot::{union_bound_interval, ConsistentSnapshot, SubtreeServer};
 pub use unattributed::{SortedRelease, UnattributedHistogram};
 pub use universal::{
     FlatRelease, FlatUniversal, HierarchicalUniversal, RoundedTree, Rounding, TreeRelease,

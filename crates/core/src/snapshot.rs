@@ -6,14 +6,15 @@
 //! path. Two pieces:
 //!
 //! * [`ConsistentSnapshot`] — an immutable prefix-summed view over the leaf
-//!   level of a consistent estimate (engine output, [`ConsistentTree`]
-//!   values, a flat release's fused prefix arrays, or true counts). Any
-//!   `[lo, hi]` range query is two prefix lookups — O(1) regardless of range
-//!   length — with batched [`answer_into`](ConsistentSnapshot::answer_into)
-//!   (unrolled, zero allocations after warm-up) and an `HC_THREADS`-honouring
-//!   [`answer_parallel`](ConsistentSnapshot::answer_parallel) for large query
-//!   batches. A snapshot can carry its release's Laplace noise scale so every
-//!   answer can be served with a [`ConfidenceInterval`].
+//!   level of a consistent estimate (engine output,
+//!   [`ConsistentTree`](crate::hier::ConsistentTree) values, a flat release's
+//!   fused prefix arrays, or true counts). Any `[lo, hi]` range query is two
+//!   prefix lookups — O(1) regardless of range length — and a batch goes
+//!   through [`answer_into`](ConsistentSnapshot::answer_into) (unrolled, zero
+//!   allocations after warm-up). Read concurrency comes from concurrent
+//!   readers sharing one snapshot, not from splitting a batch. A snapshot
+//!   can carry its release's Laplace noise scale so every answer can be
+//!   served with a [`ConfidenceInterval`].
 //! * [`SubtreeServer`] — the `H̃`-style estimators (noisy trees, and the
 //!   Sec. 4.2 zeroed/rounded `H̄` whose consistency is deliberately broken at
 //!   zeroed boundaries) answer by summing the minimal subtree decomposition.
@@ -34,7 +35,6 @@ use std::sync::OnceLock;
 use hc_data::{Histogram, Interval};
 use hc_mech::{laplace_half_width, ConfidenceInterval, TreeShape};
 
-use crate::engine::effective_threads;
 use crate::universal::Rounding;
 
 /// Exact-integer ceiling for f64 prefix sums: every integer partial sum up
@@ -43,18 +43,6 @@ use crate::universal::Rounding;
 /// direct summation bit for bit as long as the total stays at or below this
 /// bound.
 const EXACT_F64_INT: u64 = 1 << 53;
-
-/// Query-count floor below which [`ConsistentSnapshot::answer_parallel`]
-/// answers serially instead of spawning scoped threads. Measured (see
-/// BENCH_hier_infer.json `range_serving_*`): a warm serial answer is ~1.4 ns
-/// per query on an L2-resident prefix, while a `thread::scope` spawn+join
-/// cycle costs tens of microseconds — the threaded split only amortizes past
-/// a few thousand queries even on DRAM-resident domains, so the floor sits
-/// at the batch size where the split first measured faster than serial.
-/// `answer_parallel` is the workspace's one batch-parallel read path: there
-/// is no persistent pool behind it, and it reads the snapshot's single
-/// prefix buffer in place.
-pub const PARALLEL_SERIAL_FLOOR: usize = 4096;
 
 /// Batched prefix-difference kernel shared by [`ConsistentSnapshot`] and
 /// `FlatRelease::answer_into`: 4-way unrolled over the query batch (each
@@ -312,48 +300,6 @@ impl ConsistentSnapshot {
     pub fn answer_into(&self, queries: &[Interval], out: &mut Vec<f64>) {
         out.resize(queries.len(), 0.0);
         answer_prefix_into(&self.prefix, self.domain_size, queries, out);
-    }
-
-    /// [`Self::answer_into`] with the batch split across scoped-thread
-    /// workers — for serving-side query floods. Answers are independent
-    /// lookups, so the output is bit-identical to the serial batch for any
-    /// thread count. `threads` is a cap, overridable via the `HC_THREADS`
-    /// environment variable ([`effective_threads`]).
-    ///
-    /// Batches shorter than [`PARALLEL_SERIAL_FLOOR`] are answered serially:
-    /// below that point the per-call `thread::scope` spawn/join cost exceeds
-    /// the whole batch's serve time.
-    pub fn answer_parallel(&self, queries: &[Interval], out: &mut Vec<f64>, threads: usize) {
-        self.answer_parallel_with_floor(queries, out, threads, PARALLEL_SERIAL_FLOOR);
-    }
-
-    /// [`Self::answer_parallel`] with an explicit serial-fallback floor —
-    /// tests and benches pass `0` to force the threaded split regardless of
-    /// batch size (the bit-identity contract must hold on the threaded path
-    /// itself, not just on the serial fallback small batches take).
-    pub fn answer_parallel_with_floor(
-        &self,
-        queries: &[Interval],
-        out: &mut Vec<f64>,
-        threads: usize,
-        serial_floor: usize,
-    ) {
-        let workers = effective_threads(threads).max(1).min(queries.len().max(1));
-        if workers <= 1 || queries.len() < serial_floor {
-            self.answer_into(queries, out);
-            return;
-        }
-        out.resize(queries.len(), 0.0);
-        let per = queries.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (q_chunk, o_chunk) in queries.chunks(per).zip(out.chunks_mut(per)) {
-                let prefix = &self.prefix;
-                let domain_size = self.domain_size;
-                scope.spawn(move || {
-                    answer_prefix_into(prefix, domain_size, q_chunk, o_chunk);
-                });
-            }
-        });
     }
 
     /// A two-sided confidence interval around [`Self::answer`], derived from
@@ -668,7 +614,7 @@ impl SubtreeServer {
     /// bit-identical to materializing the decomposition and `.sum()`ing it
     /// even in the all-negative-zero corner.
     ///
-    /// Implementation: the table-driven fold ([`Self::fold`]).
+    /// Implementation: the table-driven fold.
     /// [`Self::answer_recursive`] keeps the recursive fold as the bitwise
     /// oracle; `tests/snapshot_serving.rs` and this module's exhaustive test
     /// pin the two equal to the bit across shapes, values, and rounding
@@ -953,11 +899,6 @@ mod tests {
         let mut batched = Vec::new();
         snap.answer_into(&queries, &mut batched);
         assert_eq!(batched, singles);
-        for threads in [1usize, 2, 3, 8] {
-            let mut parallel = Vec::new();
-            snap.answer_parallel(&queries, &mut parallel, threads);
-            assert_eq!(parallel, singles, "threads = {threads}");
-        }
     }
 
     #[test]

@@ -97,12 +97,7 @@ pub const HOT_FUNCTIONS: &[(&str, &[&str])] = &[
             "downward_levels",
             "up_kernel",
             "down_kernel",
-            "zero_subtrees_in_place",
             "zero_round_in_place",
-            "zero_subtrees_impl",
-            "infer_parallel_into",
-            "upward_subtree",
-            "downward_subtree",
         ],
     ),
     (
@@ -112,8 +107,6 @@ pub const HOT_FUNCTIONS: &[(&str, &[&str])] = &[
             "answer_prefix_into",
             "answer",
             "answer_into",
-            "answer_parallel",
-            "answer_parallel_with_floor",
             "answer_recursive",
             "fold",
             "fold_batch",

@@ -7,7 +7,7 @@
 //! epoch counter, `try_read`s the matching slot (never a blocking lock
 //! acquisition), and pins the published `Arc`. The only way a `try_read`
 //! can fail is a writer holding that exact slot — which requires the
-//! reader's epoch load to be a full ring-lap ([`SLOTS`] publishes) stale —
+//! reader's epoch load to be a full ring-lap (`SLOTS` publishes) stale —
 //! and the retry then picks up the fresh epoch and a different slot. A
 //! pinned snapshot stays valid for as long as the caller holds it, however
 //! many publishes happen meanwhile: publication swaps the served `Arc`, it

@@ -32,9 +32,7 @@ use hc_core::{
     StrategyPlanner,
 };
 use hc_data::{Domain, Histogram};
-use hc_mech::{
-    BudgetError, ConfidenceInterval, Epsilon, LedgerEntry, PrivacyAccountant, TreeShape,
-};
+use hc_mech::{BudgetError, ConfidenceInterval, Epsilon, LedgerEntry, PrivacyAccountant};
 use hc_noise::{NoiseBackend, SeedStream};
 
 use crate::cell::{PinnedSnapshot, SnapshotShards};
@@ -105,10 +103,12 @@ pub enum ServeError {
         /// The tenant's id.
         tenant: usize,
     },
-    /// The release strategy cannot run: a branching factor below 2, or a
-    /// budget split that does not give every tree level a finite, positive
-    /// ε (a non-finite or non-positive geometric ratio, custom weights of
-    /// the wrong length or sign, or a ratio so extreme that `ratio^depth`
+    /// The release strategy cannot run: a branching factor below 2 or one
+    /// whose padded tree overflows or holds more than 16 leaves per bin, an
+    /// ε so small that a Laplace noise scale `Δ/ε` overflows, or a budget
+    /// split that does not give every tree level a finite, positive ε (a
+    /// non-finite or non-positive geometric ratio, custom weights of the
+    /// wrong length or sign, or a ratio so extreme that `ratio^depth`
     /// overflows).
     InvalidStrategy {
         /// What is wrong with the strategy.
@@ -170,15 +170,16 @@ impl From<BudgetError> for ServeError {
 
 /// Refuses a strategy that would panic when its pipeline is built or at
 /// its first publish — inside the tenant's write lock, poisoning it for
-/// good. A budget split is resolved once here, for the tree it will run
-/// on, with the release path's own arithmetic.
+/// good. The tree height and every noise scale are computed here with the
+/// release path's own arithmetic, before any `TreeShape` is built.
 fn check_strategy(
     strategy: &ReleaseStrategy,
     epsilon: Epsilon,
     domain_size: usize,
 ) -> Result<(), ServeError> {
     let (branching, split) = match strategy {
-        ReleaseStrategy::Flat => return Ok(()),
+        // Unit counts: Δ = 1.
+        ReleaseStrategy::Flat => return check_noise_scale(1.0 / epsilon.value()),
         ReleaseStrategy::Hierarchical { branching } => (*branching, None),
         ReleaseStrategy::Budgeted { branching, split } => (*branching, Some(split)),
     };
@@ -187,15 +188,49 @@ fn check_strategy(
             reason: "branching factor below 2",
         });
     }
-    if let Some(split) = split {
-        let height = TreeShape::for_domain(domain_size, branching).height();
-        if split.checked_level_epsilons(epsilon, height).is_none() {
-            return Err(ServeError::InvalidStrategy {
+    let height = padded_height(domain_size, branching).ok_or(ServeError::InvalidStrategy {
+        reason: "branching factor pads the tree past 16 leaves per bin",
+    })?;
+    match split {
+        // Δ = height (Proposition 4).
+        None => check_noise_scale(height as f64 / epsilon.value()),
+        // A finite 2/ε_d² at every level also bounds each scale 1/ε_d.
+        Some(split) => split
+            .checked_level_epsilons(epsilon, height)
+            .map(drop)
+            .ok_or(ServeError::InvalidStrategy {
                 reason: "budget split does not give every tree level a finite, positive ε",
-            });
-        }
+            }),
     }
-    Ok(())
+}
+
+/// Leaves the padded tree may hold per domain bin. Every k ≤ 16 passes at
+/// every domain size: the smallest power of k covering n bins is below k·n.
+const MAX_LEAVES_PER_BIN: usize = 16;
+
+/// `TreeShape::for_domain(domain_size, branching).height()` in checked
+/// arithmetic: `None` when the padded leaf count overflows or exceeds
+/// [`MAX_LEAVES_PER_BIN`] × `domain_size`.
+fn padded_height(domain_size: usize, branching: usize) -> Option<usize> {
+    let cap = domain_size.saturating_mul(MAX_LEAVES_PER_BIN);
+    let (mut leaves, mut height) = (1usize, 1usize);
+    while leaves < domain_size {
+        leaves = leaves.checked_mul(branching).filter(|&l| l <= cap)?;
+        height += 1;
+    }
+    Some(height)
+}
+
+/// Refuses a Laplace scale `Δ/ε` that overflowed: `Laplace::centered`
+/// would panic on it when the pipeline is built or at the first publish.
+fn check_noise_scale(scale: f64) -> Result<(), ServeError> {
+    if scale.is_finite() {
+        Ok(())
+    } else {
+        Err(ServeError::InvalidStrategy {
+            reason: "ε is so small that the Laplace noise scale overflows",
+        })
+    }
 }
 
 /// The largest total count a tenant may hold: `2^53`, the bound up to which
@@ -716,6 +751,7 @@ mod tests {
     use super::*;
     use hc_core::{BatchInference, BudgetSplit, HierarchicalUniversal, StrategyPlan};
     use hc_data::Interval;
+    use hc_mech::TreeShape;
 
     fn config(name: &str, n: usize) -> TenantConfig {
         TenantConfig::new(name, n)
@@ -1091,13 +1127,16 @@ mod tests {
     /// behind: the name stays free, and a valid tenant under it ingests and
     /// publishes without meeting a poisoned lock.
     fn assert_refused_cleanly(strategy: ReleaseStrategy, domain: usize) {
+        assert_config_refused_cleanly(config("bad", domain).with_strategy(strategy));
+    }
+
+    /// [`assert_refused_cleanly`] for a whole configuration named `"bad"`.
+    fn assert_config_refused_cleanly(bad: TenantConfig) {
         let mut service = HistogramService::new();
-        let err = service
-            .register(config("bad", domain).with_strategy(strategy.clone()))
-            .unwrap_err();
+        let err = service.register(bad.clone()).unwrap_err();
         assert!(
             matches!(err, ServeError::InvalidStrategy { .. }),
-            "{strategy:?}: {err:?}"
+            "{bad:?}: {err:?}"
         );
         assert!(err.to_string().starts_with("unusable release strategy"));
         assert_eq!(service.tenant_id("bad"), None);
@@ -1119,6 +1158,49 @@ mod tests {
                 64,
             );
         }
+    }
+
+    #[test]
+    fn oversized_branching_is_refused_at_registration() {
+        // usize::MAX overflows the padded leaf count; 2^20 − 1 over 2^20
+        // bins pads to ≈ 2^40 leaves, an allocation that would abort the
+        // process at the first publish.
+        for (branching, domain) in [(usize::MAX, 5), ((1 << 20) - 1, 1 << 20)] {
+            assert_refused_cleanly(ReleaseStrategy::Hierarchical { branching }, domain);
+            assert_refused_cleanly(
+                ReleaseStrategy::Budgeted {
+                    branching,
+                    split: BudgetSplit::Uniform,
+                },
+                domain,
+            );
+        }
+    }
+
+    #[test]
+    fn an_epsilon_whose_noise_scale_overflows_is_refused_at_registration() {
+        // 1/1e-310 is already +∞; at 3e-308 it is the height-11 tree's
+        // Δ = 11 (and each budgeted level's 1/ε_d) that overflows.
+        for epsilon in [1e-310, 3e-308] {
+            for strategy in [
+                ReleaseStrategy::Hierarchical { branching: 2 },
+                ReleaseStrategy::Budgeted {
+                    branching: 2,
+                    split: BudgetSplit::Uniform,
+                },
+            ] {
+                assert_config_refused_cleanly(
+                    config("bad", 1024)
+                        .with_strategy(strategy)
+                        .with_budget(1.0, epsilon),
+                );
+            }
+        }
+        assert_config_refused_cleanly(
+            config("bad", 1024)
+                .with_strategy(ReleaseStrategy::Flat)
+                .with_budget(1.0, 1e-310),
+        );
     }
 
     #[test]

@@ -9,11 +9,10 @@
 //!   (the uniform path is in fact bit-identical, which is asserted too);
 //! * engine ≡ the dense OLS projection on small shapes (the "don't trust
 //!   either closed form" check);
-//! * a batch of N trials ≡ N single runs, bit for bit, under pinned seeds;
 //! * the slab-tiled sweeps ≡ the untiled level sweeps, bit for bit;
-//! * the work-stealing parallel passes ≡ the serial sweep, bit for bit;
 //! * the weighted (per-level GLS) tables ≡ the per-node weighted oracle;
-//! * the engine's level-sweep zeroing ≡ the `enforce_nonnegativity` walk
+//! * the engine's level-sweep zeroing and rounding ≡ the
+//!   `enforce_nonnegativity` walk followed by rounding every node
 //!   (including the `<= 0.0` boundary and parent-zeroed cascades);
 //! * `release_and_infer(_rounded)` ≡ release-then-infer through the old
 //!   owned-release path at the same seed, bit for bit.
@@ -29,6 +28,16 @@ fn random_noisy(shape: &TreeShape, seed: u64) -> Vec<f64> {
     (0..shape.nodes())
         .map(|_| rng.random_range(-50.0..120.0))
         .collect()
+}
+
+/// The Sec. 4.2 + 5.2 oracle: the per-node zeroing walk, then rounding
+/// every node.
+fn zero_then_round(shape: &TreeShape, values: &[f64]) -> Vec<f64> {
+    let mut out = enforce_nonnegativity(shape, values);
+    for v in &mut out {
+        *v = Rounding::NonNegativeInteger.apply(*v);
+    }
+    out
 }
 
 proptest! {
@@ -64,41 +73,6 @@ proptest! {
 
         let engine = LevelTree::new(&shape).infer(&noisy);
         assert_close(&engine, &ols, 1e-7);
-    }
-
-    #[test]
-    fn batch_of_n_is_bit_identical_to_n_single_runs(
-        k in 2usize..4,
-        height in 1usize..6,
-        trials in 1usize..9,
-        seed in any::<u64>(),
-    ) {
-        let shape = TreeShape::new(k, height);
-        let tree = LevelTree::new(&shape);
-        let n = shape.nodes();
-        let mut batch = Vec::with_capacity(trials * n);
-        let mut singles = Vec::with_capacity(trials * n);
-        for t in 0..trials {
-            let noisy = random_noisy(&shape, seed.wrapping_add(t as u64));
-            singles.extend(tree.infer(&noisy));
-            batch.extend(noisy);
-        }
-        let mut engine = BatchInference::new(tree);
-        prop_assert_eq!(&engine.infer_batch(&batch), &singles);
-        prop_assert_eq!(&engine.infer_batch_parallel(&batch, 4), &singles);
-    }
-
-    #[test]
-    fn parallel_subtree_passes_are_bit_identical_to_serial(
-        k in 2usize..5,
-        height in 3usize..7,
-        threads in 2usize..9,
-        seed in any::<u64>(),
-    ) {
-        let shape = TreeShape::new(k, height);
-        let noisy = random_noisy(&shape, seed);
-        let tree = LevelTree::new(&shape);
-        prop_assert_eq!(tree.infer_parallel(&noisy, threads), tree.infer(&noisy));
     }
 
     #[test]
@@ -160,26 +134,17 @@ proptest! {
         seed in any::<u64>(),
     ) {
         // Values straddling zero so subtree zeroing fires; the engine's
-        // top-down level sweep must match the per-node parent() walk bit
-        // for bit, and the fused zero+round must equal zero-then-round.
+        // top-down zero+round sweep must match the per-node parent() walk
+        // followed by rounding, bit for bit.
         let shape = TreeShape::new(k, height);
         let mut rng = rng_from_seed(seed);
         let values: Vec<f64> = (0..shape.nodes())
             .map(|_| rng.random_range(-4.0..4.0))
             .collect();
-        let tree = LevelTree::new(&shape);
-        let reference = enforce_nonnegativity(&shape, &values);
-        let mut swept = values.clone();
-        tree.zero_subtrees_in_place(&mut swept);
-        prop_assert_eq!(&swept, &reference);
-
-        let mut rounded_reference = reference;
-        for v in &mut rounded_reference {
-            *v = Rounding::NonNegativeInteger.apply(*v);
-        }
-        let mut fused = values;
-        tree.zero_round_in_place(&mut fused);
-        prop_assert_eq!(fused, rounded_reference);
+        let reference = zero_then_round(&shape, &values);
+        let mut swept = values;
+        LevelTree::new(&shape).zero_round_in_place(&mut swept);
+        prop_assert_eq!(swept, reference);
     }
 
     #[test]
@@ -199,9 +164,9 @@ proptest! {
             .collect();
         let v = (zero_at as usize) % shape.nodes();
         values[v] = if negate_zero { -0.0 } else { 0.0 };
-        let reference = enforce_nonnegativity(&shape, &values);
+        let reference = zero_then_round(&shape, &values);
         let mut swept = values;
-        LevelTree::new(&shape).zero_subtrees_in_place(&mut swept);
+        LevelTree::new(&shape).zero_round_in_place(&mut swept);
         prop_assert_eq!(&swept, &reference);
         // The planted node's whole leaf span is zeroed.
         let span = shape.leaf_span(v);
@@ -238,22 +203,5 @@ proptest! {
             .release(&histogram, &mut rng_from_seed(seed))
             .infer_rounded();
         prop_assert_eq!(&out[..], old_rounded.node_values());
-    }
-
-    #[test]
-    fn work_stealing_parallel_matches_serial_across_splits(
-        k in 2usize..4,
-        height in 3usize..9,
-        threads in 2usize..17,
-        seed in any::<u64>(),
-    ) {
-        // Thread counts beyond the old one-worker-per-root-subtree cap:
-        // the split depth (and so the job count) varies with `threads`,
-        // and every configuration must reproduce the serial bits.
-        let shape = TreeShape::new(k, height);
-        let noisy = random_noisy(&shape, seed);
-        let tree = LevelTree::new(&shape);
-        let serial = tree.infer(&noisy);
-        prop_assert_eq!(tree.infer_parallel(&noisy, threads), serial);
     }
 }

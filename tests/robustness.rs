@@ -3,6 +3,7 @@
 
 use hist_consistency::infer::{hierarchical_inference, isotonic_regression};
 use hist_consistency::prelude::*;
+use proptest::prelude::*;
 
 // ---------------- invalid parameters fail loudly ----------------
 
@@ -132,4 +133,52 @@ fn confidence_intervals_are_available_from_the_mechanism() {
     let ci = out.confidence_interval(0, 0.95);
     assert!(ci.width() > 0.0);
     assert!(ci.contains(out.values()[0]));
+}
+
+// ---------------- service registration never panics ----------------
+
+/// The ε values the registration property draws from: subnormal and
+/// near-underflow budgets whose noise scale `Δ/ε` may overflow, a tiny
+/// normal one, and two ordinary ones.
+const REGISTRATION_EPSILONS: [f64; 5] = [1e-310, 3e-308, 1e-300, 0.1, 1.0];
+
+/// Branching factor number `pick` over `n` bins: 0 and 1, every k the
+/// planner and the ablations use (and one past), the three around the
+/// domain size, and `usize::MAX`.
+fn registration_branching(pick: usize, n: usize) -> usize {
+    match pick {
+        0..=17 => pick,
+        18 => n - 1,
+        19 => n,
+        20 => n + 1,
+        _ => usize::MAX,
+    }
+}
+
+proptest! {
+    #[test]
+    fn registration_refuses_or_serves_and_never_panics(
+        strategy_pick in 0usize..3,
+        branching_pick in 0usize..22,
+        n in 1usize..4097,
+        epsilon_pick in 0usize..5,
+    ) {
+        // `register` returns a typed error or a tenant; a registered tenant
+        // publishes once and still takes writes (its lock is not poisoned).
+        let branching = registration_branching(branching_pick, n);
+        let strategy = match strategy_pick {
+            0 => ReleaseStrategy::Flat,
+            1 => ReleaseStrategy::Hierarchical { branching },
+            _ => ReleaseStrategy::Budgeted { branching, split: BudgetSplit::Uniform },
+        };
+        let config = TenantConfig::new("t", n)
+            .with_strategy(strategy)
+            .with_budget(1.0, REGISTRATION_EPSILONS[epsilon_pick])
+            .with_refresh_every(0);
+        let mut service = HistogramService::new();
+        if let Ok(id) = service.register(config) {
+            prop_assert!(service.publish(id).is_ok());
+            prop_assert!(service.ingest(id, &[(0, 1)]).is_ok());
+        }
+    }
 }

@@ -13,7 +13,7 @@
 //!   `TreeShape::subtree_decomposition` and folding, bit for bit, for any
 //!   values and rounding policy (the materialized decomposition stays as
 //!   the oracle);
-//! * batched and parallel snapshot serving ≡ one-at-a-time answers;
+//! * batched snapshot serving ≡ one-at-a-time answers;
 //! * fixed-seed golden pins for a served query batch **per noise backend**
 //!   (`reference_*` / `fast_ln_wide_*`, the `hc_noise::backend` versioning
 //!   convention — CI runs each prefix as its own step).
@@ -153,7 +153,6 @@ proptest! {
     fn batched_and_parallel_serving_match_single_answers(
         height in 2usize..9,
         seed in any::<u64>(),
-        threads in 1usize..9,
     ) {
         let shape = TreeShape::new(2, height);
         let values = random_values(shape.nodes(), seed);
@@ -163,14 +162,6 @@ proptest! {
         let mut batched = Vec::new();
         snapshot.answer_into(&queries, &mut batched);
         prop_assert_eq!(&batched, &singles);
-        // The default floor would route this 97-query batch serially; a
-        // zero floor keeps the scoped-thread split itself under test.
-        let mut parallel = Vec::new();
-        snapshot.answer_parallel(&queries, &mut parallel, threads);
-        prop_assert_eq!(&parallel, &singles);
-        let mut forced = Vec::new();
-        snapshot.answer_parallel_with_floor(&queries, &mut forced, threads, 0);
-        prop_assert_eq!(&forced, &singles);
     }
 
     #[test]
@@ -207,18 +198,13 @@ proptest! {
 #[test]
 fn degenerate_snapshot_inputs_are_well_defined() {
     // domain_size == 0: a snapshot over nothing answers nothing, totals to
-    // an exact 0.0, and never panics on empty batches — serial or parallel.
+    // an exact 0.0, and never panics on empty batches.
     let mut snap = ConsistentSnapshot::from_leaves(&[], 0);
     assert_eq!(snap.domain_size(), 0);
     assert_eq!(snap.total(), 0.0);
     let mut out = vec![1.0, 2.0, 3.0]; // stale content must be truncated
     snap.answer_into(&[], &mut out);
     assert!(out.is_empty(), "empty batch must clear the output buffer");
-    for threads in [1usize, 2, 4, 8] {
-        let mut out = vec![9.0];
-        snap.answer_parallel(&[], &mut out, threads);
-        assert!(out.is_empty(), "threads = {threads}");
-    }
     // An empty *query batch* against a non-empty snapshot is equally inert.
     let shape = TreeShape::new(2, 4);
     let values: Vec<f64> = (0..shape.nodes()).map(|i| i as f64).collect();
@@ -226,11 +212,6 @@ fn degenerate_snapshot_inputs_are_well_defined() {
     let mut out = vec![5.0; 7];
     full.answer_into(&[], &mut out);
     assert!(out.is_empty());
-    for threads in [1usize, 3, 16] {
-        let mut out = vec![5.0; 7];
-        full.answer_parallel(&[], &mut out, threads);
-        assert!(out.is_empty(), "threads = {threads}");
-    }
     // Rebuild cycling through the empty domain leaves no stale prefix: a
     // non-empty → empty → non-empty round trip equals a fresh build exactly.
     let whole = Interval::new(0, shape.leaves() - 1);
