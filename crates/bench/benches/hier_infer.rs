@@ -1,7 +1,7 @@
 //! Criterion bench: hierarchical inference — the Theorem-3 reference oracle
 //! vs the level-indexed engine (one warm trial per call), and both vs
-//! generic solvers (dense OLS, sparse CG); plus the end-to-end trial
-//! pipelines, serial and trial-parallel.
+//! generic solvers (dense OLS, sparse CG); the zero/round sweep alone; plus
+//! the end-to-end trial pipelines, serial and trial-parallel.
 //!
 //! The headline comparison: on a k = 2 tree with 2^20 leaves, a warm
 //! engine trial (`hier_infer_engine_single`) must run ≥ 2× faster than
@@ -167,8 +167,8 @@ fn bench_pipeline_pr2_path(c: &mut Criterion) {
 
 /// End-to-end trial through the allocation-free batched pipeline:
 /// `release_and_infer_rounded` over a prepared mechanism and warm engine
-/// scratch — evaluate, noise, both Theorem-3 passes, fused zeroing +
-/// rounding, zero allocations per trial.
+/// scratch — counting and noise folded into the upward slabs, both
+/// Theorem-3 passes, fused zeroing + rounding, zero allocations per trial.
 fn bench_pipeline_batched(c: &mut Criterion) {
     let mut group = c.benchmark_group("hier_pipeline_batched");
     for &height in &[17usize, 21, SCALE_HEIGHT] {
@@ -200,6 +200,29 @@ fn bench_pipeline_batched(c: &mut Criterion) {
                 });
             });
         }
+    }
+    group.finish();
+}
+
+/// The Sec. 4.2/5.2 zero/round sweep alone (`zero_round_in_place`) at 2^20
+/// leaves for the fan-outs with their own kernel copy. The sweep is
+/// branch-free, so its cost does not depend on the values: the first
+/// iteration turns the noisy tree into a fixed point of the sweep and
+/// every later one does the same work over it, with no restore copy in
+/// the timed loop.
+fn bench_zero_round(c: &mut Criterion) {
+    let mut group = c.benchmark_group("zero_round_in_place");
+    for (k, height) in [(2usize, 21usize), (4, 11), (16, 6)] {
+        let shape = TreeShape::new(k, height);
+        let tree = LevelTree::new(&shape);
+        let mut values = noisy_tree(&shape, 7);
+        group.throughput(Throughput::Elements(shape.nodes() as u64));
+        group.bench_function(BenchmarkId::new(format!("k{k}"), shape.leaves()), |b| {
+            b.iter(|| {
+                tree.zero_round_in_place(black_box(&mut values));
+                black_box(values[0])
+            });
+        });
     }
     group.finish();
 }
@@ -315,6 +338,7 @@ criterion_group!(
     benches,
     bench_reference,
     bench_engine_single,
+    bench_zero_round,
     bench_laplace_fill,
     bench_pipeline_pr2_path,
     bench_pipeline_batched,

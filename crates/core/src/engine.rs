@@ -31,13 +31,16 @@
 //!   instead of the per-node `parent()` walk of
 //!   [`crate::hier::enforce_nonnegativity`] (which is kept as the oracle),
 //!   exploiting the invariant that after the sweep a node is zeroed iff its
-//!   value is `0.0`;
-//! * [`BatchInference::release_and_infer`] runs a whole trial — evaluate the
-//!   query, add Laplace noise through the preparation's
-//!   [`hc_noise::NoiseBackend`], both Theorem-3 passes, optional zeroing and
-//!   rounding — through caller/engine-owned scratch with **zero heap
-//!   allocations after warm-up** (`tests/alloc_free.rs` pins this with a
-//!   counting allocator);
+//!   value is `0.0`. One window kernel serves every fan-out, with
+//!   constant-width copies for k = 2, 4, 8 and 16 that vectorize across
+//!   parents;
+//! * [`BatchInference::release_and_infer`] runs a whole trial — count the
+//!   histogram into the tree and add Laplace noise through the
+//!   preparation's [`hc_noise::NoiseBackend`], both folded into the upward
+//!   slabs (the true-count vector is never built), then both Theorem-3
+//!   passes and optional zeroing and rounding — through caller/engine-owned
+//!   scratch with **zero heap allocations after warm-up**
+//!   (`tests/alloc_free.rs` pins this with a counting allocator);
 //! * [`BatchInference::release_and_infer_batch_parallel`] scales that full
 //!   trial across scoped-thread workers, split by trial with per-worker
 //!   scratch and per-trial [`SeedStream`] seeding — bit-identical to the
@@ -54,8 +57,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use hc_data::Histogram;
-use hc_mech::{PreparedMechanism, QuerySequence, TreeShape};
-use hc_noise::{Laplace, NoiseBackend, SeedStream};
+use hc_mech::{HierarchicalQuery, PreparedMechanism, TreeShape};
+use hc_noise::SeedStream;
 use rand::Rng;
 
 /// Leaves per vertical slab in the tiled sweeps. A binary slab of 8192
@@ -287,17 +290,21 @@ fn down_level_weighted(
     }
 }
 
-/// `v.round().max(0.0)` for `v ≥ 0` (or NaN) without the libm `round` call.
+/// `v.round().max(0.0)` for `v ≥ 0` (or NaN) with plain adds and compares.
 ///
-/// On the baseline x86-64 target `f64::round` lowers to a library call
-/// (round-half-away-from-zero has no SSE2 instruction), which dominated the
-/// rounding sweep at 2^20 leaves. For finite `0 ≤ v < 2^52` the classic
-/// magic-number trick is exact: `(v + 2^52) − 2^52` rounds to the nearest
-/// *even* integer, and the only inputs where half-away disagrees are exact
-/// `x.5` ties where the difference `v − t` is exactly `+0.5` (tie broken
-/// downward) — bump those by one. Everything else (≥ 2^52 is already
-/// integral; NaN) takes the library path, so the result is bit-identical to
-/// `v.round().max(0.0)` for every non-negative input.
+/// At the repo's `x86-64-v3` target `f64::round` is already inline (an add
+/// of `copysign(0.49999999999999994, v)` and a truncating
+/// `vroundsd`/`vroundpd`). What this form still buys is the pre-AVX2
+/// build: round-half-away-from-zero has no SSE2 instruction, so there
+/// `f64::round` is a libm call per node, which dominated the rounding
+/// sweep. For finite `0 ≤ v < 2^52` the classic magic-number trick is
+/// exact: `(v + 2^52) − 2^52` rounds to the nearest *even* integer, and the
+/// only inputs where half-away disagrees are exact `x.5` ties where the
+/// difference `v − t` is exactly `+0.5` (tie broken downward) — bump those
+/// by one. Everything else is already integral (≥ 2^52, `+∞`) or NaN, where
+/// `v.max(0.0)` is `v.round().max(0.0)` with no rounding at all, so the
+/// result is bit-identical to `v.round().max(0.0)` for every non-negative
+/// input and the vector loops evaluate both arms as one select.
 #[inline]
 fn round_nonneg(v: f64) -> f64 {
     const MAGIC: f64 = 4_503_599_627_370_496.0; // 2^52
@@ -307,7 +314,7 @@ fn round_nonneg(v: f64) -> f64 {
         // `t + 0.0 ≡ t` here because `t ≥ +0.0` for every `v ≥ 0`.
         t + if v - t == 0.5 { 1.0 } else { 0.0 }
     } else {
-        v.round().max(0.0)
+        v.max(0.0)
     }
 }
 
@@ -315,21 +322,98 @@ fn round_nonneg(v: f64) -> f64 {
 /// window whose parent was zeroed (post-sweep value `0.0` ⟺ zeroed), clamp
 /// `≤ 0` children, and — once a parent's children no longer need its
 /// pre-round value as their flag — round the parent in place.
+///
+/// Dispatches [`zero_round_windows`] with a literal fan-out for the ones
+/// the planner uses, so each gets its own constant-propagated copy of the
+/// one body; any other `k` runs the same body with the width read at run
+/// time.
 #[inline]
-fn zero_level(parents: &mut [f64], children: &mut [f64], k: usize) {
-    for (i, p) in parents.iter_mut().enumerate() {
-        let group = &mut children[i * k..(i + 1) * k];
-        // Branchless select per child: on DP noise roughly half the values
-        // are ≤ 0, so a conditional store mispredicts every other node —
-        // the select form is what made this sweep beat the reference walk.
-        // A zeroed parent (post-sweep value 0.0) takes the whole window.
-        let parent_zeroed = *p == 0.0;
-        for c in group {
-            *c = if parent_zeroed | (*c <= 0.0) { 0.0 } else { *c };
+fn zero_round_level(parents: &mut [f64], children: &mut [f64], k: usize) {
+    match k {
+        2 => zero_round_windows::<2>(parents, children, k),
+        4 => zero_round_windows::<4>(parents, children, k),
+        8 => zero_round_windows::<8>(parents, children, k),
+        16 => zero_round_windows::<16>(parents, children, k),
+        _ => zero_round_windows::<0>(parents, children, k),
+    }
+}
+
+/// The zero/round window kernel behind [`zero_round_level`]: `K` is the
+/// fan-out when it is a literal, or `0` to take it from `k`.
+///
+/// The select is branchless: on DP noise roughly half the values are
+/// `≤ 0`, so a conditional store would mispredict every other node. A
+/// literal window is loaded into `K` locals, selected into a second array
+/// and stored back in one copy. With every load ahead of every store and no
+/// per-child store of "the loaded value or zero", the loop vectorizes
+/// across parents (at k = 2, four parents and their eight children per
+/// AVX2 step; perfbench's traced `engine.zero_round_ms` shows the
+/// difference). A load-select-store per child instead lets LLVM rewrite the
+/// select as a masked store under a branch on the parent flag, and the loop
+/// stays scalar. A run-time `k` has no fixed window to hold in locals, so
+/// it selects in place.
+#[inline(always)]
+fn zero_round_windows<const K: usize>(parents: &mut [f64], children: &mut [f64], k: usize) {
+    let k = if K == 0 { k } else { K };
+    for (p, window) in parents.iter_mut().zip(children.chunks_exact_mut(k)) {
+        let parent = *p;
+        let zeroed = parent == 0.0;
+        let keep = |c: f64| if zeroed | (c <= 0.0) { 0.0 } else { c };
+        if K == 0 {
+            for c in window {
+                *c = keep(*c);
+            }
+        } else {
+            let loaded: [f64; K] = core::array::from_fn(|j| window[j]);
+            window.copy_from_slice(&loaded.map(keep));
         }
         // Post-zeroing values are never negative, so the fast path applies.
-        *p = round_nonneg(*p);
+        *p = round_nonneg(parent);
     }
+}
+
+/// One level of exact tree counts, folded into the noised upward pass:
+/// each parent's count is the sum of its children's counts, stored in
+/// `counts` (the next level up reads it there) and added to the parent's
+/// already-drawn noise in `values`.
+///
+/// The sum is folded right to left from `0.0`, the order
+/// `HierarchicalQuery`'s evaluator uses, so every count is the evaluator's
+/// double bit for bit — for any histogram, not only totals below 2^53 —
+/// and `noise + count` equals the unfused `count + noise` because IEEE
+/// `+` is commutative. Dispatches literal fan-outs like
+/// [`zero_round_level`].
+#[inline]
+fn count_level(counts: &mut [f64], values: &mut [f64], children: &[f64], k: usize) {
+    match k {
+        2 => count_windows(counts, values, children, 2),
+        4 => count_windows(counts, values, children, 4),
+        8 => count_windows(counts, values, children, 8),
+        16 => count_windows(counts, values, children, 16),
+        _ => count_windows(counts, values, children, k),
+    }
+}
+
+/// The body behind [`count_level`]; `k` is a literal in every dispatched
+/// copy but the last.
+#[inline(always)]
+fn count_windows(counts: &mut [f64], values: &mut [f64], children: &[f64], k: usize) {
+    for ((count, value), window) in counts.iter_mut().zip(values).zip(children.chunks_exact(k)) {
+        let sum = window.iter().rev().fold(0.0f64, |acc, c| acc + c);
+        *count = sum;
+        *value += sum;
+    }
+}
+
+/// Writes leaves `first .. first + out.len()` of the padded leaf level as
+/// `f64` counts: the histogram's bins, then zero padding past its end.
+fn leaf_counts(bins: &[u64], first: usize, out: &mut [f64]) {
+    let bins = bins.get(first..).unwrap_or_default();
+    let (data, padding) = out.split_at_mut(bins.len().min(out.len()));
+    for (slot, &c) in data.iter_mut().zip(bins) {
+        *slot = c as f64;
+    }
+    padding.fill(0.0);
 }
 
 /// A [`TreeShape`] compiled for fast repeated inference: contiguous per-level
@@ -541,55 +625,125 @@ impl LevelTree {
         }
     }
 
-    /// Bottom-up pass fused with the noise perturbation: adds one Laplace
-    /// draw to every node of `values` (true answers on input, the noisy
-    /// release on output) while running the upward slabs, so each leaf slab
-    /// is still cache-hot when its parents consume it.
+    /// Bottom-up pass fused with tree counting and the noise perturbation:
+    /// writes every node of `values` as its exact count plus one Laplace
+    /// draw (the noisy release) while running the upward slabs, so each
+    /// slab's counts and noise are still cache-hot when its parents consume
+    /// them. The true-count vector is never built.
     ///
     /// Draw order is the BFS index order — internal prefix first, then the
     /// leaf slabs left to right — exactly the order
     /// [`hc_noise::Laplace::add_noise`] uses over the whole vector, and
-    /// backends consume one uniform per sample with length-independent bits,
-    /// so the release is bit-identical to the unfused path *per backend*.
+    /// backends consume one uniform per sample with length-independent bits.
+    /// The internal prefix is drawn as bare noise; each slab then writes its
+    /// leaf counts, adds their noise, and adds every in-slab internal node's
+    /// exact count ([`count_level`]) before [`Self::upward_slab`] reads it.
+    /// The top region above the cut gets its counts last, from the slab
+    /// roots' counts parked in `top` (scratch of length `nodes()`). Counts
+    /// are the evaluator's doubles and `+` commutes, so the release is
+    /// bit-identical to evaluating the query and then adding noise, *per
+    /// backend*.
     fn noised_upward<R: Rng + ?Sized>(
         &self,
-        laplace: &Laplace,
-        backend: NoiseBackend,
+        prepared: &PreparedMechanism<HierarchicalQuery>,
+        histogram: &Histogram,
         rng: &mut R,
         values: &mut [f64],
         z: &mut [f64],
+        top: &mut [f64],
     ) {
+        let (laplace, backend) = (prepared.noise(), prepared.backend());
+        let bins = histogram.counts();
         let first_leaf = self.shape.first_leaf();
-        laplace.add_noise_with(backend, rng, &mut values[..first_leaf]);
+        laplace.fill_with(backend, rng, &mut values[..first_leaf]);
         let cut = self.tile_cut();
         let slabs = self.shape.level_width(cut);
         let leaf_w = self.shape.leaves() / slabs;
+        let root = self.shape.level_offsets()[cut];
         for s in 0..slabs {
             let lo = first_leaf + s * leaf_w;
+            leaf_counts(bins, s * leaf_w, &mut values[lo..lo + leaf_w]);
+            self.count_slab(s, cut, values, z);
             laplace.add_noise_with(backend, rng, &mut values[lo..lo + leaf_w]);
+            if cut > 0 {
+                top[root + s] = z[root + s];
+            }
             self.upward_slab(s, cut, values, z);
         }
+        self.count_levels(values, top, 0..cut);
         self.upward_levels(values, z, 0..cut);
     }
 
-    /// One complete fused trial — evaluate the prepared query, add Laplace
-    /// noise through the preparation's backend with the draws interleaved
-    /// into the upward slabs, run the top-down pass (optionally with the
+    /// Exact counts for slab `s` rooted at depth `cut`, bottom-up from its
+    /// leaf counts (still un-noised in `values`): each internal node's count
+    /// goes to `z` — which [`Self::upward_slab`] overwrites right after, so
+    /// counting costs no extra memory traffic — and onto its noise in
+    /// `values`.
+    fn count_slab(&self, s: usize, cut: usize, values: &mut [f64], z: &mut [f64]) {
+        let height = self.shape.height();
+        let offsets = self.shape.level_offsets();
+        let k = self.shape.branching();
+        let slabs = self.shape.level_width(cut);
+        for d in (cut..height.saturating_sub(1)).rev() {
+            let w = self.shape.level_width(d) / slabs;
+            let plo = offsets[d] + s * w;
+            let (z_upper, z_lower) = z.split_at_mut(offsets[d + 1]);
+            let (v_upper, v_lower) = values.split_at_mut(offsets[d + 1]);
+            let children = if d + 1 == height - 1 {
+                &v_lower[s * w * k..(s + 1) * w * k]
+            } else {
+                &z_lower[s * w * k..(s + 1) * w * k]
+            };
+            count_level(
+                &mut z_upper[plo..plo + w],
+                &mut v_upper[plo..plo + w],
+                children,
+                k,
+            );
+        }
+    }
+
+    /// Exact counts for the parent depths `depths` above the slab cut, from
+    /// the level-below counts already in `counts`, added onto `values`.
+    fn count_levels(
+        &self,
+        values: &mut [f64],
+        counts: &mut [f64],
+        depths: core::ops::Range<usize>,
+    ) {
+        let offsets = self.shape.level_offsets();
+        let k = self.shape.branching();
+        for d in depths.rev() {
+            let (lo, hi) = (offsets[d], offsets[d + 1]);
+            let (upper, lower) = counts.split_at_mut(hi);
+            count_level(
+                &mut upper[lo..],
+                &mut values[lo..hi],
+                &lower[..(hi - lo) * k],
+                k,
+            );
+        }
+    }
+
+    /// One complete fused trial — count the histogram into the tree, add
+    /// Laplace noise through the preparation's backend, both folded into
+    /// the upward slabs, then run the top-down pass (optionally with the
     /// Sec. 4.2 zeroing + Sec. 5.2 rounding fused in) — against caller-owned
     /// buffers. `noisy` must already have length `nodes()` (every slot is
     /// assigned, so it can be one trial's segment of a shared batch buffer
     /// — the batch pipelines release **in place** instead of copying from
     /// scratch); `z` is scratch (resized to `nodes()`, reusable across
-    /// trials); `out` must already have length `nodes()`.
+    /// trials); `out` must already have length `nodes()` (it doubles as
+    /// the top region's count scratch before the downward pass fills it).
     ///
     /// This is the per-trial core shared by every `release_and_infer*`
     /// entry point, including the trial-parallel batch — so "bit-identical
     /// to serial per backend" holds by construction: all paths run exactly
     /// this function per trial.
     #[allow(clippy::too_many_arguments)] // scratch + output slots, all required
-    fn fused_trial<Q: QuerySequence, R: Rng + ?Sized>(
+    fn fused_trial<R: Rng + ?Sized>(
         &self,
-        prepared: &PreparedMechanism<Q>,
+        prepared: &PreparedMechanism<HierarchicalQuery>,
         histogram: &Histogram,
         rng: &mut R,
         rounded: bool,
@@ -604,9 +758,8 @@ impl LevelTree {
             "engine is compiled with per-level GLS weights; recompile with \
              ensure_shape before running uniform release_and_infer trials"
         );
-        assert_eq!(
-            prepared.output_len(),
-            n,
+        assert!(
+            prepared.query().shape(prepared.domain_size()) == self.shape,
             "prepared query does not cover the engine's tree"
         );
         assert_eq!(
@@ -614,19 +767,9 @@ impl LevelTree {
             prepared.domain_size(),
             "prepared for a different domain size"
         );
-        // A tree-covering query's domain fits the leaf level; a flat query
-        // whose output merely has the same length (e.g. UnitQuery over
-        // `nodes()` bins) does not — fail loudly instead of inferring over
-        // values that are not tree counts.
-        assert!(
-            prepared.domain_size() <= self.shape.leaves(),
-            "prepared query's domain exceeds the tree's leaf level — not a \
-             hierarchical release over this engine's shape"
-        );
         assert_eq!(out.len(), n, "output slice must cover the tree");
-        prepared.query().evaluate_into_slice(histogram, noisy);
         z.resize(n, 0.0);
-        self.noised_upward(&prepared.noise(), prepared.backend(), rng, noisy, z);
+        self.noised_upward(prepared, histogram, rng, noisy, z, out);
         if rounded {
             self.downward_zero_round(noisy, z, out);
         } else {
@@ -645,7 +788,7 @@ impl LevelTree {
             let (upper, lower) = values.split_at_mut(hi);
             let parents = &mut upper[lo..];
             let children = &mut lower[..(hi - lo) * k];
-            zero_level(parents, children, k);
+            zero_round_level(parents, children, k);
         }
     }
 
@@ -677,7 +820,7 @@ impl LevelTree {
             let (upper, lower) = values.split_at_mut(offsets[d + 1]);
             let parents = &mut upper[plo..plo + w];
             let children = &mut lower[s * w * k..(s + 1) * w * k];
-            zero_level(parents, children, k);
+            zero_round_level(parents, children, k);
         }
         let leaf_w = self.shape.leaves() / slabs;
         let leaf_lo = offsets[height - 1] + s * leaf_w;
@@ -943,17 +1086,17 @@ impl BatchInference {
         self.z = z;
     }
 
-    /// One full trial — evaluate the prepared query, perturb with Laplace
-    /// noise, run both Theorem-3 passes — into `out`, with zero heap
+    /// One full trial — count the histogram into the tree, perturb with
+    /// Laplace noise, run both Theorem-3 passes — into `out`, with zero heap
     /// allocations after warm-up (the noisy vector lives in engine scratch;
     /// no `NoisyOutput`, no label, no release wrapper).
     ///
     /// Bit-identical to releasing through
     /// [`hc_mech::LaplaceMechanism::release`] and inferring the result at
     /// the same RNG state — `tests/engine_equivalence.rs` pins this.
-    pub fn release_and_infer<Q: QuerySequence, R: Rng + ?Sized>(
+    pub fn release_and_infer<R: Rng + ?Sized>(
         &mut self,
-        prepared: &PreparedMechanism<Q>,
+        prepared: &PreparedMechanism<HierarchicalQuery>,
         histogram: &Histogram,
         rng: &mut R,
         out: &mut Vec<f64>,
@@ -965,9 +1108,9 @@ impl BatchInference {
     /// Sec. 5.2 non-negative-integer rounding, fused into the downward
     /// slabs ([`LevelTree::infer_zero_round_into`]) — the complete `H̄`
     /// experiment trial, allocation-free after warm-up.
-    pub fn release_and_infer_rounded<Q: QuerySequence, R: Rng + ?Sized>(
+    pub fn release_and_infer_rounded<R: Rng + ?Sized>(
         &mut self,
-        prepared: &PreparedMechanism<Q>,
+        prepared: &PreparedMechanism<HierarchicalQuery>,
         histogram: &Histogram,
         rng: &mut R,
         out: &mut Vec<f64>,
@@ -976,9 +1119,9 @@ impl BatchInference {
     }
 
     /// [`LevelTree::fused_trial`] through the engine's scratch buffers.
-    fn fused_trial_into<Q: QuerySequence, R: Rng + ?Sized>(
+    fn fused_trial_into<R: Rng + ?Sized>(
         &mut self,
-        prepared: &PreparedMechanism<Q>,
+        prepared: &PreparedMechanism<HierarchicalQuery>,
         histogram: &Histogram,
         rng: &mut R,
         rounded: bool,
@@ -1010,9 +1153,9 @@ impl BatchInference {
     /// Callers that only consume the inference (e.g. the non-negativity
     /// ablation) pass `None` and skip the batch's memory and copies.
     #[allow(clippy::too_many_arguments)]
-    pub fn release_and_infer_batch<Q: QuerySequence>(
+    pub fn release_and_infer_batch(
         &mut self,
-        prepared: &PreparedMechanism<Q>,
+        prepared: &PreparedMechanism<HierarchicalQuery>,
         histogram: &Histogram,
         seeds: SeedStream,
         trials: usize,
@@ -1045,7 +1188,7 @@ impl BatchInference {
     }
 
     /// [`Self::release_and_infer_batch`] with trials split across
-    /// scoped-thread workers — the full pipeline (evaluate, Laplace draws,
+    /// scoped-thread workers — the full pipeline (counting, Laplace draws,
     /// both Theorem-3 passes, optional zeroing/rounding) scaled by trial,
     /// not just the inference step.
     ///
@@ -1058,9 +1201,9 @@ impl BatchInference {
     /// backend. `threads` is a cap, overridable via the `HC_THREADS`
     /// environment variable ([`effective_threads`]).
     #[allow(clippy::too_many_arguments)]
-    pub fn release_and_infer_batch_parallel<Q: QuerySequence + Sync>(
+    pub fn release_and_infer_batch_parallel(
         &mut self,
-        prepared: &PreparedMechanism<Q>,
+        prepared: &PreparedMechanism<HierarchicalQuery>,
         histogram: &Histogram,
         seeds: SeedStream,
         trials: usize,
@@ -1156,7 +1299,7 @@ mod tests {
     use super::*;
     use crate::hier::{enforce_nonnegativity, hierarchical_inference};
     use crate::universal::Rounding;
-    use hc_noise::rng_from_seed;
+    use hc_noise::{rng_from_seed, NoiseBackend};
     use hc_testutil::assert_close;
     use rand::Rng;
 
@@ -1175,6 +1318,134 @@ mod tests {
             *v = Rounding::NonNegativeInteger.apply(*v);
         }
         out
+    }
+
+    /// Bit-level slice equality: `assert_eq!` on `f64` cannot see a
+    /// `−0.0`/`+0.0` flip.
+    fn assert_same_bits(got: &[f64], expect: &[f64], what: &str) {
+        assert_eq!(got.len(), expect.len(), "{what}: length");
+        if let Some(i) = (0..got.len()).find(|&i| got[i].to_bits() != expect[i].to_bits()) {
+            panic!("{what}: node {i} is {:?}, expected {:?}", got[i], expect[i]);
+        }
+    }
+
+    /// Values for every branch of the zero select and of `round_nonneg`:
+    /// signed zeros, NaN, infinities, exact `x.5` ties, the largest double
+    /// below ½, and magnitudes at and past 2^52.
+    const SPECIALS: [f64; 16] = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.5,
+        1.5,
+        2.5,
+        0.49999999999999994,
+        4_503_599_627_370_495.5, // 2^52 − ½, the last tie below 2^52
+        4_503_599_627_370_496.0, // 2^52
+        4_503_599_627_370_497.0, // 2^52 + 1
+        9_007_199_254_740_992.0, // 2^53
+        1e300,
+        -0.5,
+        -3.0,
+    ];
+
+    /// Random values straddling zero with [`SPECIALS`] planted every
+    /// `stride` nodes and in the last `k` nodes of every level, so windows
+    /// at the end of a level see them too.
+    fn stress_values(shape: &TreeShape, seed: u64, stride: usize) -> Vec<f64> {
+        let mut rng = rng_from_seed(seed);
+        let mut values: Vec<f64> = (0..shape.nodes())
+            .map(|_| rng.random_range(-4.0..4.0))
+            .collect();
+        let mut next = 0usize;
+        let mut plant = |v: &mut f64| {
+            *v = SPECIALS[next % SPECIALS.len()];
+            next += 1;
+        };
+        for v in values.iter_mut().step_by(stride) {
+            plant(v);
+        }
+        let offsets = shape.level_offsets();
+        for d in 0..shape.height() {
+            let lo = offsets[d + 1]
+                .saturating_sub(shape.branching())
+                .max(offsets[d]);
+            for v in &mut values[lo..offsets[d + 1]] {
+                plant(v);
+            }
+        }
+        values
+    }
+
+    #[test]
+    fn zero_round_kernels_match_the_oracle_bit_for_bit() {
+        // Every dispatched fan-out (2, 4, 8, 16) and the run-time one (3),
+        // at single- and multi-slab heights, against the per-node walk
+        // followed by `Rounding::NonNegativeInteger`, compared by bits.
+        for (k, height) in [
+            (2usize, 1usize),
+            (2, 5),
+            (2, 16), // 2^15 leaves: 4 slabs
+            (3, 4),
+            (3, 10), // 3^9 leaves: 3 slabs
+            (4, 5),
+            (4, 8), // 4^7 leaves: 4 slabs
+            (8, 4),
+            (8, 6), // 8^5 leaves: 8 slabs
+            (16, 3),
+            (16, 5), // 16^4 leaves: 16 slabs
+        ] {
+            let shape = TreeShape::new(k, height);
+            let tree = LevelTree::new(&shape);
+            let what = format!("k={k} ℓ={height}");
+            // The in-place sweep over planted specials, dense and sparse.
+            for stride in [3usize, 17] {
+                let values = stress_values(&shape, (k * 100 + height) as u64, stride);
+                let mut swept = values.clone();
+                tree.zero_round_in_place(&mut swept);
+                assert_same_bits(&swept, &zero_then_round(&shape, &values), &what);
+            }
+            // The slab-fused trial tail. A NaN or infinity in the input
+            // floods the whole inferred tree, so the specials here are the
+            // finite ones, planted sparsely into finite noise.
+            let mut noisy = stress_values(&shape, (k * 1000 + height) as u64, 29);
+            for v in &mut noisy {
+                if !v.is_finite() {
+                    *v = -0.0;
+                }
+            }
+            let (mut z, mut fused) = (Vec::new(), Vec::new());
+            tree.infer_zero_round_into(&noisy, &mut z, &mut fused);
+            let expect = zero_then_round(&shape, &tree.infer(&noisy));
+            assert_same_bits(&fused, &expect, &format!("{what} fused"));
+        }
+    }
+
+    #[test]
+    fn counting_adds_exact_counts_onto_drawn_noise() {
+        // The fused trial draws noise first and adds counts after, so
+        // `noise + count` must equal the staged `count + noise` bit for bit,
+        // the −0.0 draw included (`−0.0 + 0.0` and `0.0 + −0.0` are both
+        // `+0.0`), for literal and run-time fan-outs.
+        for k in [2usize, 3, 4, 16] {
+            let children: Vec<f64> = (0..4 * k).map(|i| ((i * 7) % 5) as f64).collect();
+            let draws = [-0.0, 0.0, -1.25, 3.5];
+            let mut counts = [f64::NAN; 4];
+            let mut values = draws;
+            count_level(&mut counts, &mut values, &children, k);
+            for (i, window) in children.chunks_exact(k).enumerate() {
+                let count = window.iter().rev().fold(0.0, |acc, c| acc + c);
+                assert_eq!(counts[i].to_bits(), count.to_bits(), "k={k} count {i}");
+                let staged = count + draws[i];
+                assert_eq!(values[i].to_bits(), staged.to_bits(), "k={k} value {i}");
+            }
+        }
+        // An all-zero window under a −0.0 draw releases +0.0.
+        let (mut count, mut value) = ([f64::NAN], [-0.0]);
+        count_level(&mut count, &mut value, &[0.0, 0.0], 2);
+        assert_eq!(value[0].to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
@@ -1282,7 +1553,7 @@ mod tests {
             let tree = LevelTree::new(&shape);
             let mut engine = values.clone();
             tree.zero_round_in_place(&mut engine);
-            assert_eq!(engine, reference, "k={k} ℓ={height}");
+            assert_same_bits(&engine, &reference, &format!("k={k} ℓ={height}"));
         }
     }
 
@@ -1300,7 +1571,7 @@ mod tests {
             let reference = zero_then_round(&shape, &values);
             let mut engine = values;
             tree.zero_round_in_place(&mut engine);
-            assert_eq!(&engine[..], &reference[..], "input {values:?}");
+            assert_same_bits(&engine, &reference, &format!("input {values:?}"));
         }
         // Node 1 subtree fully zeroed in the first two cases.
         let mut engine = [6.0, 0.0, 7.0, 2.0, 5.0, 4.0, 3.0];
@@ -1320,7 +1591,7 @@ mod tests {
             let split_path = zero_then_round(&shape, &values);
             let mut fused = values.clone();
             tree.zero_round_in_place(&mut fused);
-            assert_eq!(fused, split_path, "k={k} ℓ={height}");
+            assert_same_bits(&fused, &split_path, &format!("k={k} ℓ={height}"));
         }
     }
 
@@ -1347,7 +1618,7 @@ mod tests {
             tree.zero_round_in_place(&mut separate);
             let (mut z, mut fused) = (Vec::new(), Vec::new());
             tree.infer_zero_round_into(&noisy, &mut z, &mut fused);
-            assert_eq!(fused, separate, "k={k} ℓ={height}");
+            assert_same_bits(&fused, &separate, &format!("k={k} ℓ={height}"));
         }
     }
 

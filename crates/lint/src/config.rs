@@ -77,7 +77,13 @@ pub const HOT_FUNCTIONS: &[(&str, &[&str])] = &[
             "down_level_uniform",
             "down_level_weighted",
             "round_nonneg",
-            "zero_level",
+            "zero_round_level",
+            "zero_round_windows",
+            "count_level",
+            "count_windows",
+            "leaf_counts",
+            "count_slab",
+            "count_levels",
             "tile_cut",
             "infer_into",
             "infer_zero_round_into",
@@ -154,7 +160,7 @@ pub const HOT_FUNCTIONS: &[(&str, &[&str])] = &[
     (
         "crates/mech/src/sequences/hierarchical.rs",
         &[
-            // Per-trial query evaluation straight into batch segments.
+            // Query evaluation straight into a caller's slice.
             "tree_counts_into_slice",
             "evaluate_into_slice",
         ],

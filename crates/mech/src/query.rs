@@ -31,9 +31,9 @@ pub trait QuerySequence {
     }
 
     /// Evaluates `Q(I)` into a caller-owned **slice** of exactly
-    /// [`Self::output_len`] entries — the write-in-place hook batch
-    /// pipelines use to evaluate straight into one trial's segment of a
-    /// larger batch buffer, with no intermediate vector and no copy.
+    /// [`Self::output_len`] entries — the write-in-place hook that lets a
+    /// release (`PreparedMechanism::release_into_slice`) evaluate straight
+    /// into a caller's slice, with no intermediate vector and no copy.
     ///
     /// Every slot is assigned (no slot's prior content survives), and the
     /// values are bit-identical to [`Self::evaluate`]'s. The default

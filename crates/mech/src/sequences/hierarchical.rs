@@ -278,8 +278,8 @@ impl HierarchicalQuery {
 
     /// The slice core of [`Self::tree_counts_into`]: writes the full tree
     /// vector into a pre-sized slice (every slot assigned — leaves, padding,
-    /// and parents), so batch pipelines can evaluate straight into one
-    /// trial's segment of a shared batch buffer.
+    /// and parents), so a release can evaluate straight into a caller's
+    /// slice.
     fn tree_counts_into_slice(&self, histogram: &Histogram, out: &mut [f64]) {
         let shape = self.shape(histogram.len());
         assert_eq!(out.len(), shape.nodes(), "output slice must cover the tree");

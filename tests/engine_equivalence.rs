@@ -15,7 +15,10 @@
 //!   `enforce_nonnegativity` walk followed by rounding every node
 //!   (including the `<= 0.0` boundary and parent-zeroed cascades);
 //! * `release_and_infer(_rounded)` ≡ release-then-infer through the old
-//!   owned-release path at the same seed, bit for bit.
+//!   owned-release path at the same seed, bit for bit;
+//! * the fused trial, which counts the tree inside its noised upward slabs,
+//!   ≡ `evaluate_into_slice` → `add_noise_with` → `infer_into` (→
+//!   `zero_round_in_place`), bit for bit, per backend.
 
 use hc_testutil::assert_close;
 use hist_consistency::linalg::{lstsq, Matrix};
@@ -203,5 +206,116 @@ proptest! {
             .release(&histogram, &mut rng_from_seed(seed))
             .infer_rounded();
         prop_assert_eq!(&out[..], old_rounded.node_values());
+    }
+}
+
+/// Bit-level slice equality: `assert_eq!` on `f64` cannot see a `−0.0` /
+/// `+0.0` flip.
+fn assert_same_bits(got: &[f64], expect: &[f64], what: &str) {
+    assert_eq!(got.len(), expect.len(), "{what}: length");
+    if let Some(i) = (0..got.len()).find(|&i| got[i].to_bits() != expect[i].to_bits()) {
+        panic!("{what}: node {i} is {:?}, expected {:?}", got[i], expect[i]);
+    }
+}
+
+#[test]
+fn fused_trial_counts_the_tree_bit_for_bit() {
+    // The fused trial never builds the true-count vector: it draws the
+    // internal prefix's noise first, then writes each slab's leaf counts,
+    // noises them and adds the in-slab internal counts before the upward
+    // pass reads them. It must equal the staged trial over the evaluator's
+    // vector bit for bit — noisy release and output, rounded or not, per
+    // backend — including padded leaves, multi-slab heights and totals at
+    // (and past) 2^53.
+    const TOTAL: u64 = (1 << 53) - 1;
+    let cases: [(usize, usize, &str); 8] = [
+        (2, 1, "one bin"),
+        (2, 1000, "k=2 padded, one slab"),
+        (2, 10_000, "k=2 padded, 2 slabs"),
+        (3, 100, "k=3 padded, one slab"),
+        (3, 10_000, "k=3 padded, 3 slabs"),
+        (16, 300, "k=16 padded, one slab"),
+        (16, 40_000, "k=16 padded, 16 slabs"),
+        (3, 9_000, "k=3 padded, 3 slabs, huge bins"),
+    ];
+    for (k, domain_size, label) in cases {
+        let mut rng = rng_from_seed(domain_size as u64 ^ k as u64);
+        let mut counts: Vec<u64> = (0..domain_size)
+            .map(|i| {
+                if i % 5 == 0 {
+                    0
+                } else {
+                    rng.random_range(0u64..40)
+                }
+            })
+            .collect();
+        if label.ends_with("huge bins") {
+            // Far past 2^53: only the evaluator's own summation order
+            // reproduces its doubles here (a pair sum rounds the same either
+            // way, hence k = 3).
+            for (i, c) in counts.iter_mut().enumerate().step_by(97) {
+                *c = (1u64 << 60) / (i as u64 + 3);
+            }
+        } else if domain_size > 1 {
+            // Total exactly 2^53 − 1, the ingest bound's last value.
+            let rest: u64 = counts[1..].iter().sum();
+            counts[0] = TOTAL - rest;
+        }
+        let histogram = Histogram::from_counts(Domain::new("x", domain_size).unwrap(), counts);
+        let query = HierarchicalQuery::new(k);
+        let shape = query.shape(domain_size);
+        assert!(
+            shape.leaves() > domain_size || domain_size == 1,
+            "{label}: padded"
+        );
+        let tree = LevelTree::new(&shape);
+        let mut engine = BatchInference::for_shape(&shape);
+        let seeds = SeedStream::new(0xF01D ^ domain_size as u64);
+        let trials = 2;
+        for backend in [NoiseBackend::Reference, NoiseBackend::FastLnWide] {
+            let prepared = LaplaceMechanism::new(Epsilon::new(0.5).unwrap())
+                .with_backend(backend)
+                .prepare(query, domain_size);
+            for rounded in [false, true] {
+                let what = format!("{label} {backend:?} rounded={rounded}");
+                let (mut noisy_batch, mut out_batch) = (Vec::new(), Vec::new());
+                engine.release_and_infer_batch(
+                    &prepared,
+                    &histogram,
+                    seeds,
+                    trials,
+                    rounded,
+                    Some(&mut noisy_batch),
+                    &mut out_batch,
+                );
+                let n = shape.nodes();
+                for t in 0..trials {
+                    // The staged trial: evaluate, perturb, infer, zero/round.
+                    let mut staged_rng = seeds.rng(t as u64);
+                    let mut noisy = vec![0.0; n];
+                    prepared.query().evaluate_into_slice(&histogram, &mut noisy);
+                    prepared
+                        .noise()
+                        .add_noise_with(backend, &mut staged_rng, &mut noisy);
+                    let (mut z, mut staged) = (Vec::new(), Vec::new());
+                    tree.infer_into(&noisy, &mut z, &mut staged);
+                    if rounded {
+                        tree.zero_round_in_place(&mut staged);
+                    }
+                    let seg = t * n..(t + 1) * n;
+                    assert_same_bits(&noisy_batch[seg.clone()], &noisy, &format!("{what} noisy"));
+                    assert_same_bits(&out_batch[seg], &staged, &format!("{what} out"));
+                    // The standalone entry points run the same fused trial.
+                    let mut out = Vec::new();
+                    let mut rng = seeds.rng(t as u64);
+                    if rounded {
+                        engine.release_and_infer_rounded(&prepared, &histogram, &mut rng, &mut out);
+                    } else {
+                        engine.release_and_infer(&prepared, &histogram, &mut rng, &mut out);
+                    }
+                    assert_same_bits(&out, &staged, &format!("{what} standalone"));
+                }
+            }
+        }
     }
 }

@@ -229,8 +229,8 @@ fn fast_ln_wide_golden_release_seed_2026() {
 
 #[test]
 fn fast_ln_wide_golden_fused_rounded_trial_seed_4099() {
-    // The complete fused engine trial under the wide backend — evaluate →
-    // FastLnWide noise interleaved with the upward slabs → Theorem 3 →
+    // The complete fused engine trial under the wide backend — tree counts
+    // and FastLnWide noise folded into the upward slabs → Theorem 3 →
     // zeroing → rounding — pinned end to end, so the batch pipelines
     // inherit a bit-exact FastLnWide contract.
     let domain = Domain::new("golden", 16).unwrap();
