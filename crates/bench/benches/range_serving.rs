@@ -9,7 +9,9 @@
 //!
 //! The `*_scale` groups extend the grid to 2^20 and 2^26 leaves (synthetic
 //! values — the serving arithmetic is identical, only cache residency
-//! changes).
+//! changes). `range_serving_publish` times the write side end to end: a
+//! warm service publish at 2^24 bins, rebuilt into the epoch the ring
+//! retired.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hc_core::{
@@ -19,6 +21,7 @@ use hc_core::{
 use hc_data::{Domain, Histogram, Interval, RangeWorkload};
 use hc_mech::{Epsilon, TreeShape};
 use hc_noise::rng_from_seed;
+use hc_serve::{HistogramService, SnapshotCell, TenantConfig};
 use std::hint::black_box;
 
 /// Serving domain: 2^16 bins (height-17 binary tree) — large enough that a
@@ -218,6 +221,41 @@ fn bench_snapshot_rebuild(c: &mut Criterion) {
     group.finish();
 }
 
+/// Back-to-back warm publishes of one default (binary hierarchical)
+/// tenant at 2^24 bins with no reader pinning anything, after `SLOTS + 1`
+/// set-up publishes, so every timed publish rebuilds into the epoch the
+/// ring retired one publish earlier. 2^24 and not 2^20: at 2^20 the 8 MiB
+/// prefix sits under glibc's adaptive mmap threshold, so a fresh prefix
+/// reuses freed heap pages and the label would hide the page faults that
+/// recycling removes.
+fn bench_publish(c: &mut Criterion) {
+    let n = 1usize << 24;
+    let mut service = HistogramService::new();
+    let config = TenantConfig::new("publish", n)
+        .with_budget(f64::from(1u32 << 20), 1.0)
+        .with_refresh_every(0)
+        .with_seed(29);
+    let id = service.register(config).expect("valid tenant");
+    let deltas: Vec<(usize, u64)> = (0..n).step_by(97).map(|b| (b, b as u64 % 13)).collect();
+    service.ingest(id, &deltas).expect("bins in domain");
+    for _ in 0..=SnapshotCell::SLOTS {
+        service
+            .publish(id)
+            .expect("budget for the set-up publishes");
+    }
+    let mut group = c.benchmark_group("range_serving_publish");
+    group.throughput(Throughput::Elements(n as u64));
+    group.bench_function(BenchmarkId::new("hier", n), |b| {
+        b.iter(|| {
+            service
+                .publish(id)
+                .expect("budget outlasts the bench")
+                .epoch
+        })
+    });
+    group.finish();
+}
+
 /// The strategy planner's two entry modes: forward workload pricing and the
 /// accuracy-target inversion (monotone bisection over the sampled
 /// decomposition profiles). This is the once-per-registration cost a tenant
@@ -248,6 +286,7 @@ criterion_group!(
     bench_snapshot_scale,
     bench_subtree_fold_scale,
     bench_snapshot_rebuild_scale,
+    bench_publish,
     bench_planner
 );
 criterion_main!(benches);

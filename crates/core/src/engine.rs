@@ -41,6 +41,13 @@
 //!   passes and optional zeroing and rounding — through caller/engine-owned
 //!   scratch with **zero heap allocations after warm-up**
 //!   (`tests/alloc_free.rs` pins this with a counting allocator);
+//! * the downward pass takes the destination of its last level — a leaf
+//!   sink. A trial writes the leaves into its output tree;
+//!   [`BatchInference::release_and_infer_into_snapshot`] (the service's
+//!   publish) writes each slab's leaves into a one-slab buffer and scans
+//!   them into a [`ConsistentSnapshot`]'s prefix while they are still in
+//!   cache, so the inferred leaf level is never materialized and the
+//!   prefix keeps the serial add chain bit for bit;
 //! * [`BatchInference::release_and_infer_batch_parallel`] scales that full
 //!   trial across scoped-thread workers, split by trial with per-worker
 //!   scratch and per-trial [`SeedStream`] seeding — bit-identical to the
@@ -60,6 +67,8 @@ use hc_data::Histogram;
 use hc_mech::{HierarchicalQuery, PreparedMechanism, TreeShape};
 use hc_noise::SeedStream;
 use rand::Rng;
+
+use crate::snapshot::ConsistentSnapshot;
 
 /// Leaves per vertical slab in the tiled sweeps. A binary slab of 8192
 /// leaves touches ≈ 16 K `z` nodes plus the matching noisy/output slices —
@@ -566,7 +575,7 @@ impl LevelTree {
         z.resize(n, 0.0);
         out.resize(n, 0.0);
         self.upward(noisy, z);
-        self.downward(noisy, z, out);
+        self.downward_tree(noisy, z, out);
     }
 
     /// [`Self::infer_into`] fused with the Sec. 4.2 zeroing and Sec. 5.2
@@ -612,8 +621,12 @@ impl LevelTree {
             }
             self.zero_levels(out, 0..cut.saturating_sub(1));
         }
-        for s in 0..self.shape.level_width(cut) {
-            self.downward_slab(s, cut, noisy, z, out);
+        let slabs = self.shape.level_width(cut);
+        let leaf_w = self.shape.leaves() / slabs;
+        for s in 0..slabs {
+            let (internal, leaves) = out.split_at_mut(self.shape.first_leaf());
+            let leaves = &mut leaves[s * leaf_w..(s + 1) * leaf_w];
+            self.downward_slab(s, cut, noisy, z, internal, leaves);
             self.zero_round_slab(s, cut, out);
         }
         if cut >= 1 {
@@ -639,19 +652,41 @@ impl LevelTree {
     /// leaf counts, adds their noise, and adds every in-slab internal node's
     /// exact count ([`count_level`]) before [`Self::upward_slab`] reads it.
     /// The top region above the cut gets its counts last, from the slab
-    /// roots' counts parked in `top` (scratch of length `nodes()`). Counts
+    /// roots' counts parked in `top` (scratch covering at least the
+    /// internal nodes — the slab cut never reaches the leaf level). Counts
     /// are the evaluator's doubles and `+` commutes, so the release is
     /// bit-identical to evaluating the query and then adding noise, *per
     /// backend*.
+    ///
+    /// `values` must have length `nodes()` (every slot is assigned, so it
+    /// can be one trial's segment of a shared batch buffer); `z` is resized
+    /// to `nodes()`.
     fn noised_upward<R: Rng + ?Sized>(
         &self,
         prepared: &PreparedMechanism<HierarchicalQuery>,
         histogram: &Histogram,
         rng: &mut R,
         values: &mut [f64],
-        z: &mut [f64],
+        z: &mut Vec<f64>,
         top: &mut [f64],
     ) {
+        let n = self.nodes();
+        assert_eq!(values.len(), n, "noisy slice must cover the tree");
+        assert!(
+            self.is_uniform(),
+            "engine is compiled with per-level GLS weights; recompile with \
+             ensure_shape before running uniform release_and_infer trials"
+        );
+        assert!(
+            prepared.query().shape(prepared.domain_size()) == self.shape,
+            "prepared query does not cover the engine's tree"
+        );
+        assert_eq!(
+            histogram.len(),
+            prepared.domain_size(),
+            "prepared for a different domain size"
+        );
+        z.resize(n, 0.0);
         let (laplace, backend) = (prepared.noise(), prepared.backend());
         let bins = histogram.counts();
         let first_leaf = self.shape.first_leaf();
@@ -729,12 +764,12 @@ impl LevelTree {
     /// Laplace noise through the preparation's backend, both folded into
     /// the upward slabs, then run the top-down pass (optionally with the
     /// Sec. 4.2 zeroing + Sec. 5.2 rounding fused in) — against caller-owned
-    /// buffers. `noisy` must already have length `nodes()` (every slot is
-    /// assigned, so it can be one trial's segment of a shared batch buffer
-    /// — the batch pipelines release **in place** instead of copying from
-    /// scratch); `z` is scratch (resized to `nodes()`, reusable across
-    /// trials); `out` must already have length `nodes()` (it doubles as
-    /// the top region's count scratch before the downward pass fills it).
+    /// buffers. `noisy` must already have length `nodes()` (see
+    /// [`Self::noised_upward`]: the batch pipelines release **in place**
+    /// into a shared batch buffer instead of copying from scratch); `z` is
+    /// scratch (reusable across trials); `out` must already have length
+    /// `nodes()` (it doubles as the top region's count scratch before the
+    /// downward pass fills it).
     ///
     /// This is the per-trial core shared by every `release_and_infer*`
     /// entry point, including the trial-parallel batch — so "bit-identical
@@ -751,29 +786,12 @@ impl LevelTree {
         z: &mut Vec<f64>,
         out: &mut [f64],
     ) {
-        let n = self.nodes();
-        assert_eq!(noisy.len(), n, "noisy slice must cover the tree");
-        assert!(
-            self.is_uniform(),
-            "engine is compiled with per-level GLS weights; recompile with \
-             ensure_shape before running uniform release_and_infer trials"
-        );
-        assert!(
-            prepared.query().shape(prepared.domain_size()) == self.shape,
-            "prepared query does not cover the engine's tree"
-        );
-        assert_eq!(
-            histogram.len(),
-            prepared.domain_size(),
-            "prepared for a different domain size"
-        );
-        assert_eq!(out.len(), n, "output slice must cover the tree");
-        z.resize(n, 0.0);
+        assert_eq!(out.len(), self.nodes(), "output slice must cover the tree");
         self.noised_upward(prepared, histogram, rng, noisy, z, out);
         if rounded {
             self.downward_zero_round(noisy, z, out);
         } else {
-            self.downward(noisy, z, out);
+            self.downward_tree(noisy, z, out);
         }
     }
 
@@ -859,18 +877,43 @@ impl LevelTree {
         self.upward_levels(noisy, z, 0..cut);
     }
 
-    /// Top-down pass: fills `out` (pre-sized to `nodes()`) from `z` (and
-    /// `noisy` for the leaf level — see [`Self::upward`]), slab-tiled.
-    fn downward(&self, noisy: &[f64], z: &[f64], out: &mut [f64]) {
+    /// Top-down pass into a whole output tree (`out` pre-sized to
+    /// `nodes()`): [`Self::downward`] with the leaf level as the leaf
+    /// destination.
+    fn downward_tree(&self, noisy: &[f64], z: &[f64], out: &mut [f64]) {
+        let (internal, leaves) = out.split_at_mut(self.shape.first_leaf());
+        self.downward(noisy, z, internal, leaves, |_| {});
+    }
+
+    /// Top-down pass: fills the internal nodes `internal` (the first
+    /// `first_leaf()` nodes) from `z` (and `noisy` for the leaf level — see
+    /// [`Self::upward`]), slab-tiled, and each slab's leaves into `leaves`.
+    /// `leaves` is either the whole leaf level, or one slab's width that
+    /// every slab reuses; `sink` sees each slab's finished leaves, left to
+    /// right, while they are still in cache.
+    fn downward(
+        &self,
+        noisy: &[f64],
+        z: &[f64],
+        internal: &mut [f64],
+        leaves: &mut [f64],
+        mut sink: impl FnMut(&[f64]),
+    ) {
         if self.shape.height() == 1 {
-            out[0] = noisy[0];
+            leaves[0] = noisy[0];
+            sink(&leaves[..1]);
             return;
         }
         let cut = self.tile_cut();
-        out[0] = z[0];
-        self.downward_levels(z, out, 0..cut);
-        for s in 0..self.shape.level_width(cut) {
-            self.downward_slab(s, cut, noisy, z, out);
+        internal[0] = z[0];
+        self.downward_levels(z, internal, 0..cut);
+        let slabs = self.shape.level_width(cut);
+        let leaf_w = self.shape.leaves() / slabs;
+        for s in 0..slabs {
+            let at = s * leaf_w % leaves.len();
+            let slab = &mut leaves[at..at + leaf_w];
+            self.downward_slab(s, cut, noisy, z, internal, slab);
+            sink(slab);
         }
     }
 
@@ -899,9 +942,18 @@ impl LevelTree {
         }
     }
 
-    /// Top-down sweep over slab `s` rooted at depth `cut` (whose `out` value
-    /// must already be seeded).
-    fn downward_slab(&self, s: usize, cut: usize, noisy: &[f64], z: &[f64], out: &mut [f64]) {
+    /// Top-down sweep over slab `s` rooted at depth `cut` (whose `internal`
+    /// value must already be seeded): the slab's internal nodes go to
+    /// `internal`, its deepest level — the slab's leaves — to `leaves`.
+    fn downward_slab(
+        &self,
+        s: usize,
+        cut: usize,
+        noisy: &[f64],
+        z: &[f64],
+        internal: &mut [f64],
+        leaves: &mut [f64],
+    ) {
         let height = self.shape.height();
         let offsets = self.shape.level_offsets();
         let k = self.shape.branching();
@@ -910,15 +962,15 @@ impl LevelTree {
             let w = self.shape.level_width(d) / slabs;
             let plo = offsets[d] + s * w;
             let child_lo = offsets[d + 1] + s * w * k;
-            let group_z = if d + 1 == height - 1 {
-                &noisy[child_lo..child_lo + w * k]
+            if d + 1 == height - 1 {
+                let group_z = &noisy[child_lo..child_lo + w * k];
+                self.down_kernel(d, leaves, &internal[plo..plo + w], group_z, k);
             } else {
-                &z[child_lo..child_lo + w * k]
-            };
-            let (upper, lower) = out.split_at_mut(offsets[d + 1]);
-            let parents = &upper[plo..plo + w];
-            let children = &mut lower[s * w * k..(s + 1) * w * k];
-            self.down_kernel(d, children, parents, group_z, k);
+                let group_z = &z[child_lo..child_lo + w * k];
+                let (upper, lower) = internal.split_at_mut(offsets[d + 1]);
+                let children = &mut lower[s * w * k..(s + 1) * w * k];
+                self.down_kernel(d, children, &upper[plo..plo + w], group_z, k);
+            }
         }
     }
 
@@ -1025,6 +1077,8 @@ pub struct BatchInference {
     tree: LevelTree,
     z: Vec<f64>,
     noisy: Vec<f64>,
+    /// One downward slab's leaves, on their way into a snapshot's prefix.
+    slab: Vec<f64>,
 }
 
 impl BatchInference {
@@ -1034,6 +1088,7 @@ impl BatchInference {
             tree,
             z: Vec::new(),
             noisy: Vec::new(),
+            slab: Vec::new(),
         }
     }
 
@@ -1116,6 +1171,42 @@ impl BatchInference {
         out: &mut Vec<f64>,
     ) {
         self.fused_trial_into(prepared, histogram, rng, true, out);
+    }
+
+    /// [`Self::release_and_infer`] served straight into `snapshot`: the same
+    /// trial, but the inferred leaf level is never materialized. Each
+    /// downward slab writes its leaves into engine scratch one slab wide,
+    /// and they are scanned on into the snapshot's prefix while still in
+    /// cache, so the snapshot is bit-identical to
+    /// [`ConsistentSnapshot::rebuild_from_tree_values`] over
+    /// `release_and_infer`'s output (padding leaves included).
+    ///
+    /// `internal` receives the inferred internal nodes (resized to
+    /// `first_leaf()`), and `snapshot` is rebuilt in place over the
+    /// prepared domain: zero allocations once both have warmed up. Its
+    /// noise scale is left as it was — the caller knows which release
+    /// produced it.
+    pub fn release_and_infer_into_snapshot<R: Rng + ?Sized>(
+        &mut self,
+        prepared: &PreparedMechanism<HierarchicalQuery>,
+        histogram: &Histogram,
+        rng: &mut R,
+        internal: &mut Vec<f64>,
+        snapshot: &mut ConsistentSnapshot,
+    ) {
+        let Self {
+            tree,
+            z,
+            noisy,
+            slab,
+        } = self;
+        let shape = tree.shape();
+        noisy.resize(shape.nodes(), 0.0);
+        internal.resize(shape.first_leaf(), 0.0);
+        slab.resize(shape.leaves() / shape.level_width(tree.tile_cut()), 0.0);
+        let mut scan = snapshot.prefix_scan(shape.leaves(), prepared.domain_size());
+        tree.noised_upward(prepared, histogram, rng, noisy, z, internal);
+        tree.downward(noisy, z, internal, slab, |leaves| scan.scan(leaves));
     }
 
     /// [`LevelTree::fused_trial`] through the engine's scratch buffers.
@@ -1759,6 +1850,51 @@ mod tests {
                     );
                     assert_eq!(po, expect_out, "{backend:?} threads={threads}");
                     assert_eq!(pn, expect_noisy, "{backend:?} threads={threads}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_sink_matches_the_trial_leaf_level_bit_for_bit() {
+        use hc_data::{Domain, Interval};
+        use hc_mech::{Epsilon, HierarchicalQuery, LaplaceMechanism};
+        for (n, k) in [
+            (1usize << 15 | 3, 2usize), // padded, multiple slabs (2^16 leaves)
+            (50, 3),                    // padded, one slab
+            (2, 8193),                  // one slab wider than TILE_LEAVES
+            (1, 2),                     // a single-node tree
+        ] {
+            let counts: Vec<u64> = (0..n as u64).map(|i| i % 7).collect();
+            let histogram = Histogram::from_counts(Domain::new("x", n).unwrap(), counts);
+            let prepared = LaplaceMechanism::new(Epsilon::new(0.5).unwrap())
+                .prepare(HierarchicalQuery::new(k), n);
+            let shape = prepared.query().shape(n);
+            let mut engine = BatchInference::for_shape(&shape);
+            // A dirty snapshot of another size stands in for a recycled one.
+            let mut snapshot = ConsistentSnapshot::from_leaves(&[f64::NAN; 5], 3);
+            let mut internal = vec![f64::NAN; 3];
+            for seed in [5u64, 6] {
+                let mut out = Vec::new();
+                engine.release_and_infer(&prepared, &histogram, &mut rng_from_seed(seed), &mut out);
+                let expect = ConsistentSnapshot::from_tree_values(&shape, &out, n);
+                engine.release_and_infer_into_snapshot(
+                    &prepared,
+                    &histogram,
+                    &mut rng_from_seed(seed),
+                    &mut internal,
+                    &mut snapshot,
+                );
+                let what = format!("n={n} k={k} seed={seed}");
+                assert_same_bits(&internal, &out[..shape.first_leaf()], &what);
+                assert_eq!(snapshot, expect, "{what}");
+                for hi in 0..n {
+                    let q = Interval::new(0, hi);
+                    assert_eq!(
+                        snapshot.answer(q).to_bits(),
+                        expect.answer(q).to_bits(),
+                        "{what} prefix {hi}"
+                    );
                 }
             }
         }

@@ -129,10 +129,13 @@ impl StrategyPlan {
 ///
 /// The pipeline owns every buffer its strategy needs (the prepared query,
 /// the inference engine's tables and scratch, the noisy and inferred
-/// vectors), so after the first release the only allocation a release makes
-/// is the returned snapshot's prefix. Both [`StrategyPlan::run_with`] and
-/// the serving layer release through it, so a snapshot is bit-identical
-/// whichever of them produced it at the same RNG state.
+/// vectors), so after the first release a
+/// [`release_into`](Self::release_into) a warm snapshot allocates nothing:
+/// every strategy rebuilds the caller's snapshot in place. The only
+/// allocation [`release`](Self::release) makes is its fresh snapshot's
+/// prefix. Both [`StrategyPlan::run_with`] and the serving layer release
+/// through it, so a snapshot is bit-identical whichever of them produced it
+/// at the same RNG state, and whatever snapshot it was rebuilt into.
 ///
 /// Flat and hierarchical snapshots carry their release's Laplace scale
 /// (confidence queries work); budgeted snapshots carry none (per-level
@@ -153,7 +156,9 @@ enum Stage {
     Hierarchical {
         prepared: PreparedMechanism<HierarchicalQuery>,
         engine: BatchInference,
-        inferred: Vec<f64>,
+        /// The inferred internal nodes; the leaves go straight into the
+        /// snapshot's prefix.
+        internal: Vec<f64>,
     },
     Budgeted {
         mech: BudgetedHierarchical,
@@ -185,7 +190,7 @@ impl StrategyPipeline {
                 Stage::Hierarchical {
                     prepared: mech.prepare(domain_size),
                     engine: BatchInference::for_shape(&shape),
-                    inferred: Vec::new(),
+                    internal: Vec::new(),
                 }
             }
             ReleaseStrategy::Budgeted { branching, split } => {
@@ -204,14 +209,30 @@ impl StrategyPipeline {
     }
 
     /// Releases `histogram` under the compiled strategy, drawing noise from
-    /// `rng`, infers the consistent estimate, and serves it as a
-    /// [`ConsistentSnapshot`]. Panics if `histogram` does not cover the
-    /// compiled domain.
+    /// `rng`, infers the consistent estimate, and serves it as a fresh
+    /// [`ConsistentSnapshot`]: [`Self::release_into`] an empty one.
     pub fn release<R: Rng + ?Sized>(
         &mut self,
         histogram: &Histogram,
         rng: &mut R,
     ) -> ConsistentSnapshot {
+        let mut snapshot = ConsistentSnapshot::empty();
+        self.release_into(histogram, rng, &mut snapshot);
+        snapshot
+    }
+
+    /// Releases `histogram` under the compiled strategy, drawing noise from
+    /// `rng`, infers the consistent estimate, and rebuilds `snapshot` in
+    /// place to serve it. Whatever `snapshot` held before — its prefix
+    /// length, domain and noise scale — is overwritten, so the result is
+    /// bit-identical to [`Self::release`] at the same RNG state. Panics if
+    /// `histogram` does not cover the compiled domain.
+    pub fn release_into<R: Rng + ?Sized>(
+        &mut self,
+        histogram: &Histogram,
+        rng: &mut R,
+        snapshot: &mut ConsistentSnapshot,
+    ) {
         assert_eq!(
             histogram.len(),
             self.domain_size,
@@ -220,19 +241,16 @@ impl StrategyPipeline {
         match &mut self.stage {
             Stage::Flat { mech, release } => {
                 mech.release_into(histogram, rng, release);
-                release.snapshot(Rounding::None)
+                release.snapshot_into(Rounding::None, snapshot);
             }
             Stage::Hierarchical {
                 prepared,
                 engine,
-                inferred,
+                internal,
             } => {
-                engine.release_and_infer(prepared, histogram, rng, inferred);
-                let shape = engine.tree().shape();
-                let mut snapshot =
-                    ConsistentSnapshot::from_tree_values(shape, inferred, self.domain_size);
+                engine
+                    .release_and_infer_into_snapshot(prepared, histogram, rng, internal, snapshot);
                 snapshot.set_noise_scale(Some(prepared.noise_scale()));
-                snapshot
             }
             Stage::Budgeted {
                 mech,
@@ -243,7 +261,8 @@ impl StrategyPipeline {
                 mech.release_into(histogram, rng, release);
                 engine.ensure_level_variances(release.shape(), release.level_variances());
                 engine.infer_into(release.noisy_values(), inferred);
-                ConsistentSnapshot::from_tree_values(release.shape(), inferred, self.domain_size)
+                snapshot.rebuild_from_tree_values(release.shape(), inferred, self.domain_size);
+                snapshot.set_noise_scale(None);
             }
         }
     }
@@ -1065,6 +1084,38 @@ mod tests {
                 budgeted.answer(q).to_bits(),
                 manual_budgeted.answer(q).to_bits()
             );
+        }
+    }
+
+    #[test]
+    fn release_into_a_used_snapshot_matches_a_fresh_release() {
+        let n = 37usize;
+        let histogram = test_histogram(n, 4);
+        let strategies = [
+            ReleaseStrategy::Flat,
+            ReleaseStrategy::Hierarchical { branching: 2 },
+            ReleaseStrategy::Hierarchical { branching: 3 },
+            ReleaseStrategy::Budgeted {
+                branching: 2,
+                split: BudgetSplit::Geometric { ratio: 1.5 },
+            },
+        ];
+        // A snapshot left over from another strategy's release: other
+        // length, other domain, a noise scale every strategy must reset.
+        let mut used = ConsistentSnapshot::from_leaves(&[1.0; 70], 65).with_noise_scale(3.0);
+        for strategy in &strategies {
+            let mut pipeline =
+                StrategyPipeline::new(strategy, eps(0.5), NoiseBackend::Reference, n);
+            for i in 0..2u64 {
+                let seeds = hc_noise::SeedStream::new(8);
+                let fresh = pipeline.release(&histogram, &mut seeds.rng(i));
+                pipeline.release_into(&histogram, &mut seeds.rng(i), &mut used);
+                assert_eq!(used, fresh, "{strategy:?} release {i}");
+                for lo in 0..n {
+                    let q = Interval::new(lo, n - 1);
+                    assert_eq!(used.answer(q).to_bits(), fresh.answer(q).to_bits());
+                }
+            }
         }
     }
 

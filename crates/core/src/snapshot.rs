@@ -110,11 +110,7 @@ impl ConsistentSnapshot {
     /// Builds a snapshot over a full (padded) leaf-value slice; queries are
     /// accepted on `[0, domain_size)`.
     pub fn from_leaves(leaves: &[f64], domain_size: usize) -> Self {
-        let mut snapshot = Self {
-            prefix: Vec::new(),
-            domain_size: 0,
-            noise_scale: None,
-        };
+        let mut snapshot = Self::empty();
         snapshot.rebuild_from_leaves(leaves, domain_size);
         snapshot
     }
@@ -124,28 +120,17 @@ impl ConsistentSnapshot {
     /// (`BatchInference::release_and_infer*`, `LevelTree::infer*`, batch
     /// slices) uses.
     pub fn from_tree_values(shape: &TreeShape, values: &[f64], domain_size: usize) -> Self {
-        let mut snapshot = Self {
-            prefix: Vec::new(),
-            domain_size: 0,
-            noise_scale: None,
-        };
+        let mut snapshot = Self::empty();
         snapshot.rebuild_from_tree_values(shape, values, domain_size);
         snapshot
     }
 
-    /// Wraps an already-built prefix array (`prefix[0] == 0`, one entry per
-    /// leaf plus the leading zero) — the zero-copy hook for releases that
-    /// already maintain fused prefix sums (`FlatRelease`).
-    pub fn from_prefix(prefix: Vec<f64>, domain_size: usize) -> Self {
-        assert!(
-            prefix.len() > domain_size,
-            "prefix of {} entries cannot cover a domain of {domain_size}",
-            prefix.len()
-        );
-        assert_eq!(prefix[0], 0.0, "prefix must start at zero");
+    /// A snapshot with no prefix yet: the starting point of a release that
+    /// fills a fresh snapshot through one of the `rebuild_*` paths.
+    pub(crate) fn empty() -> Self {
         Self {
-            prefix,
-            domain_size,
+            prefix: Vec::new(),
+            domain_size: 0,
             noise_scale: None,
         }
     }
@@ -162,11 +147,7 @@ impl ConsistentSnapshot {
             histogram.total() <= EXACT_F64_INT,
             "total count too large for exact f64 prefix sums"
         );
-        let mut snapshot = Self {
-            prefix: Vec::new(),
-            domain_size: 0,
-            noise_scale: None,
-        };
+        let mut snapshot = Self::empty();
         snapshot.prefix.reserve(histogram.len() + 1);
         snapshot.prefix.push(0.0);
         let mut acc = 0.0f64;
@@ -206,46 +187,41 @@ impl ConsistentSnapshot {
 
     /// Rebuilds in place from a leaf slice — zero allocations once the
     /// prefix buffer has warmed up. Same arithmetic as
-    /// [`Self::from_leaves`], bit for bit.
-    ///
-    /// The prefix sum is a strict serial dependency chain
-    /// (`prefix[i+1] = prefix[i] + leaf[i]`, left-associated), and that
-    /// association is frozen — every golden release pin depends on it. What
-    /// *is* optimized here is everything around the chain: the buffer is
-    /// `resize`d once and written by index (steady-state rebuilds touch no
-    /// capacity check and no memset), and the writes are blocked four at a
-    /// time so the stores batch while the adds stay in exact serial order.
+    /// [`Self::from_leaves`], bit for bit: the serial prefix chain
+    /// (`prefix[i+1] = prefix[i] + leaf[i]`, left-associated, frozen by
+    /// every golden release pin), in one scan over the whole level.
     pub fn rebuild_from_leaves(&mut self, leaves: &[f64], domain_size: usize) {
-        assert!(
-            domain_size <= leaves.len(),
-            "domain larger than the leaf level"
-        );
-        self.prefix.resize(leaves.len() + 1, 0.0);
+        self.prefix_scan(leaves.len(), domain_size).scan(leaves);
+    }
+
+    /// Starts an in-place rebuild over `leaves` (padded) leaf values that
+    /// the returned [`PrefixScan`] is then fed left to right, in slabs of
+    /// any width. The buffer is `resize`d once (steady-state rebuilds touch
+    /// no capacity and no memset) and the caller must scan every leaf.
+    pub(crate) fn prefix_scan(&mut self, leaves: usize, domain_size: usize) -> PrefixScan<'_> {
+        assert!(domain_size <= leaves, "domain larger than the leaf level");
+        self.prefix.resize(leaves + 1, 0.0);
         self.prefix[0] = 0.0;
-        let out = &mut self.prefix[1..];
-        let mut acc = 0.0f64;
-        let mut leaf_blocks = leaves.chunks_exact(4);
-        let mut out_blocks = out.chunks_exact_mut(4);
-        for (l, o) in (&mut leaf_blocks).zip(&mut out_blocks) {
-            // The four adds stay one serial chain — identical association to
-            // the scalar loop, so the bits cannot move.
-            acc += l[0];
-            o[0] = acc;
-            acc += l[1];
-            o[1] = acc;
-            acc += l[2];
-            o[2] = acc;
-            acc += l[3];
-            o[3] = acc;
+        self.domain_size = domain_size;
+        PrefixScan {
+            out: &mut self.prefix[1..],
+            acc: 0.0,
         }
-        for (&leaf, slot) in leaf_blocks
-            .remainder()
-            .iter()
-            .zip(out_blocks.into_remainder())
-        {
-            acc += leaf;
-            *slot = acc;
-        }
+    }
+
+    /// Rebuilds in place by copying an already-built prefix array
+    /// (`prefix[0] == 0`, one entry per leaf plus the leading zero) — the
+    /// hook for releases that already maintain fused prefix sums
+    /// (`FlatRelease`). Zero allocations once the buffer has warmed up.
+    pub fn rebuild_from_prefix(&mut self, prefix: &[f64], domain_size: usize) {
+        assert!(
+            prefix.len() > domain_size,
+            "prefix of {} entries cannot cover a domain of {domain_size}",
+            prefix.len()
+        );
+        assert_eq!(prefix[0], 0.0, "prefix must start at zero");
+        self.prefix.clear();
+        self.prefix.extend_from_slice(prefix);
         self.domain_size = domain_size;
     }
 
@@ -318,6 +294,56 @@ impl ConsistentSnapshot {
         let scale = self.noise_scale?;
         let center = self.answer(interval);
         Some(union_bound_interval(scale, interval.len(), level, center))
+    }
+}
+
+/// The serial prefix chain behind every snapshot rebuild, fed one slab of
+/// leaves at a time: `prefix[i+1] = prefix[i] + leaf[i]`, left-associated,
+/// with one accumulator carried across slabs. That association is frozen —
+/// every golden release pin depends on it — so a level scanned in slabs
+/// (the engine's downward pass hands each slab over while it is still in
+/// cache) gets exactly the bits of one whole-level scan.
+///
+/// What *is* optimized is everything around the chain: the output is
+/// written by index (no capacity check per entry), and the writes are
+/// blocked four at a time so the stores batch while the adds stay in exact
+/// serial order.
+pub(crate) struct PrefixScan<'a> {
+    /// The prefix entries not yet written, `prefix[i + 1..]` after `i`
+    /// leaves.
+    out: &'a mut [f64],
+    acc: f64,
+}
+
+impl PrefixScan<'_> {
+    /// Appends `leaves` (the next leaves in index order) to the prefix.
+    pub(crate) fn scan(&mut self, leaves: &[f64]) {
+        let (out, rest) = std::mem::take(&mut self.out).split_at_mut(leaves.len());
+        self.out = rest;
+        let mut acc = self.acc;
+        let mut leaf_blocks = leaves.chunks_exact(4);
+        let mut out_blocks = out.chunks_exact_mut(4);
+        for (l, o) in (&mut leaf_blocks).zip(&mut out_blocks) {
+            // The four adds stay one serial chain — identical association to
+            // the scalar loop, so the bits cannot move.
+            acc += l[0];
+            o[0] = acc;
+            acc += l[1];
+            o[1] = acc;
+            acc += l[2];
+            o[2] = acc;
+            acc += l[3];
+            o[3] = acc;
+        }
+        for (&leaf, slot) in leaf_blocks
+            .remainder()
+            .iter()
+            .zip(out_blocks.into_remainder())
+        {
+            acc += leaf;
+            *slot = acc;
+        }
+        self.acc = acc;
     }
 }
 

@@ -200,17 +200,25 @@ impl FlatRelease {
     }
 
     /// An owned [`ConsistentSnapshot`] over this release's (optionally
-    /// rounded) unit counts — built by *copying the already-fused prefix
-    /// array*, no per-leaf recomputation. The snapshot carries the release's
-    /// per-count Laplace scale `b = 1/ε` (unit queries have sensitivity 1),
-    /// so served answers can attach exact confidence intervals.
+    /// rounded) unit counts — see [`Self::snapshot_into`].
     pub fn snapshot(&self, rounding: Rounding) -> ConsistentSnapshot {
+        let mut snapshot = ConsistentSnapshot::empty();
+        self.snapshot_into(rounding, &mut snapshot);
+        snapshot
+    }
+
+    /// Rebuilds `snapshot` in place over this release's (optionally
+    /// rounded) unit counts by *copying the already-fused prefix array*, no
+    /// per-leaf recomputation. The snapshot carries the release's per-count
+    /// Laplace scale `b = 1/ε` (unit queries have sensitivity 1), so served
+    /// answers can attach exact confidence intervals.
+    pub fn snapshot_into(&self, rounding: Rounding, snapshot: &mut ConsistentSnapshot) {
         let prefix = match rounding {
             Rounding::None => &self.prefix_raw,
             Rounding::NonNegativeInteger => &self.prefix_rounded,
         };
-        ConsistentSnapshot::from_prefix(prefix.clone(), self.noisy.len())
-            .with_noise_scale(1.0 / self.epsilon.value())
+        snapshot.rebuild_from_prefix(prefix, self.noisy.len());
+        snapshot.set_noise_scale(Some(1.0 / self.epsilon.value()));
     }
 }
 

@@ -93,10 +93,12 @@ pub const HOT_FUNCTIONS: &[(&str, &[&str])] = &[
             "fused_trial_into",
             "release_and_infer",
             "release_and_infer_rounded",
+            "release_and_infer_into_snapshot",
             "zero_levels",
             "zero_round_slab",
             "upward",
             "downward",
+            "downward_tree",
             "upward_slab",
             "downward_slab",
             "upward_levels",
@@ -125,12 +127,23 @@ pub const HOT_FUNCTIONS: &[(&str, &[&str])] = &[
             "quotient",
             "rebuild_from_leaves",
             "rebuild_from_tree_values",
+            "rebuild_from_prefix",
+            "prefix_scan",
+            "scan",
             "total",
             "for_each_node",
             "for_each_node_at_depth",
             "walk",
             "decomposition_len",
             "count_per_depth",
+        ],
+    ),
+    (
+        "crates/core/src/plan.rs",
+        &[
+            // The one release dispatch into a caller's (recycled) snapshot:
+            // a warm service publish allocates no prefix through it.
+            "release_into",
         ],
     ),
     (
@@ -204,10 +217,11 @@ pub const HOT_FUNCTIONS: &[(&str, &[&str])] = &[
             // The epoch-swap read and publish paths: a reader pin must cost
             // two atomics and an Arc bump, never a fresh owned value, and
             // the publisher may allocate only through `Arc::new(snapshot)`
-            // (taking ownership of the prebuilt snapshot, not copying it).
-            // The sharded bank rides the same contract: `broadcast` wraps
-            // the snapshot in one `Arc` and hands every shard a refcount
-            // bump of it, so no shard ever holds a copy of the bytes.
+            // (taking ownership of the prebuilt snapshot, not copying it) —
+            // a recycled epoch arrives as an `Arc` already. The sharded
+            // bank rides the same contract: `broadcast` hands every shard a
+            // refcount bump of one `Arc`, so no shard ever holds a copy of
+            // the bytes, and hands the evicted epoch back.
             "load",
             "publish",
             "epoch",

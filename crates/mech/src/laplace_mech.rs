@@ -269,26 +269,6 @@ impl<Q: QuerySequence> PreparedMechanism<Q> {
         self.laplace.add_noise_with(self.backend, rng, values);
     }
 
-    /// Releases straight into a caller-owned **slice** of exactly
-    /// [`Self::output_len`] entries — the write-in-place path batch
-    /// pipelines use to release each trial into its segment of a shared
-    /// batch buffer without a scratch vector or a copy. Bit-identical to
-    /// [`Self::release_into`] at the same RNG state.
-    pub fn release_into_slice<R: Rng + ?Sized>(
-        &self,
-        histogram: &Histogram,
-        rng: &mut R,
-        values: &mut [f64],
-    ) {
-        assert_eq!(
-            histogram.len(),
-            self.domain_size,
-            "prepared for a different domain size"
-        );
-        self.query.evaluate_into_slice(histogram, values);
-        self.laplace.add_noise_with(self.backend, rng, values);
-    }
-
     /// Releases an owned [`NoisyOutput`] (allocates the value vector and, if
     /// the label is dynamic, one label clone).
     pub fn release<R: Rng + ?Sized>(&self, histogram: &Histogram, rng: &mut R) -> NoisyOutput {
@@ -417,11 +397,6 @@ mod tests {
             assert_eq!(buf, adhoc.values());
             let owned = prepared.release(&h, &mut rng_from_seed(seed));
             assert_eq!(owned, adhoc);
-            // The write-in-place slice path is the same release bit for bit,
-            // even over a dirty slice.
-            let mut slice_buf = vec![f64::NAN; prepared.output_len()];
-            prepared.release_into_slice(&h, &mut rng_from_seed(seed), &mut slice_buf);
-            assert_eq!(slice_buf, adhoc.values());
         }
     }
 

@@ -32,8 +32,8 @@ pub trait QuerySequence {
 
     /// Evaluates `Q(I)` into a caller-owned **slice** of exactly
     /// [`Self::output_len`] entries — the write-in-place hook that lets a
-    /// release (`PreparedMechanism::release_into_slice`) evaluate straight
-    /// into a caller's slice, with no intermediate vector and no copy.
+    /// staged trial evaluate straight into its segment of a shared buffer,
+    /// with no intermediate vector and no copy.
     ///
     /// Every slot is assigned (no slot's prior content survives), and the
     /// values are bit-identical to [`Self::evaluate`]'s. The default

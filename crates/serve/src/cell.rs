@@ -11,7 +11,7 @@
 //! and the retry then picks up the fresh epoch and a different slot. A
 //! pinned snapshot stays valid for as long as the caller holds it, however
 //! many publishes happen meanwhile: publication swaps the served `Arc`, it
-//! never mutates a snapshot in place.
+//! never mutates a published snapshot.
 //!
 //! The write path ([`publish`](SnapshotCell::publish)) is the one that may
 //! wait: writers serialize on a mutex, write-lock the *next* slot (stalling
@@ -21,6 +21,14 @@
 //! see a complete snapshot — the old one or the new one, never a torn mix —
 //! which `crates/bench/src/bin/serve_load.rs --verify` and the
 //! `hc_threads` subprocess stress test pin across `HC_THREADS` ∈ {1, 2, 4}.
+//!
+//! A publish hands back the `Arc` its slot held — the epoch it evicted from
+//! the ring — so the publisher can recycle those pages: once no reader
+//! still pins that epoch (`Arc::get_mut` succeeds), the next release is
+//! rebuilt into it instead of into a fresh allocation. A pinned epoch is
+//! never rebuilt — the type system guarantees it, since `get_mut` fails
+//! while any pin holds a refcount — so the publisher drops it and
+//! allocates fresh, and the pin keeps serving its bits.
 //!
 //! A published snapshot's bytes exist once. [`SnapshotShards`] wraps each
 //! broadcast snapshot in a single `Arc` and every shard's cell holds a
@@ -52,7 +60,9 @@ type Slot = Option<(usize, Arc<ConsistentSnapshot>)>;
 /// let pinned = cell.load(); // wait-free read path
 /// assert_eq!(pinned.epoch(), 0);
 /// assert_eq!(pinned.total(), 3.0);
-/// cell.publish(ConsistentSnapshot::from_leaves(&[5.0, 5.0], 2));
+/// let (epoch, evicted) = cell.publish(ConsistentSnapshot::from_leaves(&[5.0, 5.0], 2));
+/// assert_eq!(epoch, 1);
+/// assert!(evicted.is_none()); // the ring has free slots left
 /// assert_eq!(pinned.total(), 3.0); // the pin still serves its epoch
 /// assert_eq!(cell.load().total(), 10.0); // fresh loads serve the new one
 /// ```
@@ -67,6 +77,9 @@ pub struct SnapshotCell {
 }
 
 impl SnapshotCell {
+    /// The ring width: a publish evicts the epoch `SLOTS` publishes back.
+    pub const SLOTS: usize = SLOTS;
+
     /// A cell serving `initial` at epoch 0. Takes an owned snapshot or an
     /// already-shared `Arc` of one (which is stored as is, never copied).
     pub fn new(initial: impl Into<Arc<ConsistentSnapshot>>) -> Self {
@@ -108,23 +121,25 @@ impl SnapshotCell {
         }
     }
 
-    /// Publishes a new snapshot, returning its epoch. Publishers serialize
-    /// on an internal mutex and may wait for readers a full ring-lap
-    /// behind; readers never wait for a publisher. The epoch store uses
-    /// `Release` ordering, so a reader observing the new epoch observes the
-    /// fully-written slot. Like [`Self::new`], it accepts an owned snapshot
-    /// or a shared `Arc`.
-    pub fn publish(&self, snapshot: impl Into<Arc<ConsistentSnapshot>>) -> usize {
+    /// Publishes a new snapshot, returning its epoch and the snapshot its
+    /// ring slot held before — the epoch `SLOTS` publishes back, `None`
+    /// until the ring has filled. Publishers serialize on an internal mutex
+    /// and may wait for readers a full ring-lap behind; readers never wait
+    /// for a publisher. The epoch store uses `Release` ordering, so a
+    /// reader observing the new epoch observes the fully-written slot. Like
+    /// [`Self::new`], it accepts an owned snapshot or a shared `Arc`.
+    pub fn publish(
+        &self,
+        snapshot: impl Into<Arc<ConsistentSnapshot>>,
+    ) -> (usize, Option<Arc<ConsistentSnapshot>>) {
         let _writer = self.writer.lock().expect("publish mutex never poisoned");
         let next = self.epoch.load(Ordering::Relaxed) + 1;
-        {
-            let mut slot = self.slots[next % SLOTS]
-                .write()
-                .expect("slot lock never poisoned");
-            *slot = Some((next, snapshot.into()));
-        }
+        let evicted = self.slots[next % SLOTS]
+            .write()
+            .expect("slot lock never poisoned")
+            .replace((next, snapshot.into()));
         self.epoch.store(next, Ordering::Release);
-        next
+        (next, evicted.map(|(_, snapshot)| snapshot))
     }
 }
 
@@ -151,7 +166,7 @@ impl SnapshotCell {
 ///
 /// let shards = SnapshotShards::new(ConsistentSnapshot::from_leaves(&[1.0, 2.0], 2), 4);
 /// assert_eq!(shards.shard_count(), 4);
-/// let epoch = shards.broadcast(ConsistentSnapshot::from_leaves(&[5.0, 5.0], 2));
+/// let (epoch, _) = shards.broadcast(ConsistentSnapshot::from_leaves(&[5.0, 5.0], 2));
 /// assert_eq!(epoch, 1);
 /// assert_eq!(shards.pin().total(), 10.0); // wait-free, shard-local
 /// ```
@@ -197,14 +212,20 @@ impl SnapshotShards {
         self.cells[shard].load()
     }
 
-    /// Publishes `snapshot` to every shard and returns the new epoch. The
-    /// snapshot is moved into one `Arc`, and each shard publishes a refcount
-    /// bump of it, so the broadcast copies no snapshot bytes. Shards 1..
-    /// publish first; shard 0, the epoch authority, publishes last.
-    pub fn broadcast(&self, snapshot: ConsistentSnapshot) -> usize {
-        let shared = Arc::new(snapshot);
+    /// Publishes `snapshot` to every shard and returns the new epoch and
+    /// the evicted epoch's snapshot (see [`SnapshotCell::publish`]). The
+    /// snapshot is one `Arc` (an owned snapshot is moved into one), and each
+    /// shard publishes a refcount bump of it, so the broadcast copies no
+    /// snapshot bytes. Shards 1.. publish first and drop their evicted
+    /// copies; shard 0, the epoch authority, publishes last, and its copy
+    /// is the one returned.
+    pub fn broadcast(
+        &self,
+        snapshot: impl Into<Arc<ConsistentSnapshot>>,
+    ) -> (usize, Option<Arc<ConsistentSnapshot>>) {
+        let shared = snapshot.into();
         for cell in &self.cells[1..] {
-            cell.publish(Arc::clone(&shared));
+            drop(cell.publish(Arc::clone(&shared)));
         }
         self.cells[0].publish(shared)
     }
@@ -256,8 +277,9 @@ mod tests {
         let cell = SnapshotCell::new(leaves(&[1.0, 2.0, 3.0, 4.0]));
         assert_eq!(cell.epoch(), 0);
         assert_eq!(cell.load().answer(Interval::new(0, 3)), 10.0);
-        let e = cell.publish(leaves(&[4.0, 3.0, 2.0, 11.0]));
+        let (e, evicted) = cell.publish(leaves(&[4.0, 3.0, 2.0, 11.0]));
         assert_eq!(e, 1);
+        assert!(evicted.is_none());
         assert_eq!(cell.epoch(), 1);
         let pinned = cell.load();
         assert_eq!(pinned.epoch(), 1);
@@ -271,7 +293,13 @@ mod tests {
         // Lap the ring several times: the pin must keep serving epoch 0's
         // values even though its slot has long been overwritten.
         for i in 1..=(3 * SLOTS) {
-            cell.publish(leaves(&[i as f64; 8]));
+            let (epoch, evicted) = cell.publish(leaves(&[i as f64; 8]));
+            assert_eq!(epoch, i);
+            // Once the ring has filled, each publish hands back the epoch
+            // `SLOTS` back (epoch 0 holds ones, epoch e ≥ 1 holds e).
+            let evicted = evicted.map(|s| s.answer(Interval::new(0, 7)));
+            let expect = i.checked_sub(SLOTS).map(|e| 8.0 * e.max(1) as f64);
+            assert_eq!(evicted, expect, "publish {i}");
         }
         assert_eq!(pinned.epoch(), 0);
         assert_eq!(pinned.answer(Interval::new(0, 7)), 8.0);
@@ -297,10 +325,29 @@ mod tests {
             }
         };
         assert_one_allocation(0, 10.0);
-        let epoch = shards.broadcast(leaves(&[4.0, 3.0, 2.0, 11.0]));
+        let (epoch, _) = shards.broadcast(leaves(&[4.0, 3.0, 2.0, 11.0]));
         assert_eq!(epoch, 1);
         assert_eq!(shards.epoch(), 1);
         assert_one_allocation(1, 20.0);
+    }
+
+    #[test]
+    fn broadcast_hands_back_the_evicted_epoch_once_every_shard_let_go() {
+        let shards = SnapshotShards::new(leaves(&[1.0, 2.0]), 3);
+        let initial = shards.pin();
+        for i in 1..SLOTS {
+            let (epoch, evicted) = shards.broadcast(leaves(&[i as f64; 2]));
+            assert_eq!(epoch, i);
+            assert!(evicted.is_none());
+        }
+        let (_, evicted) = shards.broadcast(leaves(&[0.5; 2]));
+        let evicted = evicted.expect("the ring has lapped");
+        assert!(std::ptr::eq(&*evicted, initial.snapshot()));
+        // Shards 1.. dropped their copies: only the pin still shares it,
+        // and once the pin goes the publisher holds it alone.
+        assert_eq!(Arc::strong_count(&evicted), 2);
+        drop(initial);
+        assert_eq!(Arc::strong_count(&evicted), 1);
     }
 
     /// One round-robin lap of pins, one per shard.

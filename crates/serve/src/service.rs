@@ -11,9 +11,12 @@
 //! configured cadence or on demand — spends `ε` from the ledger, releases
 //! the tenant's histogram in place through its warm [`StrategyPipeline`]
 //! (hc-core's one release dispatch, built at registration), and broadcasts
-//! the fresh snapshot: one shared `Arc` that every shard serves, so a
-//! publish copies no snapshot bytes. Readers pin round-robin, never block,
-//! and never see the true counts: only published post-inference snapshots.
+//! the new snapshot: one shared `Arc` that every shard serves, so a publish
+//! copies no snapshot bytes. The release is rebuilt into the pages of the
+//! epoch the previous publish evicted from the ring, when no reader still
+//! pins it, so a warm publish allocates no prefix; a pinned epoch is never
+//! written (see [`crate::cell`]). Readers pin round-robin, never block, and
+//! never see the true counts: only published post-inference snapshots.
 //! A panic under a tenant's write lock poisons it for writes: ingest,
 //! publish and debit then refuse with [`ServeError::TenantPoisoned`], while
 //! the ledger stays readable and the last published epoch keeps serving.
@@ -25,7 +28,7 @@
 //! `HC_THREADS` settings.
 
 use std::fmt;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use hc_core::{
     effective_threads, AccuracyTarget, ConsistentSnapshot, ReleaseStrategy, StrategyPipeline,
@@ -356,6 +359,9 @@ struct WriteState {
     releases: u64,
     budget: PrivacyAccountant,
     pipeline: StrategyPipeline,
+    /// The epoch the last publish evicted from the ring: the next release
+    /// is rebuilt into it if no reader pins it any more.
+    retired: Option<Arc<ConsistentSnapshot>>,
 }
 
 struct Tenant {
@@ -490,6 +496,7 @@ impl HistogramService {
             releases: 0,
             budget,
             pipeline,
+            retired: None,
         };
         let initial =
             ConsistentSnapshot::from_leaves(&vec![0.0; config.domain_size], config.domain_size);
@@ -570,7 +577,9 @@ impl HistogramService {
     }
 
     /// One release under the tenant's write lock: debit the ledger, derive
-    /// the release RNG, run the strategy pipeline, publish the snapshot.
+    /// the release RNG, run the strategy pipeline into the retired epoch
+    /// (or a fresh snapshot while a reader still pins it), publish the
+    /// snapshot and keep the epoch it evicts.
     fn release_locked(
         tenant: &Tenant,
         state: &mut WriteState,
@@ -589,10 +598,25 @@ impl HistogramService {
             )?
             .value();
         let mut rng = SeedStream::new(tenant.config.seed).rng(release_index);
-        let snapshot = state.pipeline.release(&state.histogram, &mut rng);
+        let mut retired = state.retired.take();
+        let snapshot = match retired.as_mut().and_then(Arc::get_mut) {
+            Some(recycled) => {
+                state
+                    .pipeline
+                    .release_into(&state.histogram, &mut rng, recycled);
+                retired.expect("the recycled epoch")
+            }
+            None => {
+                // Still pinned (or nothing retired yet): the readers keep
+                // that epoch alive, and this release gets its own pages.
+                drop(retired);
+                Arc::new(state.pipeline.release(&state.histogram, &mut rng))
+            }
+        };
         state.releases += 1;
         state.pending_deltas = 0;
-        let epoch = tenant.shards.broadcast(snapshot);
+        let (epoch, evicted) = tenant.shards.broadcast(snapshot);
+        state.retired = evicted;
         Ok(PublishReport {
             epoch,
             release_index,
@@ -1054,6 +1078,85 @@ mod tests {
         assert_eq!(service.ingest(id, &[(4, 1), (5, 1)]).unwrap(), None);
         assert_eq!(service.epoch(id).unwrap(), 2);
         assert_eq!(service.remaining_budget(id).unwrap(), 0.0);
+    }
+
+    /// `served` equals `fresh` — prefix length, domain, noise scale — and
+    /// every range answer matches by `to_bits`.
+    fn assert_same_snapshot(served: &ConsistentSnapshot, fresh: &ConsistentSnapshot, what: &str) {
+        assert_eq!(served, fresh, "{what}");
+        let n = fresh.domain_size();
+        for lo in 0..n {
+            for hi in lo..n {
+                let q = Interval::new(lo, hi);
+                assert_eq!(
+                    served.answer(q).to_bits(),
+                    fresh.answer(q).to_bits(),
+                    "{what}: [{lo}, {hi}]"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn recycled_epochs_serve_the_fresh_release_bit_for_bit() {
+        const SLOTS: usize = crate::SnapshotCell::SLOTS;
+        let address = |pinned: &PinnedSnapshot| std::ptr::from_ref(pinned.snapshot()) as usize;
+        let strategies = [
+            ReleaseStrategy::Flat,
+            ReleaseStrategy::Hierarchical { branching: 2 },
+            ReleaseStrategy::Hierarchical { branching: 3 },
+            ReleaseStrategy::Budgeted {
+                branching: 2,
+                split: BudgetSplit::Geometric { ratio: 1.5 },
+            },
+        ];
+        // A padded domain (64 leaves at k = 2, 81 at k = 3) and one bin.
+        for (strategy, n) in strategies.iter().flat_map(|s| [(s, 37usize), (s, 1)]) {
+            let seed = 11;
+            let mut service = HistogramService::new();
+            let config = TenantConfig::new("t", n)
+                .with_budget(64.0, 0.5)
+                .with_refresh_every(0)
+                .with_seed(seed)
+                .with_strategy(strategy.clone());
+            let id = service.register(config).unwrap();
+            let eps = Epsilon::new(0.5).unwrap();
+            let mut pipeline = StrategyPipeline::new(strategy, eps, NoiseBackend::Reference, n);
+            let mut counts = vec![0u64; n];
+            // `addresses[e]` is where epoch e's snapshot lives.
+            let mut addresses = vec![address(&service.snapshot(id).unwrap())];
+            let mut held = None;
+            for i in 0..3 * SLOTS as u64 {
+                let bin = (i as usize * 5) % n;
+                service.ingest(id, &[(bin, i + 1)]).unwrap();
+                counts[bin] += i + 1;
+                let epoch = service.publish(id).unwrap().epoch;
+                let served = service.snapshot(id).unwrap();
+                let histogram =
+                    Histogram::from_counts(Domain::new("t", n).unwrap(), counts.clone());
+                let fresh = pipeline.release(&histogram, &mut SeedStream::new(seed).rng(i));
+                let what = format!("{strategy:?} n={n} epoch {epoch}");
+                assert_same_snapshot(served.snapshot(), &fresh, &what);
+                addresses.push(address(&served));
+                if epoch > SLOTS {
+                    // Epoch 1 stays pinned below, so the publish that would
+                    // recycle it allocates fresh; every other epoch past the
+                    // first lap is rebuilt into the one SLOTS + 1 back.
+                    let recycled = addresses[epoch] == addresses[epoch - SLOTS - 1];
+                    assert_eq!(recycled, epoch != SLOTS + 2, "{what}");
+                }
+                if epoch == 1 {
+                    held = Some((served, fresh));
+                }
+            }
+            // The pin held across every publish kept its bits.
+            let (pinned, fresh) = held.unwrap();
+            assert_same_snapshot(pinned.snapshot(), &fresh, "held epoch 1");
+            let whole = RangeQuery::new(0, n);
+            let confidence = service.confidence(id, whole, 0.9).unwrap();
+            let budgeted = matches!(strategy, ReleaseStrategy::Budgeted { .. });
+            assert_eq!(confidence.is_none(), budgeted, "{strategy:?}");
+        }
     }
 
     #[test]
