@@ -6,7 +6,10 @@
 //! The snapshots were generated by this repository's own pipeline (f64
 //! `Debug` formatting round-trips exactly, so the literals below carry the
 //! precise bits); any change to noise sampling, seeding, or either engine's
-//! arithmetic will show up as an exact-equality failure here.
+//! arithmetic will show up as an exact-equality failure here. Trees too
+//! large for literal vectors (the multi-slab releases) are pinned by an
+//! exact digest instead: the wrapping sum and xor of every entry's bits,
+//! plus sampled entries.
 //!
 //! Snapshots exist **per noise backend** (`hc_noise::NoiseBackend`): the
 //! `reference_*` tests pin the frozen v1 scalar sampler (these vectors
@@ -274,4 +277,260 @@ fn fast_ln_wide_golden_fused_rounded_trial_seed_4099() {
     );
     assert_eq!(sn, pn);
     assert_eq!(so, po);
+}
+
+/// An exact fingerprint of a long `f64` vector: the wrapping sum and the
+/// xor of every entry's bits, plus the entries at `samples`. Any moved bit
+/// changes the sum; the samples say where a drift starts.
+fn bits_digest(values: &[f64], samples: &[usize]) -> (u64, u64, Vec<f64>) {
+    let sum = values
+        .iter()
+        .fold(0u64, |acc, v| acc.wrapping_add(v.to_bits()));
+    let xor = values.iter().fold(0u64, |acc, v| acc ^ v.to_bits());
+    (sum, xor, samples.iter().map(|&i| values[i]).collect())
+}
+
+/// The multi-slab trees the engine digests run over: 2^14 bins at k = 2
+/// (two slabs of 8192 leaves) and 3^9 − 100 bins at k = 3 (padded to
+/// 3^9 leaves, three slabs of 3^8).
+const MULTI_SLAB: [(usize, usize); 2] = [(1 << 14, 2), (19_583, 3)];
+
+fn multi_slab_histogram(n: usize) -> Histogram {
+    let counts: Vec<u64> = (0..n).map(|i| ((i * 13 + 5) % 7) as u64).collect();
+    Histogram::from_counts(Domain::new("golden", n).unwrap(), counts)
+}
+
+/// The served prefix of a hierarchical `StrategyPipeline::release` at seed
+/// 2027, read back as `[0, hi]` answers (`prefix[hi + 1] − 0.0`, the
+/// prefix entry's own bits) for every `hi` in the domain.
+fn pipeline_prefix(backend: NoiseBackend, n: usize, k: usize) -> Vec<f64> {
+    let histogram = multi_slab_histogram(n);
+    let mut pipeline = StrategyPipeline::new(
+        &ReleaseStrategy::Hierarchical { branching: k },
+        Epsilon::new(0.5).unwrap(),
+        backend,
+        n,
+    );
+    let snapshot = pipeline.release(&histogram, &mut rng_from_seed(2027));
+    (0..n)
+        .map(|hi| snapshot.answer(Interval::new(0, hi)))
+        .collect()
+}
+
+/// A rounded `release_and_infer_batch` of 2 trials at `SeedStream::new(2028)`
+/// that keeps its noisy releases: `(H̃ batch, H̄ batch)`.
+fn rounded_batch(backend: NoiseBackend, n: usize, k: usize) -> (Vec<f64>, Vec<f64>) {
+    let histogram = multi_slab_histogram(n);
+    let prepared = HierarchicalUniversal::new(Epsilon::new(0.5).unwrap(), k)
+        .with_backend(backend)
+        .prepare(n);
+    let mut engine = BatchInference::for_shape(&TreeShape::for_domain(n, k));
+    let (mut noisy, mut out) = (Vec::new(), Vec::new());
+    engine.release_and_infer_batch(
+        &prepared,
+        &histogram,
+        SeedStream::new(2028),
+        2,
+        true,
+        Some(&mut noisy),
+        &mut out,
+    );
+    (noisy, out)
+}
+
+/// Entries sampled by the multi-slab digests: both ends, the slab seams,
+/// and points inside each slab.
+fn digest_samples(len: usize) -> Vec<usize> {
+    [
+        0,
+        1,
+        len / 3,
+        len / 2,
+        len / 2 + 1,
+        2 * len / 3,
+        len - 2,
+        len - 1,
+    ]
+    .to_vec()
+}
+
+/// The digests of one multi-slab tree: the pipeline prefix, then the
+/// rounded batch's `H̃` and `H̄` segments.
+type MultiSlabDigests = [(u64, u64, [f64; 8]); 3];
+
+/// Checks [`pipeline_prefix`] and [`rounded_batch`] on every
+/// [`MULTI_SLAB`] tree against `expected`, in that order.
+fn check_multi_slab(backend: NoiseBackend, expected: [MultiSlabDigests; 2]) {
+    for ((n, k), [prefix_digest, noisy_digest, out_digest]) in MULTI_SLAB.into_iter().zip(expected)
+    {
+        let digest = |values: &[f64]| bits_digest(values, &digest_samples(values.len()));
+        let as_vec = |(sum, xor, samples): (u64, u64, [f64; 8])| (sum, xor, samples.to_vec());
+        let prefix = pipeline_prefix(backend, n, k);
+        assert_eq!(digest(&prefix), as_vec(prefix_digest), "prefix n={n} k={k}");
+        let (noisy, out) = rounded_batch(backend, n, k);
+        assert_eq!(digest(&noisy), as_vec(noisy_digest), "H̃ n={n} k={k}");
+        assert_eq!(digest(&out), as_vec(out_digest), "H̄ n={n} k={k}");
+    }
+}
+
+#[test]
+fn reference_golden_multi_slab_releases() {
+    // Every other engine pin fits in one slab; these trees span two and
+    // three, so the slab seams of counting, noise, both passes, the
+    // zero/round sweep and the prefix sink are all pinned.
+    check_multi_slab(
+        NoiseBackend::Reference,
+        [
+            [
+                (
+                    15713826419772742907,
+                    9256979181366844787,
+                    [
+                        -23.981804133005625,
+                        24.884195489627466,
+                        16442.10048332738,
+                        24536.743531668384,
+                        24640.12753458204,
+                        32724.981277014347,
+                        49127.10550006269,
+                        49120.17477684303,
+                    ],
+                ),
+                (
+                    10254651590114921282,
+                    9219979786021553472,
+                    [
+                        49143.27309821307,
+                        24607.48508313059,
+                        10.585492256320435,
+                        49135.73513232627,
+                        24477.602470527716,
+                        28.09066573257893,
+                        18.267963216431532,
+                        24.55410124121151,
+                    ],
+                ),
+                (
+                    12147766615311646720,
+                    16646468605575168,
+                    [49174.0, 24582.0, 17.0, 49097.0, 24543.0, 36.0, 0.0, 0.0],
+                ),
+            ],
+            [
+                (
+                    380009485486722907,
+                    13806414036519429629,
+                    [
+                        16.880186773176824,
+                        22.98929480078757,
+                        19579.1870762108,
+                        29331.397556082633,
+                        29327.57432261785,
+                        39173.63739729787,
+                        58648.5156901392,
+                        58658.77187561732,
+                    ],
+                ),
+                (
+                    17738062942306424676,
+                    9282450437258436292,
+                    [
+                        58743.84873214205,
+                        19704.990055420392,
+                        -8.250418910954812,
+                        58738.82342155085,
+                        19618.40164701848,
+                        -70.71428656247514,
+                        45.037370031501176,
+                        0.8801046519789693,
+                    ],
+                ),
+                (
+                    13667467331880615936,
+                    9204207136865779712,
+                    [58759.0, 19696.0, 0.0, 58716.0, 19648.0, 0.0, 0.0, 0.0],
+                ),
+            ],
+        ],
+    );
+}
+
+#[test]
+fn fast_ln_wide_golden_multi_slab_releases() {
+    // The FastLnWide twin of `reference_golden_multi_slab_releases`.
+    check_multi_slab(
+        NoiseBackend::FastLnWide,
+        [
+            [
+                (
+                    15209707386004265010,
+                    18423090289840116430,
+                    [
+                        20.156699548320976,
+                        26.724950796180195,
+                        16432.24484133004,
+                        24636.07730084926,
+                        24550.10775900531,
+                        32794.64376711671,
+                        49155.59117426717,
+                        49142.69014050176,
+                    ],
+                ),
+                (
+                    13878758922993998350,
+                    9192560533614845002,
+                    [
+                        49141.09085458267,
+                        24628.279498547385,
+                        31.379907673118804,
+                        49144.47662964535,
+                        24578.484848307202,
+                        48.88508114937726,
+                        39.06237863322987,
+                        45.34851665800984,
+                    ],
+                ),
+                (
+                    1374334421699657728,
+                    9204474593069236224,
+                    [49146.0, 24563.0, 0.0, 49151.0, 24587.0, 12.0, 0.0, 0.0],
+                ),
+            ],
+            [
+                (
+                    9485768811158281213,
+                    4549678389089567249,
+                    [
+                        37.48880828495362,
+                        15.636382612477345,
+                        19602.096367671806,
+                        29397.53954824451,
+                        29386.392830744746,
+                        39210.15644738972,
+                        58720.75328763423,
+                        58727.21769097583,
+                    ],
+                ),
+                (
+                    7039675227354786808,
+                    36544798431988020,
+                    [
+                        58742.39390305511,
+                        19718.85299903159,
+                        11.626133440015401,
+                        58744.65108643023,
+                        19685.656565538135,
+                        4.77177631780571,
+                        58.90031364270012,
+                        14.743048263177867,
+                    ],
+                ),
+                (
+                    12666841794177138688,
+                    29231066380238848,
+                    [58742.0, 19692.0, 0.0, 58748.0, 19682.0, 0.0, 0.0, 0.0],
+                ),
+            ],
+        ],
+    );
 }

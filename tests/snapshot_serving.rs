@@ -16,7 +16,8 @@
 //! * batched snapshot serving ≡ one-at-a-time answers;
 //! * fixed-seed golden pins for a served query batch **per noise backend**
 //!   (`reference_*` / `fast_ln_wide_*`, the `hc_noise::backend` versioning
-//!   convention — CI runs each prefix as its own step).
+//!   convention — CI runs each prefix as its own step), for the
+//!   hierarchical and the budgeted release.
 
 use hist_consistency::data::RangeWorkload;
 use hist_consistency::prelude::*;
@@ -351,6 +352,64 @@ fn fast_ln_wide_golden_served_batch_seed_7177() {
     let expected_noisy_rounded = [47.0, 100.0, 86.0, 48.0, 86.0, 64.0, 81.0, 86.0];
     assert_eq!(inferred, expected_inferred);
     assert_eq!(noisy_rounded, expected_noisy_rounded);
+}
+
+/// The budgeted counterpart of [`served_batch`]: a geometric-split
+/// (ratio 1.5) binary `StrategyPipeline` over 20000 bins (padded to 2^15
+/// leaves, four slabs of the engine's GLS sweeps) releases at seed 7177,
+/// and serves 8 ranges of length 5000 sampled at seed 9331 — wide enough
+/// to cross slab seams — plus the total.
+fn budgeted_served_batch(backend: NoiseBackend) -> Vec<f64> {
+    let n = 20_000usize;
+    let counts: Vec<u64> = (0..n as u64).map(|i| (i * 11 + 3) % 13).collect();
+    let histogram = Histogram::from_counts(Domain::new("golden", n).unwrap(), counts);
+    let strategy = ReleaseStrategy::Budgeted {
+        branching: 2,
+        split: BudgetSplit::Geometric { ratio: 1.5 },
+    };
+    let mut pipeline = StrategyPipeline::new(&strategy, Epsilon::new(0.5).unwrap(), backend, n);
+    let snapshot = pipeline.release(&histogram, &mut rng_from_seed(7177));
+    let queries = RangeWorkload::new(n, 5000).sample_many(&mut rng_from_seed(9331), 8);
+    let mut served = Vec::new();
+    snapshot.answer_into(&queries, &mut served);
+    served.push(snapshot.total());
+    served
+}
+
+#[test]
+fn reference_golden_budgeted_served_batch_seed_7177() {
+    // The budgeted release runs the staged path (per-level noise, then the
+    // GLS engine's `infer_into`) that no other served pin reaches. Frozen
+    // forever per the backend policy.
+    let expected = [
+        30002.831218471634,
+        30050.924896876997,
+        29829.640414061738,
+        29924.622274482204,
+        29936.43419371702,
+        30030.68837139527,
+        29927.249564321624,
+        29938.451957948455,
+        119768.0992406661,
+    ];
+    assert_eq!(budgeted_served_batch(NoiseBackend::Reference), expected);
+}
+
+#[test]
+fn fast_ln_wide_golden_budgeted_served_batch_seed_7177() {
+    // The FastLnWide twin of `reference_golden_budgeted_served_batch_seed_7177`.
+    let expected = [
+        29856.06959947136,
+        30008.540227084843,
+        30174.814430246854,
+        29792.59666220861,
+        30008.481896123863,
+        29832.344479238847,
+        29780.75410644598,
+        30014.084886519708,
+        119423.39313484934,
+    ];
+    assert_eq!(budgeted_served_batch(NoiseBackend::FastLnWide), expected);
 }
 
 #[test]
