@@ -75,23 +75,23 @@ fn bench_reference(c: &mut Criterion) {
     group.finish();
 }
 
-/// The engine, one trial per call, warm: `infer_into` with the scratch and
-/// output buffers reused across iterations, so the row times the two
-/// sweeps rather than the page faults of a fresh 2^21-node output.
+/// The engine, one trial per call, warm: `infer_into` with the output
+/// buffer reused across iterations, so the row times the copy and the two
+/// in-place sweeps rather than the page faults of a fresh 2^21-node output.
 fn bench_engine_single(c: &mut Criterion) {
     let mut group = c.benchmark_group("hier_infer_engine_single");
     for &height in HEADLINE_HEIGHTS.iter().chain(&[SCALE_HEIGHT]) {
         let shape = TreeShape::new(2, height);
         let noisy = noisy_tree(&shape, 7);
-        let tree = LevelTree::new(&shape);
-        let (mut z, mut out) = (Vec::new(), Vec::new());
+        let mut engine = BatchInference::for_shape(&shape);
+        let mut out = Vec::new();
         group.throughput(Throughput::Elements(shape.nodes() as u64));
         group.bench_with_input(
             BenchmarkId::from_parameter(shape.leaves()),
             &noisy,
             |b, noisy| {
                 b.iter(|| {
-                    tree.infer_into(black_box(noisy), &mut z, &mut out);
+                    engine.infer_into(black_box(noisy), &mut out);
                     black_box(out[0])
                 });
             },

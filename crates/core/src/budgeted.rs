@@ -262,8 +262,9 @@ impl BudgetedTreeRelease {
 
     /// [`Self::infer`] through a caller-owned [`BatchInference`]: the GLS
     /// tables are recompiled only when the shape or the per-level variances
-    /// change ([`BatchInference::ensure_level_variances`]) and the scratch
-    /// buffer is reused, so repeated budgeted trials allocate only results.
+    /// change ([`BatchInference::ensure_level_variances`]), and the passes
+    /// run in place in the result, so repeated budgeted trials allocate
+    /// only results.
     pub fn infer_with(&self, engine: &mut BatchInference) -> ConsistentTree {
         engine.ensure_level_variances(self.server.shape(), &self.level_variances);
         let h = engine.infer(&self.noisy);

@@ -19,6 +19,13 @@
 //!
 //! On top of that layout this engine adds the allocation-free pipeline:
 //!
+//! * **one tree buffer**, overwritten in place, `h̃ → z → h̄`. Theorem 3
+//!   needs one value per node at any moment: upward, `z_v` depends only on
+//!   `h̃_v` and its children's `z`; downward, a sibling group's `h̄` depends
+//!   only on its parent's `h̄` and the group's own `z`. A trial runs in its
+//!   output tree alone, and the publish in the engine's one buffer; the
+//!   only other scratch is O(slab) (one slab's counts, the top region
+//!   above the slab cut, and the publish's one-slab leaf sink);
 //! * the two sweeps are **tiled** into vertical slabs of at most 8192
 //!   leaves, so a subtree's intermediate `z` values are still cache-resident
 //!   when its ancestors consume them (the untiled sweeps stream every level
@@ -38,19 +45,20 @@
 //!   histogram into the tree and add Laplace noise through the
 //!   preparation's [`hc_noise::NoiseBackend`], both folded into the upward
 //!   slabs (the true-count vector is never built), then both Theorem-3
-//!   passes and optional zeroing and rounding — through caller/engine-owned
-//!   scratch with **zero heap allocations after warm-up**
-//!   (`tests/alloc_free.rs` pins this with a counting allocator);
-//! * the downward pass takes the destination of its last level — a leaf
-//!   sink. A trial writes the leaves into its output tree;
+//!   passes and optional zeroing and rounding — in the caller's output
+//!   buffer with **zero heap allocations after warm-up**
+//!   (`tests/alloc_free.rs` pins this with a counting allocator, and pins
+//!   that a cold trial requests one tree plus O(slab) scratch);
+//! * the downward pass can send its leaves to a sink instead of the tree:
 //!   [`BatchInference::release_and_infer_into_snapshot`] (the service's
-//!   publish) writes each slab's leaves into a one-slab buffer and scans
+//!   publish) infers each slab's leaves into a one-slab buffer and scans
 //!   them into a [`ConsistentSnapshot`]'s prefix while they are still in
 //!   cache, so the inferred leaf level is never materialized and the
 //!   prefix keeps the serial add chain bit for bit;
 //! * [`BatchInference::release_and_infer_batch_parallel`] scales that full
-//!   trial across scoped-thread workers, split by trial with per-worker
-//!   scratch and per-trial [`SeedStream`] seeding — bit-identical to the
+//!   trial across scoped-thread workers, split by trial, each trial in its
+//!   own output slice with per-worker O(slab) counting scratch and
+//!   per-trial [`SeedStream`] seeding — bit-identical to the
 //!   serial batch for any thread count, per backend. Trials are the only
 //!   unit of parallelism: a Fig. 5–7 curve is thousands of independent
 //!   trials, and one tree's two linear passes stay on one core.
@@ -71,8 +79,8 @@ use rand::Rng;
 use crate::snapshot::ConsistentSnapshot;
 
 /// Leaves per vertical slab in the tiled sweeps. A binary slab of 8192
-/// leaves touches ≈ 16 K `z` nodes plus the matching noisy/output slices —
-/// a few hundred KiB, comfortably inside L2.
+/// leaves is ≈ 16 K nodes of the one tree buffer plus its 8 K counts —
+/// under 200 KiB, comfortably inside L2.
 const TILE_LEAVES: usize = 8192;
 
 /// Effective worker count for the parallel paths: the `HC_THREADS`
@@ -121,100 +129,81 @@ enum Weights {
     },
 }
 
-/// Bottom-up kernel, uniform weights: `p_i = own·x_i + child·Σ children_i`.
+/// Bottom-up kernel, uniform weights, in place: `parents` holds `h̃` on
+/// entry and `z_i = own·h̃_i + child·Σ children_i` on exit.
 ///
 /// The k = 2 path is 4-way unrolled; every path folds the sibling window
 /// exactly like the reference (`succ` starts at `0.0` and accumulates left
 /// to right), so the result is bit-identical for all inputs.
-fn up_level_uniform(
-    parents: &mut [f64],
-    own_in: &[f64],
-    children: &[f64],
-    k: usize,
-    own: f64,
-    child: f64,
-) {
+fn up_level_uniform(parents: &mut [f64], children: &[f64], k: usize, own: f64, child: f64) {
     if k == 2 {
         let n = parents.len();
         let main = n - n % 4;
         for i in (0..main).step_by(4) {
             let c = &children[2 * i..2 * i + 8];
-            let x = &own_in[i..i + 4];
             let p = &mut parents[i..i + 4];
-            p[0] = own * x[0] + child * (0.0 + c[0] + c[1]);
-            p[1] = own * x[1] + child * (0.0 + c[2] + c[3]);
-            p[2] = own * x[2] + child * (0.0 + c[4] + c[5]);
-            p[3] = own * x[3] + child * (0.0 + c[6] + c[7]);
+            p[0] = own * p[0] + child * (0.0 + c[0] + c[1]);
+            p[1] = own * p[1] + child * (0.0 + c[2] + c[3]);
+            p[2] = own * p[2] + child * (0.0 + c[4] + c[5]);
+            p[3] = own * p[3] + child * (0.0 + c[6] + c[7]);
         }
         for i in main..n {
-            parents[i] = own * own_in[i] + child * (0.0 + children[2 * i] + children[2 * i + 1]);
+            parents[i] = own * parents[i] + child * (0.0 + children[2 * i] + children[2 * i + 1]);
         }
     } else {
-        for (i, p) in parents.iter_mut().enumerate() {
+        for (p, window) in parents.iter_mut().zip(children.chunks_exact(k)) {
             let mut succ = 0.0f64;
-            for c in &children[i * k..(i + 1) * k] {
+            for c in window {
                 succ += c;
             }
-            *p = own * own_in[i] + child * succ;
+            *p = own * *p + child * succ;
         }
     }
 }
 
-/// Bottom-up kernel, GLS weights: `p_i = (wo·x_i + ws·Σ children_i)/(wo+ws)`.
-fn up_level_weighted(
-    parents: &mut [f64],
-    own_in: &[f64],
-    children: &[f64],
-    k: usize,
-    wo: f64,
-    ws: f64,
-) {
+/// Bottom-up kernel, GLS weights, in place:
+/// `z_i = (wo·h̃_i + ws·Σ children_i)/(wo+ws)` over `h̃_i`.
+fn up_level_weighted(parents: &mut [f64], children: &[f64], k: usize, wo: f64, ws: f64) {
     if k == 2 {
         let n = parents.len();
         let main = n - n % 4;
         for i in (0..main).step_by(4) {
             let c = &children[2 * i..2 * i + 8];
-            let x = &own_in[i..i + 4];
             let p = &mut parents[i..i + 4];
-            p[0] = (wo * x[0] + ws * (0.0 + c[0] + c[1])) / (wo + ws);
-            p[1] = (wo * x[1] + ws * (0.0 + c[2] + c[3])) / (wo + ws);
-            p[2] = (wo * x[2] + ws * (0.0 + c[4] + c[5])) / (wo + ws);
-            p[3] = (wo * x[3] + ws * (0.0 + c[6] + c[7])) / (wo + ws);
+            p[0] = (wo * p[0] + ws * (0.0 + c[0] + c[1])) / (wo + ws);
+            p[1] = (wo * p[1] + ws * (0.0 + c[2] + c[3])) / (wo + ws);
+            p[2] = (wo * p[2] + ws * (0.0 + c[4] + c[5])) / (wo + ws);
+            p[3] = (wo * p[3] + ws * (0.0 + c[6] + c[7])) / (wo + ws);
         }
         for i in main..n {
             let succ = 0.0 + children[2 * i] + children[2 * i + 1];
-            parents[i] = (wo * own_in[i] + ws * succ) / (wo + ws);
+            parents[i] = (wo * parents[i] + ws * succ) / (wo + ws);
         }
     } else {
-        for (i, p) in parents.iter_mut().enumerate() {
+        for (p, window) in parents.iter_mut().zip(children.chunks_exact(k)) {
             let mut succ = 0.0f64;
-            for c in &children[i * k..(i + 1) * k] {
+            for c in window {
                 succ += c;
             }
-            *p = (wo * own_in[i] + ws * succ) / (wo + ws);
+            *p = (wo * *p + ws * succ) / (wo + ws);
         }
     }
 }
 
-/// Top-down kernel, uniform weights: per parent,
-/// `h_j = z_j + (p − Σ z)/k` over its sibling window.
+/// Top-down kernel, uniform weights, in place: each sibling window holds
+/// `z` on entry and `h̄_j = z_j + (p − Σ z)/k` on exit.
 ///
 /// The per-child quotient `(p − Σz)/k` is hoisted out of the window loop —
 /// the reference recomputes it per child, but division is exact, so the
-/// value (and the output bits) are unchanged.
-fn down_level_uniform(
-    children_out: &mut [f64],
-    parents: &[f64],
-    group_z: &[f64],
-    k: usize,
-    kf: f64,
-) {
+/// value (and the output bits) are unchanged. The unrolled k = 2 path loads
+/// four windows into locals before it stores any of them.
+fn down_level_uniform(children: &mut [f64], parents: &[f64], k: usize, kf: f64) {
     if k == 2 {
         let n = parents.len();
         let main = n - n % 4;
         for i in (0..main).step_by(4) {
-            let z = &group_z[2 * i..2 * i + 8];
-            let h = &mut children_out[2 * i..2 * i + 8];
+            let h = &mut children[2 * i..2 * i + 8];
+            let z: [f64; 8] = core::array::from_fn(|j| h[j]);
             let p = &parents[i..i + 4];
             let s0 = (p[0] - (0.0 + z[0] + z[1])) / kf;
             let s1 = (p[1] - (0.0 + z[2] + z[3])) / kf;
@@ -230,40 +219,33 @@ fn down_level_uniform(
             h[7] = z[7] + s3;
         }
         for i in main..n {
-            let z = &group_z[2 * i..2 * i + 2];
+            let z = [children[2 * i], children[2 * i + 1]];
             let s = (parents[i] - (0.0 + z[0] + z[1])) / kf;
-            children_out[2 * i] = z[0] + s;
-            children_out[2 * i + 1] = z[1] + s;
+            children[2 * i] = z[0] + s;
+            children[2 * i + 1] = z[1] + s;
         }
     } else {
-        for (i, p) in parents.iter().enumerate() {
-            let group = &group_z[i * k..(i + 1) * k];
+        for (p, group) in parents.iter().zip(children.chunks_exact_mut(k)) {
             let mut succ = 0.0f64;
-            for c in group {
+            for c in group.iter() {
                 succ += c;
             }
             let share = (p - succ) / kf;
-            for (hv, zv) in children_out[i * k..(i + 1) * k].iter_mut().zip(group) {
-                *hv = zv + share;
+            for c in group {
+                *c += share;
             }
         }
     }
 }
 
-/// Top-down kernel, GLS weights: `h_j = z_j + ratio·(p − Σ z)`.
-fn down_level_weighted(
-    children_out: &mut [f64],
-    parents: &[f64],
-    group_z: &[f64],
-    k: usize,
-    ratio: f64,
-) {
+/// Top-down kernel, GLS weights, in place: `h̄_j = z_j + ratio·(p − Σ z)`.
+fn down_level_weighted(children: &mut [f64], parents: &[f64], k: usize, ratio: f64) {
     if k == 2 {
         let n = parents.len();
         let main = n - n % 4;
         for i in (0..main).step_by(4) {
-            let z = &group_z[2 * i..2 * i + 8];
-            let h = &mut children_out[2 * i..2 * i + 8];
+            let h = &mut children[2 * i..2 * i + 8];
+            let z: [f64; 8] = core::array::from_fn(|j| h[j]);
             let p = &parents[i..i + 4];
             let s0 = ratio * (p[0] - (0.0 + z[0] + z[1]));
             let s1 = ratio * (p[1] - (0.0 + z[2] + z[3]));
@@ -279,21 +261,20 @@ fn down_level_weighted(
             h[7] = z[7] + s3;
         }
         for i in main..n {
-            let z = &group_z[2 * i..2 * i + 2];
+            let z = [children[2 * i], children[2 * i + 1]];
             let s = ratio * (parents[i] - (0.0 + z[0] + z[1]));
-            children_out[2 * i] = z[0] + s;
-            children_out[2 * i + 1] = z[1] + s;
+            children[2 * i] = z[0] + s;
+            children[2 * i + 1] = z[1] + s;
         }
     } else {
-        for (i, p) in parents.iter().enumerate() {
-            let group = &group_z[i * k..(i + 1) * k];
+        for (p, group) in parents.iter().zip(children.chunks_exact_mut(k)) {
             let mut succ = 0.0f64;
-            for c in group {
+            for c in group.iter() {
                 succ += c;
             }
             let adjust = ratio * (p - succ);
-            for (hv, zv) in children_out[i * k..(i + 1) * k].iter_mut().zip(group) {
-                *hv = zv + adjust;
+            for c in group {
+                *c += adjust;
             }
         }
     }
@@ -540,8 +521,8 @@ impl LevelTree {
     /// 0 (one slab — plain sweeps) for trees that already fit in cache.
     ///
     /// Never exceeds `height − 2`: each slab must include the leaf kernel
-    /// step, because the sweeps read leaves from `noisy` only there (the
-    /// leaf segment of `z` is deliberately never written). A branching
+    /// step, because counting reads the leaf counts only there and the
+    /// publish's leaf sink is fed by it. A branching
     /// factor larger than [`TILE_LEAVES`] therefore keeps slabs wider than
     /// the target rather than degenerating to leaf-depth slabs.
     fn tile_cut(&self) -> usize {
@@ -556,26 +537,22 @@ impl LevelTree {
 
     /// Theorem 3 in two flat sweeps, allocating the result.
     pub fn infer(&self, noisy: &[f64]) -> Vec<f64> {
-        let mut z = Vec::new();
         let mut out = Vec::new();
-        self.infer_into(noisy, &mut z, &mut out);
+        self.infer_from(noisy, &mut out, false);
         out
     }
 
-    /// Theorem 3 in two slab-tiled sweeps into caller-owned buffers.
+    /// Theorem 3 in two slab-tiled sweeps into a caller-owned buffer: `out`
+    /// is resized to `nodes()` and each node is overwritten in place,
+    /// `h̃ → z → h̄`. Once `out`'s capacity has grown past `nodes()`,
+    /// repeated calls allocate nothing.
     ///
-    /// `z` and `out` are resized to `nodes()`; once their capacity has grown
-    /// past that, repeated calls allocate nothing.
-    pub fn infer_into(&self, noisy: &[f64], z: &mut Vec<f64>, out: &mut Vec<f64>) {
-        let n = self.shape.nodes();
-        assert_eq!(noisy.len(), n, "noisy vector must cover the tree");
-        // Resize without a zero-fill pass: the sweeps assign every slot they
-        // read back (z's leaf segment is never touched — the kernels read
-        // leaves from `noisy` directly).
-        z.resize(n, 0.0);
-        out.resize(n, 0.0);
-        self.upward(noisy, z);
-        self.downward_tree(noisy, z, out);
+    /// `z` is ignored — the passes need no second tree — and is neither
+    /// resized nor written. It stays in the signature only because
+    /// perfbench's replay passes it; the ledger revision in ROADMAP ("Make
+    /// the ledger describe the system it times") drops it with that call.
+    pub fn infer_into(&self, noisy: &[f64], _z: &mut Vec<f64>, out: &mut Vec<f64>) {
+        self.infer_from(noisy, out, false);
     }
 
     /// [`Self::infer_into`] fused with the Sec. 4.2 zeroing and Sec. 5.2
@@ -589,89 +566,103 @@ impl LevelTree {
     /// values (nodes are rounded only once their own children are done, and
     /// the level just above the slab roots is rounded last, after every slab
     /// has consumed its flags).
-    pub fn infer_zero_round_into(&self, noisy: &[f64], z: &mut Vec<f64>, out: &mut Vec<f64>) {
-        let n = self.shape.nodes();
-        assert_eq!(noisy.len(), n, "noisy vector must cover the tree");
-        z.resize(n, 0.0);
-        out.resize(n, 0.0);
-        self.upward(noisy, z);
-        self.downward_zero_round(noisy, z, out);
+    pub fn infer_zero_round_into(&self, noisy: &[f64], out: &mut Vec<f64>) {
+        self.infer_from(noisy, out, true);
     }
 
-    /// The fused downstream of [`Self::infer_zero_round_into`]: top-down
-    /// pass with the zero/round sweep run per slab while it is hot.
-    fn downward_zero_round(&self, noisy: &[f64], z: &[f64], out: &mut [f64]) {
+    /// The one staged sweep behind every `infer*` entry point: copies
+    /// `noisy` into `out` a slab at a time, right before that slab's upward
+    /// pass reads it (the top region last), then runs both passes in place
+    /// — with the zero/round sweep fused in when `rounded`.
+    fn infer_from(&self, noisy: &[f64], out: &mut Vec<f64>, rounded: bool) {
+        let n = self.shape.nodes();
+        assert_eq!(noisy.len(), n, "noisy vector must cover the tree");
+        out.resize(n, 0.0);
+        let cut = self.tile_cut();
+        for s in 0..self.shape.level_width(cut) {
+            self.copy_slab(s, cut, noisy, out);
+            self.upward_slab(s, cut, out);
+        }
+        let top = self.shape.level_offsets()[cut];
+        out[..top].copy_from_slice(&noisy[..top]);
+        self.upward_levels(out, 0..cut);
+        if rounded {
+            self.downward_zero_round(out);
+        } else {
+            self.downward_tree(out);
+        }
+    }
+
+    /// The fused downstream of [`Self::infer_zero_round_into`], in place:
+    /// top-down pass with the zero/round sweep run per slab while it is
+    /// hot. `values` hold `z` on entry and the rounded `H̄` on exit.
+    fn downward_zero_round(&self, values: &mut [f64]) {
         let height = self.shape.height();
         if height == 1 {
-            let v = noisy[0];
-            out[0] = if v <= 0.0 { 0.0 } else { round_nonneg(v) };
+            let v = values[0];
+            values[0] = if v <= 0.0 { 0.0 } else { round_nonneg(v) };
             return;
         }
         let cut = self.tile_cut();
-        out[0] = z[0];
-        self.downward_levels(z, out, 0..cut);
+        self.downward_levels(values, 0..cut);
         // Zero the top region: depths 0..cut−1 act as parents, so depths
         // 1..=cut−1 get their zeroing and depths 0..cut−2 their rounding.
         // Depth cut−1 keeps pre-round values (the slabs' flags) and depth
         // cut stays raw — the downward slab kernels still need it.
         let offsets = self.shape.level_offsets();
         if cut >= 1 {
-            if out[0] <= 0.0 {
-                out[0] = 0.0;
+            if values[0] <= 0.0 {
+                values[0] = 0.0;
             }
-            self.zero_levels(out, 0..cut.saturating_sub(1));
+            self.zero_levels(values, 0..cut - 1);
         }
-        let slabs = self.shape.level_width(cut);
-        let leaf_w = self.shape.leaves() / slabs;
-        for s in 0..slabs {
-            let (internal, leaves) = out.split_at_mut(self.shape.first_leaf());
-            let leaves = &mut leaves[s * leaf_w..(s + 1) * leaf_w];
-            self.downward_slab(s, cut, noisy, z, internal, leaves);
-            self.zero_round_slab(s, cut, out);
+        for s in 0..self.shape.level_width(cut) {
+            self.downward_slab(s, cut, values, None);
+            self.zero_round_slab(s, cut, values);
         }
         if cut >= 1 {
             // Now that every slab has read its parent flag, round the
             // deferred level.
-            for v in &mut out[offsets[cut - 1]..offsets[cut]] {
+            for v in &mut values[offsets[cut - 1]..offsets[cut]] {
                 *v = round_nonneg(*v);
             }
         }
     }
 
-    /// Bottom-up pass fused with tree counting and the noise perturbation:
-    /// writes every node of `values` as its exact count plus one Laplace
-    /// draw (the noisy release) while running the upward slabs, so each
-    /// slab's counts and noise are still cache-hot when its parents consume
-    /// them. The true-count vector is never built.
+    /// Bottom-up pass fused with tree counting and the noise perturbation,
+    /// in place: writes every node of `values` as its exact count plus one
+    /// Laplace draw (the noisy release `h̃`) while running the upward
+    /// slabs, so each slab's counts and noise are still cache-hot when the
+    /// slab overwrites them with `z`. The true-count vector is never built.
     ///
     /// Draw order is the BFS index order — internal prefix first, then the
     /// leaf slabs left to right — exactly the order
     /// [`hc_noise::Laplace::add_noise`] uses over the whole vector, and
     /// backends consume one uniform per sample with length-independent bits.
     /// The internal prefix is drawn as bare noise; each slab then writes its
-    /// leaf counts, adds their noise, and adds every in-slab internal node's
-    /// exact count ([`count_level`]) before [`Self::upward_slab`] reads it.
-    /// The top region above the cut gets its counts last, from the slab
-    /// roots' counts parked in `top` (scratch covering at least the
-    /// internal nodes — the slab cut never reaches the leaf level). Counts
-    /// are the evaluator's doubles and `+` commutes, so the release is
-    /// bit-identical to evaluating the query and then adding noise, *per
-    /// backend*.
+    /// leaf counts, adds every in-slab internal node's exact count
+    /// ([`Self::count_slab`]), adds its leaf noise, and runs
+    /// [`Self::upward_slab`]. The top region above the cut gets its counts
+    /// last, from the slab roots' counts parked in `counts`. Counts are the
+    /// evaluator's doubles and `+` commutes, so the release is bit-identical
+    /// to evaluating the query and then adding noise, *per backend*.
     ///
-    /// `values` must have length `nodes()` (every slot is assigned, so it
-    /// can be one trial's segment of a shared batch buffer); `z` is resized
-    /// to `nodes()`.
+    /// `values` must have length `nodes()`; every slot is assigned, so it
+    /// can be one trial's segment of a shared batch buffer. `keep`, when
+    /// given (also `nodes()` long), receives the finished `h̃` of each slab
+    /// before its upward pass overwrites it, and the top region's before
+    /// the top levels run.
     fn noised_upward<R: Rng + ?Sized>(
         &self,
         prepared: &PreparedMechanism<HierarchicalQuery>,
         histogram: &Histogram,
         rng: &mut R,
         values: &mut [f64],
-        z: &mut Vec<f64>,
-        top: &mut [f64],
+        counts: &mut CountScratch,
+        mut keep: Option<&mut [f64]>,
     ) {
         let n = self.nodes();
-        assert_eq!(values.len(), n, "noisy slice must cover the tree");
+        assert_eq!(values.len(), n, "value slice must cover the tree");
         assert!(
             self.is_uniform(),
             "engine is compiled with per-level GLS weights; recompile with \
@@ -686,7 +677,6 @@ impl LevelTree {
             prepared.domain_size(),
             "prepared for a different domain size"
         );
-        z.resize(n, 0.0);
         let (laplace, backend) = (prepared.noise(), prepared.backend());
         let bins = histogram.counts();
         let first_leaf = self.shape.first_leaf();
@@ -694,47 +684,54 @@ impl LevelTree {
         let cut = self.tile_cut();
         let slabs = self.shape.level_width(cut);
         let leaf_w = self.shape.leaves() / slabs;
-        let root = self.shape.level_offsets()[cut];
+        let offsets = self.shape.level_offsets();
+        // A slab has fewer internal nodes than leaves.
+        counts.slab.resize(leaf_w, 0.0);
+        counts.top.resize(offsets[cut + 1], 0.0);
         for s in 0..slabs {
             let lo = first_leaf + s * leaf_w;
             leaf_counts(bins, s * leaf_w, &mut values[lo..lo + leaf_w]);
-            self.count_slab(s, cut, values, z);
+            self.count_slab(s, cut, values, counts);
             laplace.add_noise_with(backend, rng, &mut values[lo..lo + leaf_w]);
-            if cut > 0 {
-                top[root + s] = z[root + s];
+            if let Some(keep) = keep.as_deref_mut() {
+                self.copy_slab(s, cut, values, keep);
             }
-            self.upward_slab(s, cut, values, z);
+            self.upward_slab(s, cut, values);
         }
-        self.count_levels(values, top, 0..cut);
-        self.upward_levels(values, z, 0..cut);
+        self.count_levels(values, &mut counts.top, 0..cut);
+        if let Some(keep) = keep {
+            keep[..offsets[cut]].copy_from_slice(&values[..offsets[cut]]);
+        }
+        self.upward_levels(values, 0..cut);
     }
 
     /// Exact counts for slab `s` rooted at depth `cut`, bottom-up from its
     /// leaf counts (still un-noised in `values`): each internal node's count
-    /// goes to `z` — which [`Self::upward_slab`] overwrites right after, so
-    /// counting costs no extra memory traffic — and onto its noise in
-    /// `values`.
-    fn count_slab(&self, s: usize, cut: usize, values: &mut [f64], z: &mut [f64]) {
+    /// goes to the slab scratch and onto its noise in `values`. The scratch
+    /// holds the slab's levels deepest first, so a level's child counts are
+    /// the `w·k` entries just before it. Below a cut, the slab root's count
+    /// is also parked in the top scratch for [`Self::count_levels`].
+    fn count_slab(&self, s: usize, cut: usize, values: &mut [f64], counts: &mut CountScratch) {
         let height = self.shape.height();
         let offsets = self.shape.level_offsets();
         let k = self.shape.branching();
         let slabs = self.shape.level_width(cut);
+        let mut at = 0;
         for d in (cut..height.saturating_sub(1)).rev() {
             let w = self.shape.level_width(d) / slabs;
             let plo = offsets[d] + s * w;
-            let (z_upper, z_lower) = z.split_at_mut(offsets[d + 1]);
+            let (below, level) = counts.slab.split_at_mut(at);
             let (v_upper, v_lower) = values.split_at_mut(offsets[d + 1]);
-            let children = if d + 1 == height - 1 {
+            let children = if d + 2 == height {
                 &v_lower[s * w * k..(s + 1) * w * k]
             } else {
-                &z_lower[s * w * k..(s + 1) * w * k]
+                &below[at - w * k..]
             };
-            count_level(
-                &mut z_upper[plo..plo + w],
-                &mut v_upper[plo..plo + w],
-                children,
-                k,
-            );
+            count_level(&mut level[..w], &mut v_upper[plo..plo + w], children, k);
+            at += w;
+        }
+        if cut > 0 {
+            counts.top[offsets[cut] + s] = counts.slab[at - 1];
         }
     }
 
@@ -760,16 +757,15 @@ impl LevelTree {
         }
     }
 
-    /// One complete fused trial — count the histogram into the tree, add
-    /// Laplace noise through the preparation's backend, both folded into
-    /// the upward slabs, then run the top-down pass (optionally with the
-    /// Sec. 4.2 zeroing + Sec. 5.2 rounding fused in) — against caller-owned
-    /// buffers. `noisy` must already have length `nodes()` (see
-    /// [`Self::noised_upward`]: the batch pipelines release **in place**
-    /// into a shared batch buffer instead of copying from scratch); `z` is
-    /// scratch (reusable across trials); `out` must already have length
-    /// `nodes()` (it doubles as the top region's count scratch before the
-    /// downward pass fills it).
+    /// One complete fused trial in `out` alone — count the histogram into
+    /// the tree and add Laplace noise through the preparation's backend,
+    /// both folded into the upward slabs, then run the top-down pass
+    /// (optionally with the Sec. 4.2 zeroing + Sec. 5.2 rounding fused in).
+    /// `out` must already have length `nodes()` and is overwritten in place,
+    /// `h̃ → z → h̄`; `counts` is the O(slab) counting scratch (reusable
+    /// across trials). `keep` receives the noisy release (see
+    /// [`Self::noised_upward`]): the batch pipelines pass their trial's
+    /// segment of the shared noisy batch.
     ///
     /// This is the per-trial core shared by every `release_and_infer*`
     /// entry point, including the trial-parallel batch — so "bit-identical
@@ -782,16 +778,15 @@ impl LevelTree {
         histogram: &Histogram,
         rng: &mut R,
         rounded: bool,
-        noisy: &mut [f64],
-        z: &mut Vec<f64>,
         out: &mut [f64],
+        counts: &mut CountScratch,
+        keep: Option<&mut [f64]>,
     ) {
-        assert_eq!(out.len(), self.nodes(), "output slice must cover the tree");
-        self.noised_upward(prepared, histogram, rng, noisy, z, out);
+        self.noised_upward(prepared, histogram, rng, out, counts, keep);
         if rounded {
-            self.downward_zero_round(noisy, z, out);
+            self.downward_zero_round(out);
         } else {
-            self.downward_tree(noisy, z, out);
+            self.downward_tree(out);
         }
     }
 
@@ -852,75 +847,69 @@ impl LevelTree {
     /// identical, so the output matches [`Self::infer`] bit for bit; this
     /// exists so the equivalence tests can pin exactly that.
     pub fn infer_untiled(&self, noisy: &[f64]) -> Vec<f64> {
-        let n = self.shape.nodes();
-        assert_eq!(noisy.len(), n, "noisy vector must cover the tree");
+        assert_eq!(
+            noisy.len(),
+            self.shape.nodes(),
+            "noisy vector must cover the tree"
+        );
         let height = self.shape.height();
-        let first_leaf = self.shape.first_leaf();
-        let mut z = vec![0.0f64; n];
-        let mut out = vec![0.0f64; n];
-        z[first_leaf..].copy_from_slice(&noisy[first_leaf..]);
-        self.upward_levels(noisy, &mut z, 0..height - 1);
-        out[0] = z[0];
-        self.downward_levels(&z, &mut out, 0..height - 1);
+        let mut out = noisy.to_vec();
+        self.upward_levels(&mut out, 0..height - 1);
+        self.downward_levels(&mut out, 0..height - 1);
         out
     }
 
-    /// Bottom-up pass: fills the internal-node prefix of `z` (pre-sized to
-    /// `nodes()`), slab-tiled. The leaf level of `z` is never written: the
-    /// deepest kernels read their children straight from `noisy` (leaf `z`
-    /// equals leaf `h̃` by definition), saving a full leaf-level copy.
-    fn upward(&self, noisy: &[f64], z: &mut [f64]) {
-        let cut = self.tile_cut();
-        for s in 0..self.shape.level_width(cut) {
-            self.upward_slab(s, cut, noisy, z);
+    /// Copies slab `s`'s nodes — depth `cut` down to its leaves — from
+    /// `src` to `dst`, one contiguous run per level.
+    fn copy_slab(&self, s: usize, cut: usize, src: &[f64], dst: &mut [f64]) {
+        let offsets = &self.shape.level_offsets()[cut..self.shape.height()];
+        let slabs = self.shape.level_width(cut);
+        for (d, &offset) in (cut..).zip(offsets) {
+            let w = self.shape.level_width(d) / slabs;
+            let lo = offset + s * w;
+            dst[lo..lo + w].copy_from_slice(&src[lo..lo + w]);
         }
-        self.upward_levels(noisy, z, 0..cut);
     }
 
-    /// Top-down pass into a whole output tree (`out` pre-sized to
-    /// `nodes()`): [`Self::downward`] with the leaf level as the leaf
-    /// destination.
-    fn downward_tree(&self, noisy: &[f64], z: &[f64], out: &mut [f64]) {
-        let (internal, leaves) = out.split_at_mut(self.shape.first_leaf());
-        self.downward(noisy, z, internal, leaves, |_| {});
+    /// Top-down pass over a whole tree, in place and slab-tiled: `values`
+    /// hold `z` on entry and `h̄` on exit.
+    fn downward_tree(&self, values: &mut [f64]) {
+        let cut = self.tile_cut();
+        self.downward_levels(values, 0..cut);
+        for s in 0..self.shape.level_width(cut) {
+            self.downward_slab(s, cut, values, None);
+        }
     }
 
-    /// Top-down pass: fills the internal nodes `internal` (the first
-    /// `first_leaf()` nodes) from `z` (and `noisy` for the leaf level — see
-    /// [`Self::upward`]), slab-tiled, and each slab's leaves into `leaves`.
-    /// `leaves` is either the whole leaf level, or one slab's width that
-    /// every slab reuses; `sink` sees each slab's finished leaves, left to
-    /// right, while they are still in cache.
-    fn downward(
+    /// Top-down pass whose leaves go to a sink instead of the tree: the
+    /// internal nodes of `values` are overwritten in place (`z → h̄`), but
+    /// each slab's leaves are inferred into `slab` (one slab wide, reused
+    /// by every slab) and handed to `sink`, left to right, while they are
+    /// still in cache. The tree's leaf level keeps its `z`.
+    fn downward_into_sink(
         &self,
-        noisy: &[f64],
-        z: &[f64],
-        internal: &mut [f64],
-        leaves: &mut [f64],
+        values: &mut [f64],
+        slab: &mut [f64],
         mut sink: impl FnMut(&[f64]),
     ) {
         if self.shape.height() == 1 {
-            leaves[0] = noisy[0];
-            sink(&leaves[..1]);
+            sink(&values[..1]);
             return;
         }
         let cut = self.tile_cut();
-        internal[0] = z[0];
-        self.downward_levels(z, internal, 0..cut);
-        let slabs = self.shape.level_width(cut);
-        let leaf_w = self.shape.leaves() / slabs;
-        for s in 0..slabs {
-            let at = s * leaf_w % leaves.len();
-            let slab = &mut leaves[at..at + leaf_w];
-            self.downward_slab(s, cut, noisy, z, internal, slab);
+        self.downward_levels(values, 0..cut);
+        for s in 0..self.shape.level_width(cut) {
+            self.downward_slab(s, cut, values, Some(slab));
             sink(slab);
         }
     }
 
-    /// Bottom-up sweep over slab `s` rooted at depth `cut`: computes `z` up
-    /// to (and including) the slab root, touching only the slab's contiguous
-    /// per-level slices (leaf children come from `noisy` directly).
-    fn upward_slab(&self, s: usize, cut: usize, noisy: &[f64], z: &mut [f64]) {
+    /// Bottom-up sweep over slab `s` rooted at depth `cut`, in place: every
+    /// internal level of the slab goes from `h̃` to `z`, up to and including
+    /// the slab root, touching only the slab's contiguous per-level slices.
+    /// Leaf `z` is the noisy leaf by definition, so the leaves are read
+    /// as they are.
+    fn upward_slab(&self, s: usize, cut: usize, values: &mut [f64]) {
         let height = self.shape.height();
         let offsets = self.shape.level_offsets();
         let k = self.shape.branching();
@@ -928,31 +917,23 @@ impl LevelTree {
         for d in (cut..height.saturating_sub(1)).rev() {
             let w = self.shape.level_width(d) / slabs;
             let plo = offsets[d] + s * w;
-            let clo = offsets[d + 1] + s * w * k;
-            if d + 1 == height - 1 {
-                let parents = &mut z[plo..plo + w];
-                let children = &noisy[clo..clo + w * k];
-                self.up_kernel(d, parents, &noisy[plo..plo + w], children, k);
-            } else {
-                let (upper, lower) = z.split_at_mut(offsets[d + 1]);
-                let parents = &mut upper[plo..plo + w];
-                let children = &lower[s * w * k..(s + 1) * w * k];
-                self.up_kernel(d, parents, &noisy[plo..plo + w], children, k);
-            }
+            let (upper, lower) = values.split_at_mut(offsets[d + 1]);
+            let parents = &mut upper[plo..plo + w];
+            let children = &lower[s * w * k..(s + 1) * w * k];
+            self.up_kernel(d, parents, children, k);
         }
     }
 
-    /// Top-down sweep over slab `s` rooted at depth `cut` (whose `internal`
-    /// value must already be seeded): the slab's internal nodes go to
-    /// `internal`, its deepest level — the slab's leaves — to `leaves`.
+    /// Top-down sweep over slab `s` rooted at depth `cut`, whose root
+    /// already holds its `h̄`: every level below it goes from `z` to `h̄` in
+    /// place — except the leaves when `leaves` is given: those are copied
+    /// there and inferred there, and the tree keeps its leaf `z`.
     fn downward_slab(
         &self,
         s: usize,
         cut: usize,
-        noisy: &[f64],
-        z: &[f64],
-        internal: &mut [f64],
-        leaves: &mut [f64],
+        values: &mut [f64],
+        mut leaves: Option<&mut [f64]>,
     ) {
         let height = self.shape.height();
         let offsets = self.shape.level_offsets();
@@ -961,76 +942,67 @@ impl LevelTree {
         for d in cut..height - 1 {
             let w = self.shape.level_width(d) / slabs;
             let plo = offsets[d] + s * w;
-            let child_lo = offsets[d + 1] + s * w * k;
-            if d + 1 == height - 1 {
-                let group_z = &noisy[child_lo..child_lo + w * k];
-                self.down_kernel(d, leaves, &internal[plo..plo + w], group_z, k);
-            } else {
-                let group_z = &z[child_lo..child_lo + w * k];
-                let (upper, lower) = internal.split_at_mut(offsets[d + 1]);
-                let children = &mut lower[s * w * k..(s + 1) * w * k];
-                self.down_kernel(d, children, &upper[plo..plo + w], group_z, k);
+            let (upper, lower) = values.split_at_mut(offsets[d + 1]);
+            let parents = &upper[plo..plo + w];
+            let children = &mut lower[s * w * k..(s + 1) * w * k];
+            match leaves.as_deref_mut() {
+                Some(sink) if d + 2 == height => {
+                    sink.copy_from_slice(children);
+                    self.down_kernel(d, sink, parents, k);
+                }
+                _ => self.down_kernel(d, children, parents, k),
             }
         }
     }
 
-    /// Plain bottom-up level sweeps: computes parents for each depth in
-    /// `depths.rev()` from the already-valid level below.
-    fn upward_levels(&self, noisy: &[f64], z: &mut [f64], depths: core::ops::Range<usize>) {
+    /// Plain bottom-up level sweeps, in place: turns each depth in
+    /// `depths.rev()` from `h̃` into `z`, from the already-final level below.
+    fn upward_levels(&self, values: &mut [f64], depths: core::ops::Range<usize>) {
         let offsets = self.shape.level_offsets();
         let k = self.shape.branching();
         for d in depths.rev() {
             let (lo, hi) = (offsets[d], offsets[d + 1]);
-            let (upper, lower) = z.split_at_mut(hi);
-            let parents = &mut upper[lo..];
-            let children = &lower[..(hi - lo) * k];
-            self.up_kernel(d, parents, &noisy[lo..hi], children, k);
+            let (upper, lower) = values.split_at_mut(hi);
+            self.up_kernel(d, &mut upper[lo..], &lower[..(hi - lo) * k], k);
         }
     }
 
-    /// Plain top-down level sweeps: fills the children of each depth in
-    /// `depths` (the parents must already be valid).
-    fn downward_levels(&self, z: &[f64], out: &mut [f64], depths: core::ops::Range<usize>) {
+    /// Plain top-down level sweeps, in place: turns the children of each
+    /// depth in `depths` from `z` into `h̄` (the parents must already hold
+    /// theirs).
+    fn downward_levels(&self, values: &mut [f64], depths: core::ops::Range<usize>) {
         let offsets = self.shape.level_offsets();
         let k = self.shape.branching();
         for d in depths {
             let (lo, hi) = (offsets[d], offsets[d + 1]);
-            let (upper, lower) = out.split_at_mut(hi);
-            let parents = &upper[lo..];
-            let children = &mut lower[..(hi - lo) * k];
-            self.down_kernel(d, children, parents, &z[hi..hi + (hi - lo) * k], k);
+            let (upper, lower) = values.split_at_mut(hi);
+            self.down_kernel(d, &mut lower[..(hi - lo) * k], &upper[lo..], k);
         }
     }
 
-    /// Dispatches the bottom-up kernel for depth `d`.
+    /// Dispatches the in-place bottom-up kernel for depth `d`.
     #[inline]
-    fn up_kernel(&self, d: usize, parents: &mut [f64], own_in: &[f64], children: &[f64], k: usize) {
+    fn up_kernel(&self, d: usize, parents: &mut [f64], children: &[f64], k: usize) {
         match &self.weights {
             Weights::Uniform { up_own, up_child } => {
-                up_level_uniform(parents, own_in, children, k, up_own[d], up_child[d]);
+                up_level_uniform(parents, children, k, up_own[d], up_child[d]);
             }
             Weights::Weighted { w_own, w_succ, .. } => {
-                up_level_weighted(parents, own_in, children, k, w_own[d], w_succ[d]);
+                up_level_weighted(parents, children, k, w_own[d], w_succ[d]);
             }
         }
     }
 
-    /// Dispatches the top-down kernel for depth `d` (filling depth `d + 1`).
+    /// Dispatches the in-place top-down kernel for depth `d` (filling depth
+    /// `d + 1`).
     #[inline]
-    fn down_kernel(
-        &self,
-        d: usize,
-        children_out: &mut [f64],
-        parents: &[f64],
-        group_z: &[f64],
-        k: usize,
-    ) {
+    fn down_kernel(&self, d: usize, children: &mut [f64], parents: &[f64], k: usize) {
         match &self.weights {
             Weights::Uniform { .. } => {
-                down_level_uniform(children_out, parents, group_z, k, k as f64);
+                down_level_uniform(children, parents, k, k as f64);
             }
             Weights::Weighted { down_ratio, .. } => {
-                down_level_weighted(children_out, parents, group_z, k, down_ratio[d + 1]);
+                down_level_weighted(children, parents, k, down_ratio[d + 1]);
             }
         }
     }
@@ -1067,16 +1039,30 @@ impl LevelTree {
     }
 }
 
-/// Reusable inference executor: one set of scratch buffers, many trials.
+/// The counting scratch of the fused release: one slab's internal counts
+/// and the top region's (depths `0..=cut`, the slab roots' counts among
+/// them). Both are O([`TILE_LEAVES`]), whatever the tree's size.
+#[derive(Debug, Clone, Default)]
+struct CountScratch {
+    slab: Vec<f64>,
+    top: Vec<f64>,
+}
+
+/// Reusable inference executor: one tree buffer and O(slab) scratch, many
+/// trials.
 ///
 /// After the first call every `infer*` and `release_and_infer*` method is
 /// allocation-free (buffers are recycled at their high-water mark), which is
 /// what the experiment loops need — thousands of trials over one shape.
+/// Trials run in their caller's output buffer; the engine's own tree buffer
+/// is only grown by [`Self::release_and_infer_into_snapshot`], whose output
+/// is a snapshot rather than a tree.
 #[derive(Debug, Clone)]
 pub struct BatchInference {
     tree: LevelTree,
-    z: Vec<f64>,
-    noisy: Vec<f64>,
+    /// The publish's tree, overwritten in place: `h̃ → z → h̄`.
+    values: Vec<f64>,
+    counts: CountScratch,
     /// One downward slab's leaves, on their way into a snapshot's prefix.
     slab: Vec<f64>,
 }
@@ -1086,8 +1072,8 @@ impl BatchInference {
     pub fn new(tree: LevelTree) -> Self {
         Self {
             tree,
-            z: Vec::new(),
-            noisy: Vec::new(),
+            values: Vec::new(),
+            counts: CountScratch::default(),
             slab: Vec::new(),
         }
     }
@@ -1126,25 +1112,21 @@ impl BatchInference {
         }
     }
 
-    /// One inference, reusing internal scratch; allocates only the result.
+    /// One inference; allocates only the result.
     pub fn infer(&mut self, noisy: &[f64]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.infer_into(noisy, &mut out);
-        out
+        self.tree.infer(noisy)
     }
 
-    /// One inference into a caller-owned output buffer (zero allocations
-    /// once `out` and the scratch have warmed up).
+    /// One inference into a caller-owned output buffer, run in place there
+    /// (zero allocations once `out` has warmed up).
     pub fn infer_into(&mut self, noisy: &[f64], out: &mut Vec<f64>) {
-        let mut z = std::mem::take(&mut self.z);
-        self.tree.infer_into(noisy, &mut z, out);
-        self.z = z;
+        self.tree.infer_from(noisy, out, false);
     }
 
     /// One full trial — count the histogram into the tree, perturb with
-    /// Laplace noise, run both Theorem-3 passes — into `out`, with zero heap
-    /// allocations after warm-up (the noisy vector lives in engine scratch;
-    /// no `NoisyOutput`, no label, no release wrapper).
+    /// Laplace noise, run both Theorem-3 passes — in `out` alone, with zero
+    /// heap allocations after warm-up (no noisy vector, no `NoisyOutput`,
+    /// no label, no release wrapper).
     ///
     /// Bit-identical to releasing through
     /// [`hc_mech::LaplaceMechanism::release`] and inferring the result at
@@ -1174,42 +1156,39 @@ impl BatchInference {
     }
 
     /// [`Self::release_and_infer`] served straight into `snapshot`: the same
-    /// trial, but the inferred leaf level is never materialized. Each
-    /// downward slab writes its leaves into engine scratch one slab wide,
-    /// and they are scanned on into the snapshot's prefix while still in
-    /// cache, so the snapshot is bit-identical to
-    /// [`ConsistentSnapshot::rebuild_from_tree_values`] over
-    /// `release_and_infer`'s output (padding leaves included).
+    /// trial, run in place in the engine's tree buffer, but the inferred
+    /// leaf level is never materialized. Each downward slab writes its
+    /// leaves into engine scratch one slab wide, and they are scanned on
+    /// into the snapshot's prefix while still in cache, so the snapshot is
+    /// bit-identical to [`ConsistentSnapshot::rebuild_from_tree_values`]
+    /// over `release_and_infer`'s output (padding leaves included).
     ///
-    /// `internal` receives the inferred internal nodes (resized to
-    /// `first_leaf()`), and `snapshot` is rebuilt in place over the
-    /// prepared domain: zero allocations once both have warmed up. Its
-    /// noise scale is left as it was — the caller knows which release
-    /// produced it.
+    /// `snapshot` is rebuilt in place over the prepared domain: zero
+    /// allocations once it and the engine have warmed up. Its noise scale
+    /// is left as it was — the caller knows which release produced it.
     pub fn release_and_infer_into_snapshot<R: Rng + ?Sized>(
         &mut self,
         prepared: &PreparedMechanism<HierarchicalQuery>,
         histogram: &Histogram,
         rng: &mut R,
-        internal: &mut Vec<f64>,
         snapshot: &mut ConsistentSnapshot,
     ) {
         let Self {
             tree,
-            z,
-            noisy,
+            values,
+            counts,
             slab,
         } = self;
         let shape = tree.shape();
-        noisy.resize(shape.nodes(), 0.0);
-        internal.resize(shape.first_leaf(), 0.0);
+        values.resize(shape.nodes(), 0.0);
         slab.resize(shape.leaves() / shape.level_width(tree.tile_cut()), 0.0);
         let mut scan = snapshot.prefix_scan(shape.leaves(), prepared.domain_size());
-        tree.noised_upward(prepared, histogram, rng, noisy, z, internal);
-        tree.downward(noisy, z, internal, slab, |leaves| scan.scan(leaves));
+        tree.noised_upward(prepared, histogram, rng, values, counts, None);
+        tree.downward_into_sink(values, slab, |leaves| scan.scan(leaves));
     }
 
-    /// [`LevelTree::fused_trial`] through the engine's scratch buffers.
+    /// [`LevelTree::fused_trial`] in `out`, with the engine's counting
+    /// scratch.
     fn fused_trial_into<R: Rng + ?Sized>(
         &mut self,
         prepared: &PreparedMechanism<HierarchicalQuery>,
@@ -1218,22 +1197,24 @@ impl BatchInference {
         rounded: bool,
         out: &mut Vec<f64>,
     ) {
-        let mut noisy = std::mem::take(&mut self.noisy);
-        let mut z = std::mem::take(&mut self.z);
-        let n = self.tree.nodes();
-        noisy.resize(n, 0.0);
-        out.resize(n, 0.0);
-        self.tree
-            .fused_trial(prepared, histogram, rng, rounded, &mut noisy, &mut z, out);
-        self.noisy = noisy;
-        self.z = z;
+        out.resize(self.tree.nodes(), 0.0);
+        self.tree.fused_trial(
+            prepared,
+            histogram,
+            rng,
+            rounded,
+            out,
+            &mut self.counts,
+            None,
+        );
     }
 
     /// A whole batch of fused trials, serial: trial `t` runs the complete
-    /// release→inference pipeline with its own RNG `seeds.rng(t)`, writing
-    /// its inferred (if `rounded`, zeroed-and-rounded) tree into
-    /// `out_batch[t·n .. (t+1)·n]` — and, when `noisy_batch` is `Some`, its
-    /// noisy release into the same slice of that buffer. Trial `t` is
+    /// release→inference pipeline with its own RNG `seeds.rng(t)`, in place
+    /// in `out_batch[t·n .. (t+1)·n]`, leaving there its inferred (if
+    /// `rounded`, zeroed-and-rounded) tree — and, when `noisy_batch` is
+    /// `Some`, copying its noisy release into the same slice of that buffer
+    /// slab by slab, before the upward pass overwrites it. Trial `t` is
     /// bit-identical to [`Self::release_and_infer`] (or `_rounded`) run
     /// alone with `seeds.rng(t)` — the per-trial seeding makes every trial
     /// independent of batch size and position.
@@ -1259,23 +1240,21 @@ impl BatchInference {
             nb.resize(trials * n, 0.0);
         }
         out_batch.resize(trials * n, 0.0);
-        let mut noisy = std::mem::take(&mut self.noisy);
-        let mut z = std::mem::take(&mut self.z);
-        noisy.resize(n, 0.0);
         for (t, out_chunk) in out_batch.chunks_exact_mut(n).enumerate() {
             let mut rng = seeds.rng(t as u64);
-            // With a noisy batch the release is written in place — each
-            // trial's segment *is* the working buffer, no scratch copy.
-            let noisy_slot: &mut [f64] = match noisy_batch.as_deref_mut() {
-                Some(nb) => &mut nb[t * n..(t + 1) * n],
-                None => &mut noisy,
-            };
+            let keep = noisy_batch
+                .as_deref_mut()
+                .map(|nb| &mut nb[t * n..(t + 1) * n]);
             self.tree.fused_trial(
-                prepared, histogram, &mut rng, rounded, noisy_slot, &mut z, out_chunk,
+                prepared,
+                histogram,
+                &mut rng,
+                rounded,
+                out_chunk,
+                &mut self.counts,
+                keep,
             );
         }
-        self.noisy = noisy;
-        self.z = z;
     }
 
     /// [`Self::release_and_infer_batch`] with trials split across
@@ -1283,10 +1262,10 @@ impl BatchInference {
     /// both Theorem-3 passes, optional zeroing/rounding) scaled by trial,
     /// not just the inference step.
     ///
-    /// Like `hc-bench`'s `run_trials_with`: each worker owns one set of
-    /// per-worker scratch (engine buffers, amortized over its share of
-    /// trials) and trials are claimed from an atomic work queue, but every
-    /// trial's randomness comes only from `seeds.rng(t)` — so the output is
+    /// Like `hc-bench`'s `run_trials_with`: each worker owns its O(slab)
+    /// counting scratch (every trial runs in place in its own output slice)
+    /// and trials are claimed from an atomic work queue, but every trial's
+    /// randomness comes only from `seeds.rng(t)` — so the output is
     /// bit-identical to the serial batch (and to `trials` standalone
     /// `release_and_infer*` calls) for any thread count or scheduling, per
     /// backend. `threads` is a cap, overridable via the `HC_THREADS`
@@ -1341,10 +1320,7 @@ impl BatchInference {
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(move || {
-                    // Scratch only materializes when a trial has no batch
-                    // segment to release into (noisy_batch = None).
-                    let mut noisy = Vec::new();
-                    let mut z = Vec::new();
+                    let mut counts = CountScratch::default();
                     loop {
                         let t = next.fetch_add(1, Ordering::Relaxed);
                         if t >= jobs.len() {
@@ -1356,18 +1332,14 @@ impl BatchInference {
                             .take()
                             .expect("each trial claimed exactly once");
                         let mut rng = seeds.rng(t as u64);
-                        // The trial's batch segment doubles as the working
-                        // noisy buffer — the release is written in place,
-                        // retiring the old per-trial scratch→batch memcpy.
-                        let noisy_slot: &mut [f64] = match noisy_chunk {
-                            Some(chunk) => chunk,
-                            None => {
-                                noisy.resize(n, 0.0);
-                                &mut noisy
-                            }
-                        };
                         tree.fused_trial(
-                            prepared, histogram, &mut rng, rounded, noisy_slot, &mut z, out_chunk,
+                            prepared,
+                            histogram,
+                            &mut rng,
+                            rounded,
+                            out_chunk,
+                            &mut counts,
+                            noisy_chunk,
                         );
                     }
                 });
@@ -1375,13 +1347,11 @@ impl BatchInference {
         });
     }
 
-    /// [`LevelTree::infer_zero_round_into`] through the engine's reusable
-    /// scratch — the complete `H̄` post-processing, allocation-free after
-    /// warm-up, bit-identical to `infer_into` + `zero_round_in_place`.
+    /// [`LevelTree::infer_zero_round_into`]: the complete `H̄`
+    /// post-processing in place in `out`, allocation-free after warm-up,
+    /// bit-identical to `infer_into` + `zero_round_in_place`.
     pub fn infer_zero_round_into(&mut self, noisy: &[f64], out: &mut Vec<f64>) {
-        let mut z = std::mem::take(&mut self.z);
-        self.tree.infer_zero_round_into(noisy, &mut z, out);
-        self.z = z;
+        self.tree.infer_from(noisy, out, true);
     }
 }
 
@@ -1507,8 +1477,8 @@ mod tests {
                     *v = -0.0;
                 }
             }
-            let (mut z, mut fused) = (Vec::new(), Vec::new());
-            tree.infer_zero_round_into(&noisy, &mut z, &mut fused);
+            let mut fused = Vec::new();
+            tree.infer_zero_round_into(&noisy, &mut fused);
             let expect = zero_then_round(&shape, &tree.infer(&noisy));
             assert_same_bits(&fused, &expect, &format!("{what} fused"));
         }
@@ -1707,8 +1677,8 @@ mod tests {
             let tree = LevelTree::new(&shape);
             let mut separate = tree.infer(&noisy);
             tree.zero_round_in_place(&mut separate);
-            let (mut z, mut fused) = (Vec::new(), Vec::new());
-            tree.infer_zero_round_into(&noisy, &mut z, &mut fused);
+            let mut fused = Vec::new();
+            tree.infer_zero_round_into(&noisy, &mut fused);
             assert_same_bits(&fused, &separate, &format!("k={k} ℓ={height}"));
         }
     }
@@ -1793,7 +1763,7 @@ mod tests {
     #[test]
     fn batch_pipeline_matches_standalone_trials_per_backend() {
         use hc_data::Domain;
-        use hc_mech::{Epsilon, HierarchicalQuery, LaplaceMechanism};
+        use hc_mech::{Epsilon, HierarchicalQuery, LaplaceMechanism, QuerySequence};
         let n = 64usize;
         let counts: Vec<u64> = (0..n as u64).map(|i| i % 9).collect();
         let histogram = Histogram::from_counts(Domain::new("x", n).unwrap(), counts);
@@ -1818,8 +1788,16 @@ mod tests {
                     } else {
                         engine.release_and_infer(&prepared, &histogram, &mut rng, &mut out);
                     }
-                    expect_noisy.extend_from_slice(&engine.noisy[..nodes]);
                     expect_out.extend(out);
+                    // The staged release at the same seed: evaluate, then
+                    // add noise over the whole vector.
+                    let mut noisy = Vec::new();
+                    prepared.query().evaluate_into(&histogram, &mut noisy);
+                    prepared
+                        .noise()
+                        .add_noise_with(backend, &mut seeds.rng(t as u64), &mut noisy);
+                    assert_eq!(noisy.len(), nodes);
+                    expect_noisy.extend(noisy);
                 }
                 // Serial batch ≡ standalone trials.
                 let (mut noisy_batch, mut out_batch) = (Vec::new(), Vec::new());
@@ -1873,7 +1851,6 @@ mod tests {
             let mut engine = BatchInference::for_shape(&shape);
             // A dirty snapshot of another size stands in for a recycled one.
             let mut snapshot = ConsistentSnapshot::from_leaves(&[f64::NAN; 5], 3);
-            let mut internal = vec![f64::NAN; 3];
             for seed in [5u64, 6] {
                 let mut out = Vec::new();
                 engine.release_and_infer(&prepared, &histogram, &mut rng_from_seed(seed), &mut out);
@@ -1882,11 +1859,11 @@ mod tests {
                     &prepared,
                     &histogram,
                     &mut rng_from_seed(seed),
-                    &mut internal,
                     &mut snapshot,
                 );
                 let what = format!("n={n} k={k} seed={seed}");
-                assert_same_bits(&internal, &out[..shape.first_leaf()], &what);
+                let first_leaf = shape.first_leaf();
+                assert_same_bits(&engine.values[..first_leaf], &out[..first_leaf], &what);
                 assert_eq!(snapshot, expect, "{what}");
                 for hi in 0..n {
                     let q = Interval::new(0, hi);

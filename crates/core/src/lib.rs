@@ -24,7 +24,8 @@
 //!   deliberately close to the paper's notation.
 //! * [`engine::LevelTree`] / [`engine::BatchInference`] — the production
 //!   engine: the same two passes over a flat level-indexed layout with
-//!   precomputed per-level weight tables, scratch-buffer reuse, and whole
+//!   precomputed per-level weight tables, one tree buffer overwritten in
+//!   place (`h̃ → z → h̄`), and whole
 //!   release→inference trials batched across scoped threads. Every
 //!   estimator's hot path goes through it; the test suite pins it to the
 //!   oracle bit for bit.

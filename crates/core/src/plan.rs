@@ -128,8 +128,8 @@ impl StrategyPlan {
 /// release machinery over a fixed domain, then run once per release.
 ///
 /// The pipeline owns every buffer its strategy needs (the prepared query,
-/// the inference engine's tables and scratch, the noisy and inferred
-/// vectors), so after the first release a
+/// the inference engine's tables, tree buffer and slab scratch, the
+/// budgeted release's noisy and inferred vectors), so after the first release a
 /// [`release_into`](Self::release_into) a warm snapshot allocates nothing:
 /// every strategy rebuilds the caller's snapshot in place. The only
 /// allocation [`release`](Self::release) makes is its fresh snapshot's
@@ -155,10 +155,9 @@ enum Stage {
     },
     Hierarchical {
         prepared: PreparedMechanism<HierarchicalQuery>,
+        /// Runs the release in place in its one tree buffer; the leaves
+        /// go straight into the snapshot's prefix.
         engine: BatchInference,
-        /// The inferred internal nodes; the leaves go straight into the
-        /// snapshot's prefix.
-        internal: Vec<f64>,
     },
     Budgeted {
         mech: BudgetedHierarchical,
@@ -190,7 +189,6 @@ impl StrategyPipeline {
                 Stage::Hierarchical {
                     prepared: mech.prepare(domain_size),
                     engine: BatchInference::for_shape(&shape),
-                    internal: Vec::new(),
                 }
             }
             ReleaseStrategy::Budgeted { branching, split } => {
@@ -243,13 +241,8 @@ impl StrategyPipeline {
                 mech.release_into(histogram, rng, release);
                 release.snapshot_into(Rounding::None, snapshot);
             }
-            Stage::Hierarchical {
-                prepared,
-                engine,
-                internal,
-            } => {
-                engine
-                    .release_and_infer_into_snapshot(prepared, histogram, rng, internal, snapshot);
+            Stage::Hierarchical { prepared, engine } => {
+                engine.release_and_infer_into_snapshot(prepared, histogram, rng, snapshot);
                 snapshot.set_noise_scale(Some(prepared.noise_scale()));
             }
             Stage::Budgeted {

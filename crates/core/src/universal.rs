@@ -391,8 +391,8 @@ impl TreeRelease {
 
     /// An owned [`ConsistentSnapshot`] of the Theorem-3 inference — the
     /// engine-output plumbing for serving loops: infer through a
-    /// caller-owned [`BatchInference`] (scratch reuse, recompile only on
-    /// shape change) straight into a prefix-summed view, skipping the
+    /// caller-owned [`BatchInference`] (recompile only on shape change)
+    /// straight into a prefix-summed view, skipping the
     /// [`ConsistentTree`] wrapper. The snapshot carries the release's
     /// per-node Laplace scale for confidence intervals.
     pub fn infer_snapshot(&self, engine: &mut BatchInference) -> ConsistentSnapshot {
@@ -406,25 +406,25 @@ impl TreeRelease {
     ///
     /// Runs through the level-indexed [`LevelTree`] engine (bit-identical to
     /// the [`crate::hier::hierarchical_inference`] reference oracle). Trial
-    /// loops should prefer [`Self::infer_with`] to also reuse scratch
-    /// buffers across releases.
+    /// loops should prefer [`Self::infer_into`], which reuses the output
+    /// buffer across releases.
     pub fn infer(&self) -> ConsistentTree {
         let h = LevelTree::new(self.server.shape()).infer(&self.noisy);
         ConsistentTree::new(self.server.shape().clone(), h, self.domain_size)
     }
 
     /// [`Self::infer`] through a caller-owned [`BatchInference`]: the engine
-    /// is recompiled only when the shape changes and its scratch buffer is
-    /// reused, so repeated trials allocate nothing beyond the result.
+    /// is recompiled only when the shape changes, and the passes run in
+    /// place in the result, so repeated trials allocate nothing beyond it.
     pub fn infer_with(&self, engine: &mut BatchInference) -> ConsistentTree {
         engine.ensure_shape(self.server.shape());
         let h = engine.infer(&self.noisy);
         ConsistentTree::new(self.server.shape().clone(), h, self.domain_size)
     }
 
-    /// The raw Theorem-3 node values into a caller-owned buffer — the
-    /// allocation-free core of [`Self::infer_with`] for trial loops that
-    /// answer queries straight from the flat vector.
+    /// The raw Theorem-3 node values into a caller-owned buffer, inferred
+    /// in place there — the allocation-free core of [`Self::infer_with`]
+    /// for trial loops that answer queries straight from the flat vector.
     pub fn infer_into(&self, engine: &mut BatchInference, out: &mut Vec<f64>) {
         engine.ensure_shape(self.server.shape());
         engine.infer_into(&self.noisy, out);

@@ -96,9 +96,10 @@ pub const HOT_FUNCTIONS: &[(&str, &[&str])] = &[
             "release_and_infer_into_snapshot",
             "zero_levels",
             "zero_round_slab",
-            "upward",
-            "downward",
+            "infer_from",
+            "copy_slab",
             "downward_tree",
+            "downward_into_sink",
             "upward_slab",
             "downward_slab",
             "upward_levels",

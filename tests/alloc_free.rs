@@ -10,7 +10,11 @@
 //! of every release strategy, rebuilt into the epoch the ring retired,
 //! allocates almost nothing (less than 1/8 of a prefix, the ledger label's
 //! allowance) — while a publish whose retired epoch is still pinned
-//! succeeds into fresh pages and leaves the pin's bits alone.
+//! succeeds into fresh pages and leaves the pin's bits alone. It also pins
+//! the engine's footprint: a cold hierarchical release requests one tree,
+//! the snapshot's prefix and O(slab) scratch, and a cold trial one tree
+//! (its output) and O(slab) scratch — the Theorem-3 passes run in place,
+//! with no second or third tree of scratch.
 //!
 //! The counters are per thread, so only the test thread's own allocations
 //! count: the harness's main thread can allocate while the test runs, which
@@ -92,7 +96,6 @@ fn release_and_infer_pipeline_is_allocation_free_after_warmup() {
     let prepared = pipeline.prepare(n);
     let mut engine = BatchInference::for_shape(&shape);
     let mut out = Vec::new();
-    let mut internal = Vec::new();
     let mut published = ConsistentSnapshot::from_leaves(&[0.0], 1);
     let mut rng = rng_from_seed(1);
 
@@ -100,13 +103,7 @@ fn release_and_infer_pipeline_is_allocation_free_after_warmup() {
     let mut trial = |rng: &mut _| {
         engine.release_and_infer(&prepared, &histogram, rng, &mut out);
         engine.release_and_infer_rounded(&prepared, &histogram, rng, &mut out);
-        engine.release_and_infer_into_snapshot(
-            &prepared,
-            &histogram,
-            rng,
-            &mut internal,
-            &mut published,
-        );
+        engine.release_and_infer_into_snapshot(&prepared, &histogram, rng, &mut published);
     };
     for _ in 0..2 {
         trial(&mut rng);
@@ -255,4 +252,52 @@ fn release_and_infer_pipeline_is_allocation_free_after_warmup() {
             "{name}: pinned epoch rewritten"
         );
     }
+}
+
+#[test]
+fn a_cold_release_requests_one_tree_and_slab_scratch() {
+    // The engine tiles its passes into slabs of at most this many leaves.
+    const TILE_LEAVES: usize = 8192;
+    let f64_bytes = std::mem::size_of::<f64>();
+    let slab_scratch = 4 * f64_bytes * TILE_LEAVES;
+    // 2^16 bins: eight slabs, so the slab scratch is an eighth of a level.
+    let n = 1usize << 16;
+    let counts: Vec<u64> = (0..n as u64).map(|i| i % 5).collect();
+    let histogram = Histogram::from_counts(Domain::new("x", n).expect("non-empty"), counts);
+    let shape = TreeShape::for_domain(n, 2);
+    let tree_bytes = f64_bytes * shape.nodes();
+    let prefix_bytes = f64_bytes * (shape.leaves() + 1);
+    let epsilon = Epsilon::new(0.5).expect("valid ε");
+
+    // A cold publish-path release: the engine's one tree buffer, the fresh
+    // snapshot's prefix, and the counting and leaf-sink slabs.
+    let mut pipeline = StrategyPipeline::new(
+        &ReleaseStrategy::Hierarchical { branching: 2 },
+        epsilon,
+        NoiseBackend::Reference,
+        n,
+    );
+    let release_bytes = bytes_during(|| {
+        pipeline.release(&histogram, &mut rng_from_seed(3));
+    });
+    assert!(
+        release_bytes <= tree_bytes + prefix_bytes + slab_scratch,
+        "cold release requested {release_bytes} bytes; one tree is {tree_bytes}, \
+         the prefix {prefix_bytes}, the slab allowance {slab_scratch}"
+    );
+
+    // A cold rounded trial runs in its output alone: one tree plus the
+    // counting slabs.
+    let prepared = HierarchicalUniversal::binary(epsilon).prepare(n);
+    let mut engine = BatchInference::for_shape(&shape);
+    let mut out = Vec::new();
+    let trial_bytes = bytes_during(|| {
+        engine.release_and_infer_rounded(&prepared, &histogram, &mut rng_from_seed(4), &mut out);
+    });
+    assert!(
+        trial_bytes <= tree_bytes + slab_scratch,
+        "cold trial requested {trial_bytes} bytes; one tree is {tree_bytes}, \
+         the slab allowance {slab_scratch}"
+    );
+    assert_eq!(out.len(), shape.nodes());
 }

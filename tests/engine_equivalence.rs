@@ -297,8 +297,7 @@ fn fused_trial_counts_the_tree_bit_for_bit() {
                     prepared
                         .noise()
                         .add_noise_with(backend, &mut staged_rng, &mut noisy);
-                    let (mut z, mut staged) = (Vec::new(), Vec::new());
-                    tree.infer_into(&noisy, &mut z, &mut staged);
+                    let mut staged = tree.infer(&noisy);
                     if rounded {
                         tree.zero_round_in_place(&mut staged);
                     }
