@@ -76,8 +76,9 @@ fn bench_reference(c: &mut Criterion) {
 }
 
 /// The engine, one trial per call, warm: `infer_into` with the output
-/// buffer reused across iterations, so the row times the copy and the two
-/// in-place sweeps rather than the page faults of a fresh 2^21-node output.
+/// buffer reused across iterations, so the row times the two sweeps (the
+/// input read on first touch, the output written up and then down in
+/// place) rather than the page faults of a fresh 2^21-node output.
 fn bench_engine_single(c: &mut Criterion) {
     let mut group = c.benchmark_group("hier_infer_engine_single");
     for &height in HEADLINE_HEIGHTS.iter().chain(&[SCALE_HEIGHT]) {

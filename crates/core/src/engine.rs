@@ -25,7 +25,11 @@
 //!   only on its parent's `h̄` and the group's own `z`. A trial runs in its
 //!   output tree alone, and the publish in the engine's one buffer; the
 //!   only other scratch is O(slab) (one slab's counts, the top region
-//!   above the slab cut, and the publish's one-slab leaf sink);
+//!   above the slab cut, and the publish's one-slab leaf sink). The staged
+//!   entry points ([`LevelTree::infer_into`]) run the same passes with the
+//!   caller's `h̃` as their input: each kernel reads a node's `h̃` (or a
+//!   leaf's `z`) from it on first touch, so nothing is copied into the
+//!   output first;
 //! * the two sweeps are **tiled** into vertical slabs of at most 8192
 //!   leaves, so a subtree's intermediate `z` values are still cache-resident
 //!   when its ancestors consume them (the untiled sweeps stream every level
@@ -129,81 +133,153 @@ enum Weights {
     },
 }
 
-/// Bottom-up kernel, uniform weights, in place: `parents` holds `h̃` on
-/// entry and `z_i = own·h̃_i + child·Σ children_i` on exit.
+/// Where a kernel reads the values of the nodes it overwrites: the
+/// destination itself ([`InPlace`] — the tree already holds them), or a
+/// separate slice aligned with the destination (`&[f64]` — a staged
+/// inference's input `h̃` on first touch, or the tree's leaf `z` feeding the
+/// publish's leaf sink). Each window is read before any of it is stored, so
+/// both forms evaluate the same expression per node.
+trait Source: Copy {
+    /// The `W` values at `at..at + W` of the destination `dst`.
+    fn load<const W: usize>(self, dst: &[f64], at: usize) -> [f64; W];
+
+    /// The value at index `i` of the destination `dst`.
+    #[inline(always)]
+    fn get(self, dst: &[f64], i: usize) -> f64 {
+        let [v] = self.load(dst, i);
+        v
+    }
+
+    /// This source narrowed to the destination's sub-slice `at..at + len`.
+    fn window(self, at: usize, len: usize) -> Self;
+}
+
+/// The destination holds its own input.
+#[derive(Clone, Copy)]
+struct InPlace;
+
+impl Source for InPlace {
+    #[inline(always)]
+    fn load<const W: usize>(self, dst: &[f64], at: usize) -> [f64; W] {
+        core::array::from_fn(|j| dst[at + j])
+    }
+
+    #[inline(always)]
+    fn window(self, _at: usize, _len: usize) -> Self {
+        self
+    }
+}
+
+impl Source for &[f64] {
+    #[inline(always)]
+    fn load<const W: usize>(self, _dst: &[f64], at: usize) -> [f64; W] {
+        core::array::from_fn(|j| self[at + j])
+    }
+
+    #[inline(always)]
+    fn window(self, at: usize, len: usize) -> Self {
+        &self[at..at + len]
+    }
+}
+
+/// Bottom-up kernel, uniform weights: `parents` get
+/// `z_i = own·h̃_i + child·Σ children_i`, with `h̃` read from `own_in`.
 ///
 /// The k = 2 path is 4-way unrolled; every path folds the sibling window
 /// exactly like the reference (`succ` starts at `0.0` and accumulates left
 /// to right), so the result is bit-identical for all inputs.
-fn up_level_uniform(parents: &mut [f64], children: &[f64], k: usize, own: f64, child: f64) {
+fn up_level_uniform<S: Source>(
+    parents: &mut [f64],
+    own_in: S,
+    children: &[f64],
+    k: usize,
+    own: f64,
+    child: f64,
+) {
     if k == 2 {
         let n = parents.len();
         let main = n - n % 4;
         for i in (0..main).step_by(4) {
             let c = &children[2 * i..2 * i + 8];
+            let x: [f64; 4] = own_in.load(parents, i);
             let p = &mut parents[i..i + 4];
-            p[0] = own * p[0] + child * (0.0 + c[0] + c[1]);
-            p[1] = own * p[1] + child * (0.0 + c[2] + c[3]);
-            p[2] = own * p[2] + child * (0.0 + c[4] + c[5]);
-            p[3] = own * p[3] + child * (0.0 + c[6] + c[7]);
+            p[0] = own * x[0] + child * (0.0 + c[0] + c[1]);
+            p[1] = own * x[1] + child * (0.0 + c[2] + c[3]);
+            p[2] = own * x[2] + child * (0.0 + c[4] + c[5]);
+            p[3] = own * x[3] + child * (0.0 + c[6] + c[7]);
         }
         for i in main..n {
-            parents[i] = own * parents[i] + child * (0.0 + children[2 * i] + children[2 * i + 1]);
+            let x = own_in.get(parents, i);
+            parents[i] = own * x + child * (0.0 + children[2 * i] + children[2 * i + 1]);
         }
     } else {
-        for (p, window) in parents.iter_mut().zip(children.chunks_exact(k)) {
+        for i in 0..parents.len() {
             let mut succ = 0.0f64;
-            for c in window {
+            for c in &children[i * k..(i + 1) * k] {
                 succ += c;
             }
-            *p = own * *p + child * succ;
+            parents[i] = own * own_in.get(parents, i) + child * succ;
         }
     }
 }
 
-/// Bottom-up kernel, GLS weights, in place:
-/// `z_i = (wo·h̃_i + ws·Σ children_i)/(wo+ws)` over `h̃_i`.
-fn up_level_weighted(parents: &mut [f64], children: &[f64], k: usize, wo: f64, ws: f64) {
+/// Bottom-up kernel, GLS weights:
+/// `z_i = (wo·h̃_i + ws·Σ children_i)/(wo+ws)`, with `h̃` read from `own_in`.
+fn up_level_weighted<S: Source>(
+    parents: &mut [f64],
+    own_in: S,
+    children: &[f64],
+    k: usize,
+    wo: f64,
+    ws: f64,
+) {
     if k == 2 {
         let n = parents.len();
         let main = n - n % 4;
         for i in (0..main).step_by(4) {
             let c = &children[2 * i..2 * i + 8];
+            let x: [f64; 4] = own_in.load(parents, i);
             let p = &mut parents[i..i + 4];
-            p[0] = (wo * p[0] + ws * (0.0 + c[0] + c[1])) / (wo + ws);
-            p[1] = (wo * p[1] + ws * (0.0 + c[2] + c[3])) / (wo + ws);
-            p[2] = (wo * p[2] + ws * (0.0 + c[4] + c[5])) / (wo + ws);
-            p[3] = (wo * p[3] + ws * (0.0 + c[6] + c[7])) / (wo + ws);
+            p[0] = (wo * x[0] + ws * (0.0 + c[0] + c[1])) / (wo + ws);
+            p[1] = (wo * x[1] + ws * (0.0 + c[2] + c[3])) / (wo + ws);
+            p[2] = (wo * x[2] + ws * (0.0 + c[4] + c[5])) / (wo + ws);
+            p[3] = (wo * x[3] + ws * (0.0 + c[6] + c[7])) / (wo + ws);
         }
         for i in main..n {
             let succ = 0.0 + children[2 * i] + children[2 * i + 1];
-            parents[i] = (wo * parents[i] + ws * succ) / (wo + ws);
+            parents[i] = (wo * own_in.get(parents, i) + ws * succ) / (wo + ws);
         }
     } else {
-        for (p, window) in parents.iter_mut().zip(children.chunks_exact(k)) {
+        for i in 0..parents.len() {
             let mut succ = 0.0f64;
-            for c in window {
+            for c in &children[i * k..(i + 1) * k] {
                 succ += c;
             }
-            *p = (wo * *p + ws * succ) / (wo + ws);
+            parents[i] = (wo * own_in.get(parents, i) + ws * succ) / (wo + ws);
         }
     }
 }
 
-/// Top-down kernel, uniform weights, in place: each sibling window holds
-/// `z` on entry and `h̄_j = z_j + (p − Σ z)/k` on exit.
+/// Top-down kernel, uniform weights: each sibling window of `children` gets
+/// `h̄_j = z_j + (p − Σ z)/k`, with the group's `z` read from `group_z`.
 ///
 /// The per-child quotient `(p − Σz)/k` is hoisted out of the window loop —
 /// the reference recomputes it per child, but division is exact, so the
 /// value (and the output bits) are unchanged. The unrolled k = 2 path loads
 /// four windows into locals before it stores any of them.
-fn down_level_uniform(children: &mut [f64], parents: &[f64], k: usize, kf: f64) {
+fn down_level_uniform<S: Source>(
+    children: &mut [f64],
+    group_z: S,
+    parents: &[f64],
+    k: usize,
+    kf: f64,
+) {
     if k == 2 {
         let n = parents.len();
         let main = n - n % 4;
         for i in (0..main).step_by(4) {
+            let z: [f64; 8] = group_z.load(children, 2 * i);
             let h = &mut children[2 * i..2 * i + 8];
-            let z: [f64; 8] = core::array::from_fn(|j| h[j]);
             let p = &parents[i..i + 4];
             let s0 = (p[0] - (0.0 + z[0] + z[1])) / kf;
             let s1 = (p[1] - (0.0 + z[2] + z[3])) / kf;
@@ -219,33 +295,41 @@ fn down_level_uniform(children: &mut [f64], parents: &[f64], k: usize, kf: f64) 
             h[7] = z[7] + s3;
         }
         for i in main..n {
-            let z = [children[2 * i], children[2 * i + 1]];
+            let z: [f64; 2] = group_z.load(children, 2 * i);
             let s = (parents[i] - (0.0 + z[0] + z[1])) / kf;
             children[2 * i] = z[0] + s;
             children[2 * i + 1] = z[1] + s;
         }
     } else {
-        for (p, group) in parents.iter().zip(children.chunks_exact_mut(k)) {
+        for (i, (p, group)) in parents.iter().zip(children.chunks_exact_mut(k)).enumerate() {
+            let z = group_z.window(i * k, k);
             let mut succ = 0.0f64;
-            for c in group.iter() {
-                succ += c;
+            for j in 0..k {
+                succ += z.get(group, j);
             }
             let share = (p - succ) / kf;
-            for c in group {
-                *c += share;
+            for j in 0..k {
+                group[j] = z.get(group, j) + share;
             }
         }
     }
 }
 
-/// Top-down kernel, GLS weights, in place: `h̄_j = z_j + ratio·(p − Σ z)`.
-fn down_level_weighted(children: &mut [f64], parents: &[f64], k: usize, ratio: f64) {
+/// Top-down kernel, GLS weights: `h̄_j = z_j + ratio·(p − Σ z)`, with the
+/// group's `z` read from `group_z`.
+fn down_level_weighted<S: Source>(
+    children: &mut [f64],
+    group_z: S,
+    parents: &[f64],
+    k: usize,
+    ratio: f64,
+) {
     if k == 2 {
         let n = parents.len();
         let main = n - n % 4;
         for i in (0..main).step_by(4) {
+            let z: [f64; 8] = group_z.load(children, 2 * i);
             let h = &mut children[2 * i..2 * i + 8];
-            let z: [f64; 8] = core::array::from_fn(|j| h[j]);
             let p = &parents[i..i + 4];
             let s0 = ratio * (p[0] - (0.0 + z[0] + z[1]));
             let s1 = ratio * (p[1] - (0.0 + z[2] + z[3]));
@@ -261,20 +345,21 @@ fn down_level_weighted(children: &mut [f64], parents: &[f64], k: usize, ratio: f
             h[7] = z[7] + s3;
         }
         for i in main..n {
-            let z = [children[2 * i], children[2 * i + 1]];
+            let z: [f64; 2] = group_z.load(children, 2 * i);
             let s = ratio * (parents[i] - (0.0 + z[0] + z[1]));
             children[2 * i] = z[0] + s;
             children[2 * i + 1] = z[1] + s;
         }
     } else {
-        for (p, group) in parents.iter().zip(children.chunks_exact_mut(k)) {
+        for (i, (p, group)) in parents.iter().zip(children.chunks_exact_mut(k)).enumerate() {
+            let z = group_z.window(i * k, k);
             let mut succ = 0.0f64;
-            for c in group.iter() {
-                succ += c;
+            for j in 0..k {
+                succ += z.get(group, j);
             }
             let adjust = ratio * (p - succ);
-            for c in group {
-                *c += adjust;
+            for j in 0..k {
+                group[j] = z.get(group, j) + adjust;
             }
         }
     }
@@ -535,6 +620,14 @@ impl LevelTree {
         cut
     }
 
+    /// Leaves per vertical slab of the tiled sweeps: at most 8192, unless
+    /// the fan-out alone is wider (slabs always reach the leaves). The engine's
+    /// O(slab) scratch — one slab's counts and the publish's leaf sink —
+    /// is sized by it.
+    pub fn slab_leaves(&self) -> usize {
+        self.shape.leaves() / self.shape.level_width(self.tile_cut())
+    }
+
     /// Theorem 3 in two flat sweeps, allocating the result.
     pub fn infer(&self, noisy: &[f64]) -> Vec<f64> {
         let mut out = Vec::new();
@@ -543,9 +636,11 @@ impl LevelTree {
     }
 
     /// Theorem 3 in two slab-tiled sweeps into a caller-owned buffer: `out`
-    /// is resized to `nodes()` and each node is overwritten in place,
-    /// `h̃ → z → h̄`. Once `out`'s capacity has grown past `nodes()`,
-    /// repeated calls allocate nothing.
+    /// is resized to `nodes()`; the upward pass writes each internal node's
+    /// `z` there (reading `h̃` from `noisy`) and the downward pass
+    /// overwrites it with `h̄` in place, reading the leaf `z` from `noisy`.
+    /// Once `out`'s capacity has grown past `nodes()`, repeated calls
+    /// allocate nothing.
     ///
     /// `z` is ignored — the passes need no second tree — and is neither
     /// resized nor written. It stays in the signature only because
@@ -570,33 +665,38 @@ impl LevelTree {
         self.infer_from(noisy, out, true);
     }
 
-    /// The one staged sweep behind every `infer*` entry point: copies
-    /// `noisy` into `out` a slab at a time, right before that slab's upward
-    /// pass reads it (the top region last), then runs both passes in place
-    /// — with the zero/round sweep fused in when `rounded`.
+    /// The one staged sweep behind every `infer*` entry point: the same
+    /// passes as a fused trial, with `noisy` as their staged input — each
+    /// node's `h̃` (and each leaf's `z`) is read from `noisy` where a pass
+    /// first needs it, and `out` is written once per node on the way up
+    /// (internal `z`) and once on the way down (`h̄`), never copied into.
+    /// The zero/round sweep is fused in when `rounded`.
     fn infer_from(&self, noisy: &[f64], out: &mut Vec<f64>, rounded: bool) {
         let n = self.shape.nodes();
         assert_eq!(noisy.len(), n, "noisy vector must cover the tree");
         out.resize(n, 0.0);
+        if n == 1 {
+            // A lone root is its own leaf: h̄ = z = h̃.
+            out[0] = noisy[0];
+        }
         let cut = self.tile_cut();
         for s in 0..self.shape.level_width(cut) {
-            self.copy_slab(s, cut, noisy, out);
-            self.upward_slab(s, cut, out);
+            self.upward_slab(s, cut, out, Some(noisy));
         }
-        let top = self.shape.level_offsets()[cut];
-        out[..top].copy_from_slice(&noisy[..top]);
-        self.upward_levels(out, 0..cut);
+        self.upward_levels(out, 0..cut, Some(noisy));
         if rounded {
-            self.downward_zero_round(out);
+            self.downward_zero_round(out, Some(noisy));
         } else {
-            self.downward_tree(out);
+            self.downward_tree(out, Some(noisy));
         }
     }
 
     /// The fused downstream of [`Self::infer_zero_round_into`], in place:
     /// top-down pass with the zero/round sweep run per slab while it is
-    /// hot. `values` hold `z` on entry and the rounded `H̄` on exit.
-    fn downward_zero_round(&self, values: &mut [f64]) {
+    /// hot. `values` hold the internal `z` on entry (and the leaf `z`,
+    /// unless a staged `input` holds it — see [`Self::downward_slab`]) and
+    /// the rounded `H̄` on exit.
+    fn downward_zero_round(&self, values: &mut [f64], input: Option<&[f64]>) {
         let height = self.shape.height();
         if height == 1 {
             let v = values[0];
@@ -617,7 +717,7 @@ impl LevelTree {
             self.zero_levels(values, 0..cut - 1);
         }
         for s in 0..self.shape.level_width(cut) {
-            self.downward_slab(s, cut, values, None);
+            self.downward_slab(s, cut, values, input, None);
             self.zero_round_slab(s, cut, values);
         }
         if cut >= 1 {
@@ -696,13 +796,13 @@ impl LevelTree {
             if let Some(keep) = keep.as_deref_mut() {
                 self.copy_slab(s, cut, values, keep);
             }
-            self.upward_slab(s, cut, values);
+            self.upward_slab(s, cut, values, None);
         }
         self.count_levels(values, &mut counts.top, 0..cut);
         if let Some(keep) = keep {
             keep[..offsets[cut]].copy_from_slice(&values[..offsets[cut]]);
         }
-        self.upward_levels(values, 0..cut);
+        self.upward_levels(values, 0..cut, None);
     }
 
     /// Exact counts for slab `s` rooted at depth `cut`, bottom-up from its
@@ -784,9 +884,9 @@ impl LevelTree {
     ) {
         self.noised_upward(prepared, histogram, rng, out, counts, keep);
         if rounded {
-            self.downward_zero_round(out);
+            self.downward_zero_round(out, None);
         } else {
-            self.downward_tree(out);
+            self.downward_tree(out, None);
         }
     }
 
@@ -854,7 +954,7 @@ impl LevelTree {
         );
         let height = self.shape.height();
         let mut out = noisy.to_vec();
-        self.upward_levels(&mut out, 0..height - 1);
+        self.upward_levels(&mut out, 0..height - 1, None);
         self.downward_levels(&mut out, 0..height - 1);
         out
     }
@@ -872,20 +972,22 @@ impl LevelTree {
     }
 
     /// Top-down pass over a whole tree, in place and slab-tiled: `values`
-    /// hold `z` on entry and `h̄` on exit.
-    fn downward_tree(&self, values: &mut [f64]) {
+    /// hold the internal `z` on entry (and the leaf `z`, unless a staged
+    /// `input` holds it) and `h̄` on exit.
+    fn downward_tree(&self, values: &mut [f64], input: Option<&[f64]>) {
         let cut = self.tile_cut();
         self.downward_levels(values, 0..cut);
         for s in 0..self.shape.level_width(cut) {
-            self.downward_slab(s, cut, values, None);
+            self.downward_slab(s, cut, values, input, None);
         }
     }
 
     /// Top-down pass whose leaves go to a sink instead of the tree: the
     /// internal nodes of `values` are overwritten in place (`z → h̄`), but
-    /// each slab's leaves are inferred into `slab` (one slab wide, reused
-    /// by every slab) and handed to `sink`, left to right, while they are
-    /// still in cache. The tree's leaf level keeps its `z`.
+    /// each slab's leaves are inferred from the tree's leaf `z` into `slab`
+    /// (one slab wide, reused by every slab) and handed to `sink`, left to
+    /// right, while they are still in cache. The tree's leaf level keeps
+    /// its `z`.
     fn downward_into_sink(
         &self,
         values: &mut [f64],
@@ -899,40 +1001,49 @@ impl LevelTree {
         let cut = self.tile_cut();
         self.downward_levels(values, 0..cut);
         for s in 0..self.shape.level_width(cut) {
-            self.downward_slab(s, cut, values, Some(slab));
+            self.downward_slab(s, cut, values, None, Some(slab));
             sink(slab);
         }
     }
 
-    /// Bottom-up sweep over slab `s` rooted at depth `cut`, in place: every
-    /// internal level of the slab goes from `h̃` to `z`, up to and including
-    /// the slab root, touching only the slab's contiguous per-level slices.
-    /// Leaf `z` is the noisy leaf by definition, so the leaves are read
-    /// as they are.
-    fn upward_slab(&self, s: usize, cut: usize, values: &mut [f64]) {
+    /// Bottom-up sweep over slab `s` rooted at depth `cut`: every internal
+    /// level of the slab gets its `z`, up to and including the slab root,
+    /// touching only the slab's contiguous per-level slices. Leaf `z` is
+    /// the noisy leaf by definition, so the leaves are read as they are.
+    ///
+    /// Without `input` the slab holds its `h̃` and is overwritten in place;
+    /// a staged `input` (`nodes()` long) supplies every `h̃` instead, and
+    /// the slab's leaves in `values` are neither read nor written.
+    fn upward_slab(&self, s: usize, cut: usize, values: &mut [f64], input: Option<&[f64]>) {
         let height = self.shape.height();
         let offsets = self.shape.level_offsets();
         let k = self.shape.branching();
         let slabs = self.shape.level_width(cut);
         for d in (cut..height.saturating_sub(1)).rev() {
             let w = self.shape.level_width(d) / slabs;
-            let plo = offsets[d] + s * w;
-            let (upper, lower) = values.split_at_mut(offsets[d + 1]);
-            let parents = &mut upper[plo..plo + w];
-            let children = &lower[s * w * k..(s + 1) * w * k];
-            self.up_kernel(d, parents, children, k);
+            self.up_step(
+                d,
+                values,
+                input,
+                offsets[d] + s * w,
+                offsets[d + 1] + s * w * k,
+                w,
+            );
         }
     }
 
     /// Top-down sweep over slab `s` rooted at depth `cut`, whose root
-    /// already holds its `h̄`: every level below it goes from `z` to `h̄` in
-    /// place — except the leaves when `leaves` is given: those are copied
-    /// there and inferred there, and the tree keeps its leaf `z`.
+    /// already holds its `h̄`: every internal level below it goes from `z`
+    /// to `h̄` in place. The leaf step reads the leaf `z` from a staged
+    /// `input` when given (from the tree otherwise) and writes the leaves'
+    /// `h̄` into `leaves` when given (into the tree otherwise — then the
+    /// tree keeps its leaf `z`).
     fn downward_slab(
         &self,
         s: usize,
         cut: usize,
         values: &mut [f64],
+        input: Option<&[f64]>,
         mut leaves: Option<&mut [f64]>,
     ) {
         let height = self.shape.height();
@@ -941,29 +1052,28 @@ impl LevelTree {
         let slabs = self.shape.level_width(cut);
         for d in cut..height - 1 {
             let w = self.shape.level_width(d) / slabs;
-            let plo = offsets[d] + s * w;
-            let (upper, lower) = values.split_at_mut(offsets[d + 1]);
-            let parents = &upper[plo..plo + w];
-            let children = &mut lower[s * w * k..(s + 1) * w * k];
-            match leaves.as_deref_mut() {
-                Some(sink) if d + 2 == height => {
-                    sink.copy_from_slice(children);
-                    self.down_kernel(d, sink, parents, k);
-                }
-                _ => self.down_kernel(d, children, parents, k),
+            let (plo, clo) = (offsets[d] + s * w, offsets[d + 1] + s * w * k);
+            if d + 2 == height {
+                self.down_step(d, values, input, leaves.as_deref_mut(), plo, clo, w);
+            } else {
+                self.down_step(d, values, None, None, plo, clo, w);
             }
         }
     }
 
-    /// Plain bottom-up level sweeps, in place: turns each depth in
-    /// `depths.rev()` from `h̃` into `z`, from the already-final level below.
-    fn upward_levels(&self, values: &mut [f64], depths: core::ops::Range<usize>) {
+    /// Plain bottom-up level sweeps: gives each depth in `depths.rev()` its
+    /// `z`, from the already-final level below — in place, or from a staged
+    /// `input` as in [`Self::upward_slab`].
+    fn upward_levels(
+        &self,
+        values: &mut [f64],
+        depths: core::ops::Range<usize>,
+        input: Option<&[f64]>,
+    ) {
         let offsets = self.shape.level_offsets();
-        let k = self.shape.branching();
         for d in depths.rev() {
             let (lo, hi) = (offsets[d], offsets[d + 1]);
-            let (upper, lower) = values.split_at_mut(hi);
-            self.up_kernel(d, &mut upper[lo..], &lower[..(hi - lo) * k], k);
+            self.up_step(d, values, input, lo, hi, hi - lo);
         }
     }
 
@@ -972,37 +1082,95 @@ impl LevelTree {
     /// theirs).
     fn downward_levels(&self, values: &mut [f64], depths: core::ops::Range<usize>) {
         let offsets = self.shape.level_offsets();
-        let k = self.shape.branching();
         for d in depths {
             let (lo, hi) = (offsets[d], offsets[d + 1]);
-            let (upper, lower) = values.split_at_mut(hi);
-            self.down_kernel(d, &mut lower[..(hi - lo) * k], &upper[lo..], k);
+            self.down_step(d, values, None, None, lo, hi, hi - lo);
         }
     }
 
-    /// Dispatches the in-place bottom-up kernel for depth `d`.
+    /// One bottom-up kernel call: the `w` parents at `plo` (depth `d`) get
+    /// their `z` from the `w·k` children at `clo`. Their `h̃` is read in
+    /// place, or from a staged `input` — which, at the leaf step, also
+    /// holds the children (leaf `z` is leaf `h̃`).
     #[inline]
-    fn up_kernel(&self, d: usize, parents: &mut [f64], children: &[f64], k: usize) {
+    fn up_step(
+        &self,
+        d: usize,
+        values: &mut [f64],
+        input: Option<&[f64]>,
+        plo: usize,
+        clo: usize,
+        w: usize,
+    ) {
+        let k = self.shape.branching();
+        let (upper, lower) = values.split_at_mut(clo);
+        let parents = &mut upper[plo..plo + w];
+        match input {
+            Some(h) => {
+                let children = if d + 2 == self.shape.height() {
+                    &h[clo..clo + w * k]
+                } else {
+                    &lower[..w * k]
+                };
+                self.up_kernel(d, parents, &h[plo..plo + w], children);
+            }
+            None => self.up_kernel(d, parents, InPlace, &lower[..w * k]),
+        }
+    }
+
+    /// One top-down kernel call: the `w·k` children at `clo` (depth
+    /// `d + 1`) get their `h̄` from the `w` parents at `plo`. The children's
+    /// `z` is read from `input` when given (else in place), and their `h̄`
+    /// written to `sink` when given (else in place).
+    #[allow(clippy::too_many_arguments)] // one kernel call's coordinates
+    #[inline]
+    fn down_step(
+        &self,
+        d: usize,
+        values: &mut [f64],
+        input: Option<&[f64]>,
+        sink: Option<&mut [f64]>,
+        plo: usize,
+        clo: usize,
+        w: usize,
+    ) {
+        let k = self.shape.branching();
+        let (upper, lower) = values.split_at_mut(clo);
+        let parents = &upper[plo..plo + w];
+        let children = &mut lower[..w * k];
+        let z = input.map(|h| &h[clo..clo + w * k]);
+        match (sink, z) {
+            (Some(sink), Some(z)) => self.down_kernel(d, sink, z, parents),
+            (Some(sink), None) => self.down_kernel(d, sink, &*children, parents),
+            (None, Some(z)) => self.down_kernel(d, children, z, parents),
+            (None, None) => self.down_kernel(d, children, InPlace, parents),
+        }
+    }
+
+    /// Dispatches the bottom-up kernel for depth `d`.
+    #[inline]
+    fn up_kernel<S: Source>(&self, d: usize, parents: &mut [f64], own_in: S, children: &[f64]) {
+        let k = self.shape.branching();
         match &self.weights {
             Weights::Uniform { up_own, up_child } => {
-                up_level_uniform(parents, children, k, up_own[d], up_child[d]);
+                up_level_uniform(parents, own_in, children, k, up_own[d], up_child[d]);
             }
             Weights::Weighted { w_own, w_succ, .. } => {
-                up_level_weighted(parents, children, k, w_own[d], w_succ[d]);
+                up_level_weighted(parents, own_in, children, k, w_own[d], w_succ[d]);
             }
         }
     }
 
-    /// Dispatches the in-place top-down kernel for depth `d` (filling depth
-    /// `d + 1`).
+    /// Dispatches the top-down kernel for depth `d` (filling depth `d + 1`).
     #[inline]
-    fn down_kernel(&self, d: usize, children: &mut [f64], parents: &[f64], k: usize) {
+    fn down_kernel<S: Source>(&self, d: usize, children: &mut [f64], group_z: S, parents: &[f64]) {
+        let k = self.shape.branching();
         match &self.weights {
             Weights::Uniform { .. } => {
-                down_level_uniform(children, parents, k, k as f64);
+                down_level_uniform(children, group_z, parents, k, k as f64);
             }
             Weights::Weighted { down_ratio, .. } => {
-                down_level_weighted(children, parents, k, down_ratio[d + 1]);
+                down_level_weighted(children, group_z, parents, k, down_ratio[d + 1]);
             }
         }
     }
@@ -1117,8 +1285,8 @@ impl BatchInference {
         self.tree.infer(noisy)
     }
 
-    /// One inference into a caller-owned output buffer, run in place there
-    /// (zero allocations once `out` has warmed up).
+    /// One inference into a caller-owned output buffer, the only tree it
+    /// writes (zero allocations once `out` has warmed up).
     pub fn infer_into(&mut self, noisy: &[f64], out: &mut Vec<f64>) {
         self.tree.infer_from(noisy, out, false);
     }

@@ -104,6 +104,8 @@ pub const HOT_FUNCTIONS: &[(&str, &[&str])] = &[
             "downward_slab",
             "upward_levels",
             "downward_levels",
+            "up_step",
+            "down_step",
             "up_kernel",
             "down_kernel",
             "zero_round_in_place",

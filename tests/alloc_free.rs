@@ -256,15 +256,19 @@ fn release_and_infer_pipeline_is_allocation_free_after_warmup() {
 
 #[test]
 fn a_cold_release_requests_one_tree_and_slab_scratch() {
-    // The engine tiles its passes into slabs of at most this many leaves.
-    const TILE_LEAVES: usize = 8192;
-    let f64_bytes = std::mem::size_of::<f64>();
-    let slab_scratch = 4 * f64_bytes * TILE_LEAVES;
     // 2^16 bins: eight slabs, so the slab scratch is an eighth of a level.
     let n = 1usize << 16;
     let counts: Vec<u64> = (0..n as u64).map(|i| i % 5).collect();
     let histogram = Histogram::from_counts(Domain::new("x", n).expect("non-empty"), counts);
     let shape = TreeShape::for_domain(n, 2);
+    let mut engine = BatchInference::for_shape(&shape);
+    let slab_leaves = engine.tree().slab_leaves();
+    assert!(
+        slab_leaves < shape.leaves(),
+        "the release must span several slabs"
+    );
+    let f64_bytes = std::mem::size_of::<f64>();
+    let slab_scratch = 4 * f64_bytes * slab_leaves;
     let tree_bytes = f64_bytes * shape.nodes();
     let prefix_bytes = f64_bytes * (shape.leaves() + 1);
     let epsilon = Epsilon::new(0.5).expect("valid ε");
@@ -289,7 +293,6 @@ fn a_cold_release_requests_one_tree_and_slab_scratch() {
     // A cold rounded trial runs in its output alone: one tree plus the
     // counting slabs.
     let prepared = HierarchicalUniversal::binary(epsilon).prepare(n);
-    let mut engine = BatchInference::for_shape(&shape);
     let mut out = Vec::new();
     let trial_bytes = bytes_during(|| {
         engine.release_and_infer_rounded(&prepared, &histogram, &mut rng_from_seed(4), &mut out);
