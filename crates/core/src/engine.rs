@@ -19,17 +19,18 @@
 //!
 //! On top of that layout this engine adds the allocation-free pipeline:
 //!
-//! * **one tree buffer**, overwritten in place, `h̃ → z → h̄`. Theorem 3
+//! * **one value per node**, overwritten in place, `h̃ → z → h̄`. Theorem 3
 //!   needs one value per node at any moment: upward, `z_v` depends only on
 //!   `h̃_v` and its children's `z`; downward, a sibling group's `h̄` depends
-//!   only on its parent's `h̄` and the group's own `z`. A trial runs in its
-//!   output tree alone, and the publish in the engine's one buffer; the
-//!   only other scratch is O(slab) (one slab's counts, the top region
-//!   above the slab cut, and the publish's one-slab leaf sink). The staged
-//!   entry points ([`LevelTree::infer_into`]) run the same passes with the
-//!   caller's `h̃` as their input: each kernel reads a node's `h̃` (or a
-//!   leaf's `z`) from it on first touch, so nothing is copied into the
-//!   output first;
+//!   only on its parent's `h̄` and the group's own `z`. The passes see the
+//!   tree as its internal nodes and its leaf level, which need not share a
+//!   buffer: a trial runs in its output tree alone, while the publish keeps
+//!   only the internal nodes in the engine and the leaves in the snapshot
+//!   it builds. The only other scratch is O(slab): one slab's counts and
+//!   the top region above the slab cut. The staged entry points
+//!   ([`LevelTree::infer_into`]) run the same passes with the caller's `h̃`
+//!   as their input: each kernel reads a node's `h̃` (or a leaf's `z`) from
+//!   it on first touch, so nothing is copied into the output first;
 //! * the two sweeps are **tiled** into vertical slabs of at most 8192
 //!   leaves, so a subtree's intermediate `z` values are still cache-resident
 //!   when its ancestors consume them (the untiled sweeps stream every level
@@ -53,12 +54,13 @@
 //!   buffer with **zero heap allocations after warm-up**
 //!   (`tests/alloc_free.rs` pins this with a counting allocator, and pins
 //!   that a cold trial requests one tree plus O(slab) scratch);
-//! * the downward pass can send its leaves to a sink instead of the tree:
-//!   [`BatchInference::release_and_infer_into_snapshot`] (the service's
-//!   publish) infers each slab's leaves into a one-slab buffer and scans
-//!   them into a [`ConsistentSnapshot`]'s prefix while they are still in
-//!   cache, so the inferred leaf level is never materialized and the
-//!   prefix keeps the serial add chain bit for bit;
+//! * [`BatchInference::release_and_infer_into_snapshot`] (the service's
+//!   publish) writes each leaf's `h̃` into its slot of a
+//!   [`ConsistentSnapshot`]'s prefix, where it becomes the leaf's `z`. The
+//!   downward leaf step reads each sibling group's `z` there and, in the
+//!   same loop, overwrites it with the running prefix sum of the inferred
+//!   leaves: the leaf level's estimates are never stored anywhere, no scan
+//!   pass follows, and the prefix keeps the serial add chain bit for bit;
 //! * [`BatchInference::release_and_infer_batch_parallel`] scales that full
 //!   trial across scoped-thread workers, split by trial, each trial in its
 //!   own output slice with per-worker O(slab) counting scratch and
@@ -80,11 +82,11 @@ use hc_mech::{HierarchicalQuery, PreparedMechanism, TreeShape};
 use hc_noise::SeedStream;
 use rand::Rng;
 
-use crate::snapshot::ConsistentSnapshot;
+use crate::snapshot::{ConsistentSnapshot, PrefixChain};
 
 /// Leaves per vertical slab in the tiled sweeps. A binary slab of 8192
-/// leaves is ≈ 16 K nodes of the one tree buffer plus its 8 K counts —
-/// under 200 KiB, comfortably inside L2.
+/// leaves is ≈ 16 K tree values plus its 8 K counts — under 200 KiB,
+/// comfortably inside L2.
 const TILE_LEAVES: usize = 8192;
 
 /// Effective worker count for the parallel paths: the `HC_THREADS`
@@ -136,9 +138,8 @@ enum Weights {
 /// Where a kernel reads the values of the nodes it overwrites: the
 /// destination itself ([`InPlace`] — the tree already holds them), or a
 /// separate slice aligned with the destination (`&[f64]` — a staged
-/// inference's input `h̃` on first touch, or the tree's leaf `z` feeding the
-/// publish's leaf sink). Each window is read before any of it is stored, so
-/// both forms evaluate the same expression per node.
+/// inference's input `h̃` on first touch). Each window is read before any of
+/// it is stored, so both forms evaluate the same expression per node.
 trait Source: Copy {
     /// The `W` values at `at..at + W` of the destination `dst`.
     fn load<const W: usize>(self, dst: &[f64], at: usize) -> [f64; W];
@@ -179,6 +180,75 @@ impl Source for &[f64] {
     #[inline(always)]
     fn window(self, at: usize, len: usize) -> Self {
         &self[at..at + len]
+    }
+}
+
+/// What a top-down kernel stores for each child, in index order: its `h̄`
+/// ([`Store`] — the tree keeps its estimate), or the running prefix sum
+/// through it ([`PrefixChain`] — the publish's leaf step, which leaves a
+/// snapshot's prefix entries in the same loop that infers the leaves).
+trait Emit {
+    /// The value stored for the next child, whose estimate is `h`.
+    fn emit(&mut self, h: f64) -> f64;
+}
+
+/// Stores each estimate as it is.
+struct Store;
+
+impl Emit for Store {
+    #[inline(always)]
+    fn emit(&mut self, h: f64) -> f64 {
+        h
+    }
+}
+
+impl Emit for PrefixChain {
+    #[inline(always)]
+    fn emit(&mut self, h: f64) -> f64 {
+        self.push(h)
+    }
+}
+
+/// A tree's node values split at `first_leaf`: the internal nodes and the
+/// leaf level, which need not share a buffer. A trial's output tree is
+/// split in two; the publish keeps its internal nodes in the engine and its
+/// leaves in the destination snapshot's prefix slots. Levels never straddle
+/// the split, so every kernel step's parents (always internal) and children
+/// each lie in one part.
+struct Nodes<'a> {
+    internal: &'a mut [f64],
+    leaves: &'a mut [f64],
+}
+
+impl<'a> Nodes<'a> {
+    /// A whole BFS tree in one buffer.
+    fn of_tree(values: &'a mut [f64], first_leaf: usize) -> Self {
+        let (internal, leaves) = values.split_at_mut(first_leaf);
+        Self { internal, leaves }
+    }
+
+    /// The `len` values from BFS index `at`, within one level.
+    fn run(&self, at: usize, len: usize) -> &[f64] {
+        match at.checked_sub(self.internal.len()) {
+            Some(i) => &self.leaves[i..i + len],
+            None => &self.internal[at..at + len],
+        }
+    }
+
+    /// One kernel step's operands: the `w` parents at BFS index `plo` and
+    /// their `cw` children at `clo`.
+    #[inline]
+    fn step(&mut self, plo: usize, w: usize, clo: usize, cw: usize) -> (&mut [f64], &mut [f64]) {
+        match clo.checked_sub(self.internal.len()) {
+            Some(i) => (
+                &mut self.internal[plo..plo + w],
+                &mut self.leaves[i..i + cw],
+            ),
+            None => {
+                let (upper, lower) = self.internal.split_at_mut(clo);
+                (&mut upper[plo..plo + w], &mut lower[..cw])
+            }
+        }
     }
 }
 
@@ -261,18 +331,20 @@ fn up_level_weighted<S: Source>(
 }
 
 /// Top-down kernel, uniform weights: each sibling window of `children` gets
-/// `h̄_j = z_j + (p − Σ z)/k`, with the group's `z` read from `group_z`.
+/// `h̄_j = z_j + (p − Σ z)/k`, with the group's `z` read from `group_z`, and
+/// stores what `out` makes of each `h̄_j`, left to right.
 ///
 /// The per-child quotient `(p − Σz)/k` is hoisted out of the window loop —
 /// the reference recomputes it per child, but division is exact, so the
 /// value (and the output bits) are unchanged. The unrolled k = 2 path loads
 /// four windows into locals before it stores any of them.
-fn down_level_uniform<S: Source>(
+fn down_level_uniform<S: Source, E: Emit>(
     children: &mut [f64],
     group_z: S,
     parents: &[f64],
     k: usize,
     kf: f64,
+    out: &mut E,
 ) {
     if k == 2 {
         let n = parents.len();
@@ -285,20 +357,20 @@ fn down_level_uniform<S: Source>(
             let s1 = (p[1] - (0.0 + z[2] + z[3])) / kf;
             let s2 = (p[2] - (0.0 + z[4] + z[5])) / kf;
             let s3 = (p[3] - (0.0 + z[6] + z[7])) / kf;
-            h[0] = z[0] + s0;
-            h[1] = z[1] + s0;
-            h[2] = z[2] + s1;
-            h[3] = z[3] + s1;
-            h[4] = z[4] + s2;
-            h[5] = z[5] + s2;
-            h[6] = z[6] + s3;
-            h[7] = z[7] + s3;
+            h[0] = out.emit(z[0] + s0);
+            h[1] = out.emit(z[1] + s0);
+            h[2] = out.emit(z[2] + s1);
+            h[3] = out.emit(z[3] + s1);
+            h[4] = out.emit(z[4] + s2);
+            h[5] = out.emit(z[5] + s2);
+            h[6] = out.emit(z[6] + s3);
+            h[7] = out.emit(z[7] + s3);
         }
         for i in main..n {
             let z: [f64; 2] = group_z.load(children, 2 * i);
             let s = (parents[i] - (0.0 + z[0] + z[1])) / kf;
-            children[2 * i] = z[0] + s;
-            children[2 * i + 1] = z[1] + s;
+            children[2 * i] = out.emit(z[0] + s);
+            children[2 * i + 1] = out.emit(z[1] + s);
         }
     } else {
         for (i, (p, group)) in parents.iter().zip(children.chunks_exact_mut(k)).enumerate() {
@@ -309,20 +381,21 @@ fn down_level_uniform<S: Source>(
             }
             let share = (p - succ) / kf;
             for j in 0..k {
-                group[j] = z.get(group, j) + share;
+                group[j] = out.emit(z.get(group, j) + share);
             }
         }
     }
 }
 
 /// Top-down kernel, GLS weights: `h̄_j = z_j + ratio·(p − Σ z)`, with the
-/// group's `z` read from `group_z`.
-fn down_level_weighted<S: Source>(
+/// group's `z` read from `group_z` and each `h̄_j` stored through `out`.
+fn down_level_weighted<S: Source, E: Emit>(
     children: &mut [f64],
     group_z: S,
     parents: &[f64],
     k: usize,
     ratio: f64,
+    out: &mut E,
 ) {
     if k == 2 {
         let n = parents.len();
@@ -335,20 +408,20 @@ fn down_level_weighted<S: Source>(
             let s1 = ratio * (p[1] - (0.0 + z[2] + z[3]));
             let s2 = ratio * (p[2] - (0.0 + z[4] + z[5]));
             let s3 = ratio * (p[3] - (0.0 + z[6] + z[7]));
-            h[0] = z[0] + s0;
-            h[1] = z[1] + s0;
-            h[2] = z[2] + s1;
-            h[3] = z[3] + s1;
-            h[4] = z[4] + s2;
-            h[5] = z[5] + s2;
-            h[6] = z[6] + s3;
-            h[7] = z[7] + s3;
+            h[0] = out.emit(z[0] + s0);
+            h[1] = out.emit(z[1] + s0);
+            h[2] = out.emit(z[2] + s1);
+            h[3] = out.emit(z[3] + s1);
+            h[4] = out.emit(z[4] + s2);
+            h[5] = out.emit(z[5] + s2);
+            h[6] = out.emit(z[6] + s3);
+            h[7] = out.emit(z[7] + s3);
         }
         for i in main..n {
             let z: [f64; 2] = group_z.load(children, 2 * i);
             let s = ratio * (parents[i] - (0.0 + z[0] + z[1]));
-            children[2 * i] = z[0] + s;
-            children[2 * i + 1] = z[1] + s;
+            children[2 * i] = out.emit(z[0] + s);
+            children[2 * i + 1] = out.emit(z[1] + s);
         }
     } else {
         for (i, (p, group)) in parents.iter().zip(children.chunks_exact_mut(k)).enumerate() {
@@ -359,7 +432,7 @@ fn down_level_weighted<S: Source>(
             }
             let adjust = ratio * (p - succ);
             for j in 0..k {
-                group[j] = z.get(group, j) + adjust;
+                group[j] = out.emit(z.get(group, j) + adjust);
             }
         }
     }
@@ -607,7 +680,7 @@ impl LevelTree {
     ///
     /// Never exceeds `height − 2`: each slab must include the leaf kernel
     /// step, because counting reads the leaf counts only there and the
-    /// publish's leaf sink is fed by it. A branching
+    /// publish's prefix chain runs in it. A branching
     /// factor larger than [`TILE_LEAVES`] therefore keeps slabs wider than
     /// the target rather than degenerating to leaf-depth slabs.
     fn tile_cut(&self) -> usize {
@@ -621,9 +694,8 @@ impl LevelTree {
     }
 
     /// Leaves per vertical slab of the tiled sweeps: at most 8192, unless
-    /// the fan-out alone is wider (slabs always reach the leaves). The engine's
-    /// O(slab) scratch — one slab's counts and the publish's leaf sink —
-    /// is sized by it.
+    /// the fan-out alone is wider (slabs always reach the leaves). The
+    /// engine's O(slab) scratch — one slab's counts — is sized by it.
     pub fn slab_leaves(&self) -> usize {
         self.shape.leaves() / self.shape.level_width(self.tile_cut())
     }
@@ -675,62 +747,61 @@ impl LevelTree {
         let n = self.shape.nodes();
         assert_eq!(noisy.len(), n, "noisy vector must cover the tree");
         out.resize(n, 0.0);
-        if n == 1 {
-            // A lone root is its own leaf: h̄ = z = h̃.
-            out[0] = noisy[0];
-        }
+        let mut tree = Nodes::of_tree(out, self.shape.first_leaf());
         let cut = self.tile_cut();
         for s in 0..self.shape.level_width(cut) {
-            self.upward_slab(s, cut, out, Some(noisy));
+            self.upward_slab(s, cut, &mut tree, Some(noisy));
         }
-        self.upward_levels(out, 0..cut, Some(noisy));
+        self.upward_levels(&mut tree, 0..cut, Some(noisy));
         if rounded {
-            self.downward_zero_round(out, Some(noisy));
+            self.downward_zero_round(&mut tree, Some(noisy));
         } else {
-            self.downward_tree(out, Some(noisy));
+            self.downward(&mut tree, Some(noisy), &mut Store);
         }
     }
 
     /// The fused downstream of [`Self::infer_zero_round_into`], in place:
     /// top-down pass with the zero/round sweep run per slab while it is
-    /// hot. `values` hold the internal `z` on entry (and the leaf `z`,
+    /// hot. `tree` holds the internal `z` on entry (and the leaf `z`,
     /// unless a staged `input` holds it — see [`Self::downward_slab`]) and
     /// the rounded `H̄` on exit.
-    fn downward_zero_round(&self, values: &mut [f64], input: Option<&[f64]>) {
+    fn downward_zero_round(&self, tree: &mut Nodes<'_>, input: Option<&[f64]>) {
         let height = self.shape.height();
         if height == 1 {
-            let v = values[0];
-            values[0] = if v <= 0.0 { 0.0 } else { round_nonneg(v) };
+            // A lone root is its own leaf: h̄ = z = h̃.
+            let v = input.map_or(tree.leaves[0], |h| h[0]);
+            tree.leaves[0] = if v <= 0.0 { 0.0 } else { round_nonneg(v) };
             return;
         }
         let cut = self.tile_cut();
-        self.downward_levels(values, 0..cut);
+        self.downward_levels(tree, 0..cut);
         // Zero the top region: depths 0..cut−1 act as parents, so depths
         // 1..=cut−1 get their zeroing and depths 0..cut−2 their rounding.
         // Depth cut−1 keeps pre-round values (the slabs' flags) and depth
-        // cut stays raw — the downward slab kernels still need it.
+        // cut stays raw — the downward slab kernels still need it. All of
+        // it is internal, since `cut ≤ height − 2`.
         let offsets = self.shape.level_offsets();
         if cut >= 1 {
-            if values[0] <= 0.0 {
-                values[0] = 0.0;
+            if tree.internal[0] <= 0.0 {
+                tree.internal[0] = 0.0;
             }
-            self.zero_levels(values, 0..cut - 1);
+            self.zero_levels(tree.internal, 0..cut - 1);
         }
         for s in 0..self.shape.level_width(cut) {
-            self.downward_slab(s, cut, values, input, None);
-            self.zero_round_slab(s, cut, values);
+            self.downward_slab(s, cut, tree, input, &mut Store);
+            self.zero_round_slab(s, cut, tree);
         }
         if cut >= 1 {
             // Now that every slab has read its parent flag, round the
             // deferred level.
-            for v in &mut values[offsets[cut - 1]..offsets[cut]] {
+            for v in &mut tree.internal[offsets[cut - 1]..offsets[cut]] {
                 *v = round_nonneg(*v);
             }
         }
     }
 
     /// Bottom-up pass fused with tree counting and the noise perturbation,
-    /// in place: writes every node of `values` as its exact count plus one
+    /// in place: writes every node of `tree` as its exact count plus one
     /// Laplace draw (the noisy release `h̃`) while running the upward
     /// slabs, so each slab's counts and noise are still cache-hot when the
     /// slab overwrites them with `z`. The true-count vector is never built.
@@ -747,9 +818,9 @@ impl LevelTree {
     /// evaluator's doubles and `+` commutes, so the release is bit-identical
     /// to evaluating the query and then adding noise, *per backend*.
     ///
-    /// `values` must have length `nodes()`; every slot is assigned, so it
-    /// can be one trial's segment of a shared batch buffer. `keep`, when
-    /// given (also `nodes()` long), receives the finished `h̃` of each slab
+    /// Every slot of `tree` is assigned, so it can be one trial's segment of
+    /// a shared batch buffer, or a recycled snapshot's prefix slots. `keep`,
+    /// when given (`nodes()` long), receives the finished `h̃` of each slab
     /// before its upward pass overwrites it, and the top region's before
     /// the top levels run.
     fn noised_upward<R: Rng + ?Sized>(
@@ -757,12 +828,15 @@ impl LevelTree {
         prepared: &PreparedMechanism<HierarchicalQuery>,
         histogram: &Histogram,
         rng: &mut R,
-        values: &mut [f64],
+        tree: &mut Nodes<'_>,
         counts: &mut CountScratch,
         mut keep: Option<&mut [f64]>,
     ) {
-        let n = self.nodes();
-        assert_eq!(values.len(), n, "value slice must cover the tree");
+        let first_leaf = self.shape.first_leaf();
+        assert!(
+            tree.internal.len() == first_leaf && tree.leaves.len() == self.shape.leaves(),
+            "value slices must cover the tree"
+        );
         assert!(
             self.is_uniform(),
             "engine is compiled with per-level GLS weights; recompile with \
@@ -779,8 +853,7 @@ impl LevelTree {
         );
         let (laplace, backend) = (prepared.noise(), prepared.backend());
         let bins = histogram.counts();
-        let first_leaf = self.shape.first_leaf();
-        laplace.fill_with(backend, rng, &mut values[..first_leaf]);
+        laplace.fill_with(backend, rng, tree.internal);
         let cut = self.tile_cut();
         let slabs = self.shape.level_width(cut);
         let leaf_w = self.shape.leaves() / slabs;
@@ -789,29 +862,29 @@ impl LevelTree {
         counts.slab.resize(leaf_w, 0.0);
         counts.top.resize(offsets[cut + 1], 0.0);
         for s in 0..slabs {
-            let lo = first_leaf + s * leaf_w;
-            leaf_counts(bins, s * leaf_w, &mut values[lo..lo + leaf_w]);
-            self.count_slab(s, cut, values, counts);
-            laplace.add_noise_with(backend, rng, &mut values[lo..lo + leaf_w]);
+            let lo = s * leaf_w;
+            leaf_counts(bins, lo, &mut tree.leaves[lo..lo + leaf_w]);
+            self.count_slab(s, cut, tree, counts);
+            laplace.add_noise_with(backend, rng, &mut tree.leaves[lo..lo + leaf_w]);
             if let Some(keep) = keep.as_deref_mut() {
-                self.copy_slab(s, cut, values, keep);
+                self.copy_slab(s, cut, tree, keep);
             }
-            self.upward_slab(s, cut, values, None);
+            self.upward_slab(s, cut, tree, None);
         }
-        self.count_levels(values, &mut counts.top, 0..cut);
+        self.count_levels(tree.internal, &mut counts.top, 0..cut);
         if let Some(keep) = keep {
-            keep[..offsets[cut]].copy_from_slice(&values[..offsets[cut]]);
+            keep[..offsets[cut]].copy_from_slice(&tree.internal[..offsets[cut]]);
         }
-        self.upward_levels(values, 0..cut, None);
+        self.upward_levels(tree, 0..cut, None);
     }
 
     /// Exact counts for slab `s` rooted at depth `cut`, bottom-up from its
-    /// leaf counts (still un-noised in `values`): each internal node's count
-    /// goes to the slab scratch and onto its noise in `values`. The scratch
+    /// leaf counts (still un-noised in `tree`): each internal node's count
+    /// goes to the slab scratch and onto its noise in `tree`. The scratch
     /// holds the slab's levels deepest first, so a level's child counts are
     /// the `w·k` entries just before it. Below a cut, the slab root's count
     /// is also parked in the top scratch for [`Self::count_levels`].
-    fn count_slab(&self, s: usize, cut: usize, values: &mut [f64], counts: &mut CountScratch) {
+    fn count_slab(&self, s: usize, cut: usize, tree: &mut Nodes<'_>, counts: &mut CountScratch) {
         let height = self.shape.height();
         let offsets = self.shape.level_offsets();
         let k = self.shape.branching();
@@ -821,13 +894,13 @@ impl LevelTree {
             let w = self.shape.level_width(d) / slabs;
             let plo = offsets[d] + s * w;
             let (below, level) = counts.slab.split_at_mut(at);
-            let (v_upper, v_lower) = values.split_at_mut(offsets[d + 1]);
-            let children = if d + 2 == height {
-                &v_lower[s * w * k..(s + 1) * w * k]
+            if d + 2 == height {
+                let (parents, leaves) = tree.step(plo, w, offsets[d + 1] + s * w * k, w * k);
+                count_level(&mut level[..w], parents, leaves, k);
             } else {
-                &below[at - w * k..]
-            };
-            count_level(&mut level[..w], &mut v_upper[plo..plo + w], children, k);
+                let parents = &mut tree.internal[plo..plo + w];
+                count_level(&mut level[..w], parents, &below[at - w * k..], k);
+            }
             at += w;
         }
         if cut > 0 {
@@ -882,11 +955,12 @@ impl LevelTree {
         counts: &mut CountScratch,
         keep: Option<&mut [f64]>,
     ) {
-        self.noised_upward(prepared, histogram, rng, out, counts, keep);
+        let mut tree = Nodes::of_tree(out, self.shape.first_leaf());
+        self.noised_upward(prepared, histogram, rng, &mut tree, counts, keep);
         if rounded {
-            self.downward_zero_round(out, None);
+            self.downward_zero_round(&mut tree, None);
         } else {
-            self.downward_tree(out, None);
+            self.downward(&mut tree, None, &mut Store);
         }
     }
 
@@ -909,7 +983,7 @@ impl LevelTree {
     /// after [`Self::downward_slab`] filled it. The slab root's zeroing
     /// consults its parent's (pre-round) value at depth `cut − 1`; the slab
     /// then rounds every level it owns, leaves included.
-    fn zero_round_slab(&self, s: usize, cut: usize, values: &mut [f64]) {
+    fn zero_round_slab(&self, s: usize, cut: usize, tree: &mut Nodes<'_>) {
         let height = self.shape.height();
         let offsets = self.shape.level_offsets();
         let k = self.shape.branching();
@@ -917,27 +991,24 @@ impl LevelTree {
         if cut == 0 {
             // Single slab covering the whole tree: the slab root is the
             // tree root.
-            if values[0] <= 0.0 {
-                values[0] = 0.0;
+            if tree.internal[0] <= 0.0 {
+                tree.internal[0] = 0.0;
             }
         } else {
-            let parent = values[offsets[cut - 1] + s / k];
-            let root = &mut values[offsets[cut] + s];
+            let parent = tree.internal[offsets[cut - 1] + s / k];
+            let root = &mut tree.internal[offsets[cut] + s];
             if parent == 0.0 || *root <= 0.0 {
                 *root = 0.0;
             }
         }
         for d in cut..height - 1 {
             let w = self.shape.level_width(d) / slabs;
-            let plo = offsets[d] + s * w;
-            let (upper, lower) = values.split_at_mut(offsets[d + 1]);
-            let parents = &mut upper[plo..plo + w];
-            let children = &mut lower[s * w * k..(s + 1) * w * k];
+            let (parents, children) =
+                tree.step(offsets[d] + s * w, w, offsets[d + 1] + s * w * k, w * k);
             zero_round_level(parents, children, k);
         }
         let leaf_w = self.shape.leaves() / slabs;
-        let leaf_lo = offsets[height - 1] + s * leaf_w;
-        for v in &mut values[leaf_lo..leaf_lo + leaf_w] {
+        for v in &mut tree.leaves[s * leaf_w..(s + 1) * leaf_w] {
             *v = round_nonneg(*v);
         }
     }
@@ -954,55 +1025,41 @@ impl LevelTree {
         );
         let height = self.shape.height();
         let mut out = noisy.to_vec();
-        self.upward_levels(&mut out, 0..height - 1, None);
-        self.downward_levels(&mut out, 0..height - 1);
+        let mut tree = Nodes::of_tree(&mut out, self.shape.first_leaf());
+        self.upward_levels(&mut tree, 0..height - 1, None);
+        self.downward_levels(&mut tree, 0..height - 1);
         out
     }
 
     /// Copies slab `s`'s nodes — depth `cut` down to its leaves — from
-    /// `src` to `dst`, one contiguous run per level.
-    fn copy_slab(&self, s: usize, cut: usize, src: &[f64], dst: &mut [f64]) {
+    /// `src` to the whole-tree `dst`, one contiguous run per level.
+    fn copy_slab(&self, s: usize, cut: usize, src: &Nodes<'_>, dst: &mut [f64]) {
         let offsets = &self.shape.level_offsets()[cut..self.shape.height()];
         let slabs = self.shape.level_width(cut);
         for (d, &offset) in (cut..).zip(offsets) {
             let w = self.shape.level_width(d) / slabs;
             let lo = offset + s * w;
-            dst[lo..lo + w].copy_from_slice(&src[lo..lo + w]);
+            dst[lo..lo + w].copy_from_slice(src.run(lo, w));
         }
     }
 
-    /// Top-down pass over a whole tree, in place and slab-tiled: `values`
-    /// hold the internal `z` on entry (and the leaf `z`, unless a staged
-    /// `input` holds it) and `h̄` on exit.
-    fn downward_tree(&self, values: &mut [f64], input: Option<&[f64]>) {
-        let cut = self.tile_cut();
-        self.downward_levels(values, 0..cut);
-        for s in 0..self.shape.level_width(cut) {
-            self.downward_slab(s, cut, values, input, None);
-        }
-    }
-
-    /// Top-down pass whose leaves go to a sink instead of the tree: the
-    /// internal nodes of `values` are overwritten in place (`z → h̄`), but
-    /// each slab's leaves are inferred from the tree's leaf `z` into `slab`
-    /// (one slab wide, reused by every slab) and handed to `sink`, left to
-    /// right, while they are still in cache. The tree's leaf level keeps
-    /// its `z`.
-    fn downward_into_sink(
-        &self,
-        values: &mut [f64],
-        slab: &mut [f64],
-        mut sink: impl FnMut(&[f64]),
-    ) {
+    /// Top-down pass over a whole tree, in place and slab-tiled: `tree`
+    /// holds the internal `z` on entry (and the leaf `z`, unless a staged
+    /// `input` holds it) and leaves the internal `h̄` on exit, with each
+    /// leaf slot holding what `leaves` makes of its `h̄` — the estimate
+    /// itself for a trial ([`Store`]), or its prefix entry for the publish
+    /// ([`PrefixChain`], fed every leaf left to right).
+    fn downward<E: Emit>(&self, tree: &mut Nodes<'_>, input: Option<&[f64]>, leaves: &mut E) {
         if self.shape.height() == 1 {
-            sink(&values[..1]);
+            // A lone root is its own leaf: h̄ = z = h̃.
+            let z = input.map_or(tree.leaves[0], |h| h[0]);
+            tree.leaves[0] = leaves.emit(z);
             return;
         }
         let cut = self.tile_cut();
-        self.downward_levels(values, 0..cut);
+        self.downward_levels(tree, 0..cut);
         for s in 0..self.shape.level_width(cut) {
-            self.downward_slab(s, cut, values, None, Some(slab));
-            sink(slab);
+            self.downward_slab(s, cut, tree, input, leaves);
         }
     }
 
@@ -1013,8 +1070,8 @@ impl LevelTree {
     ///
     /// Without `input` the slab holds its `h̃` and is overwritten in place;
     /// a staged `input` (`nodes()` long) supplies every `h̃` instead, and
-    /// the slab's leaves in `values` are neither read nor written.
-    fn upward_slab(&self, s: usize, cut: usize, values: &mut [f64], input: Option<&[f64]>) {
+    /// the slab's leaves in `tree` are neither read nor written.
+    fn upward_slab(&self, s: usize, cut: usize, tree: &mut Nodes<'_>, input: Option<&[f64]>) {
         let height = self.shape.height();
         let offsets = self.shape.level_offsets();
         let k = self.shape.branching();
@@ -1023,7 +1080,7 @@ impl LevelTree {
             let w = self.shape.level_width(d) / slabs;
             self.up_step(
                 d,
-                values,
+                tree,
                 input,
                 offsets[d] + s * w,
                 offsets[d + 1] + s * w * k,
@@ -1035,16 +1092,15 @@ impl LevelTree {
     /// Top-down sweep over slab `s` rooted at depth `cut`, whose root
     /// already holds its `h̄`: every internal level below it goes from `z`
     /// to `h̄` in place. The leaf step reads the leaf `z` from a staged
-    /// `input` when given (from the tree otherwise) and writes the leaves'
-    /// `h̄` into `leaves` when given (into the tree otherwise — then the
-    /// tree keeps its leaf `z`).
-    fn downward_slab(
+    /// `input` when given (from the tree otherwise) and stores each leaf's
+    /// `h̄` through `leaves`.
+    fn downward_slab<E: Emit>(
         &self,
         s: usize,
         cut: usize,
-        values: &mut [f64],
+        tree: &mut Nodes<'_>,
         input: Option<&[f64]>,
-        mut leaves: Option<&mut [f64]>,
+        leaves: &mut E,
     ) {
         let height = self.shape.height();
         let offsets = self.shape.level_offsets();
@@ -1054,9 +1110,9 @@ impl LevelTree {
             let w = self.shape.level_width(d) / slabs;
             let (plo, clo) = (offsets[d] + s * w, offsets[d + 1] + s * w * k);
             if d + 2 == height {
-                self.down_step(d, values, input, leaves.as_deref_mut(), plo, clo, w);
+                self.down_step(d, tree, input, leaves, plo, clo, w);
             } else {
-                self.down_step(d, values, None, None, plo, clo, w);
+                self.down_step(d, tree, None, &mut Store, plo, clo, w);
             }
         }
     }
@@ -1066,25 +1122,25 @@ impl LevelTree {
     /// `input` as in [`Self::upward_slab`].
     fn upward_levels(
         &self,
-        values: &mut [f64],
+        tree: &mut Nodes<'_>,
         depths: core::ops::Range<usize>,
         input: Option<&[f64]>,
     ) {
         let offsets = self.shape.level_offsets();
         for d in depths.rev() {
             let (lo, hi) = (offsets[d], offsets[d + 1]);
-            self.up_step(d, values, input, lo, hi, hi - lo);
+            self.up_step(d, tree, input, lo, hi, hi - lo);
         }
     }
 
     /// Plain top-down level sweeps, in place: turns the children of each
     /// depth in `depths` from `z` into `h̄` (the parents must already hold
     /// theirs).
-    fn downward_levels(&self, values: &mut [f64], depths: core::ops::Range<usize>) {
+    fn downward_levels(&self, tree: &mut Nodes<'_>, depths: core::ops::Range<usize>) {
         let offsets = self.shape.level_offsets();
         for d in depths {
             let (lo, hi) = (offsets[d], offsets[d + 1]);
-            self.down_step(d, values, None, None, lo, hi, hi - lo);
+            self.down_step(d, tree, None, &mut Store, lo, hi, hi - lo);
         }
     }
 
@@ -1096,54 +1152,48 @@ impl LevelTree {
     fn up_step(
         &self,
         d: usize,
-        values: &mut [f64],
+        tree: &mut Nodes<'_>,
         input: Option<&[f64]>,
         plo: usize,
         clo: usize,
         w: usize,
     ) {
         let k = self.shape.branching();
-        let (upper, lower) = values.split_at_mut(clo);
-        let parents = &mut upper[plo..plo + w];
+        let (parents, children) = tree.step(plo, w, clo, w * k);
         match input {
             Some(h) => {
                 let children = if d + 2 == self.shape.height() {
                     &h[clo..clo + w * k]
                 } else {
-                    &lower[..w * k]
+                    &*children
                 };
                 self.up_kernel(d, parents, &h[plo..plo + w], children);
             }
-            None => self.up_kernel(d, parents, InPlace, &lower[..w * k]),
+            None => self.up_kernel(d, parents, InPlace, children),
         }
     }
 
     /// One top-down kernel call: the `w·k` children at `clo` (depth
-    /// `d + 1`) get their `h̄` from the `w` parents at `plo`. The children's
-    /// `z` is read from `input` when given (else in place), and their `h̄`
-    /// written to `sink` when given (else in place).
+    /// `d + 1`) get their `h̄` from the `w` parents at `plo`, stored through
+    /// `out`. The children's `z` is read from `input` when given, else in
+    /// place.
     #[allow(clippy::too_many_arguments)] // one kernel call's coordinates
     #[inline]
-    fn down_step(
+    fn down_step<E: Emit>(
         &self,
         d: usize,
-        values: &mut [f64],
+        tree: &mut Nodes<'_>,
         input: Option<&[f64]>,
-        sink: Option<&mut [f64]>,
+        out: &mut E,
         plo: usize,
         clo: usize,
         w: usize,
     ) {
         let k = self.shape.branching();
-        let (upper, lower) = values.split_at_mut(clo);
-        let parents = &upper[plo..plo + w];
-        let children = &mut lower[..w * k];
-        let z = input.map(|h| &h[clo..clo + w * k]);
-        match (sink, z) {
-            (Some(sink), Some(z)) => self.down_kernel(d, sink, z, parents),
-            (Some(sink), None) => self.down_kernel(d, sink, &*children, parents),
-            (None, Some(z)) => self.down_kernel(d, children, z, parents),
-            (None, None) => self.down_kernel(d, children, InPlace, parents),
+        let (parents, children) = tree.step(plo, w, clo, w * k);
+        match input {
+            Some(h) => self.down_kernel(d, children, &h[clo..clo + w * k], parents, out),
+            None => self.down_kernel(d, children, InPlace, parents, out),
         }
     }
 
@@ -1163,14 +1213,21 @@ impl LevelTree {
 
     /// Dispatches the top-down kernel for depth `d` (filling depth `d + 1`).
     #[inline]
-    fn down_kernel<S: Source>(&self, d: usize, children: &mut [f64], group_z: S, parents: &[f64]) {
+    fn down_kernel<S: Source, E: Emit>(
+        &self,
+        d: usize,
+        children: &mut [f64],
+        group_z: S,
+        parents: &[f64],
+        out: &mut E,
+    ) {
         let k = self.shape.branching();
         match &self.weights {
             Weights::Uniform { .. } => {
-                down_level_uniform(children, group_z, parents, k, k as f64);
+                down_level_uniform(children, group_z, parents, k, k as f64, out);
             }
             Weights::Weighted { down_ratio, .. } => {
-                down_level_weighted(children, group_z, parents, k, down_ratio[d + 1]);
+                down_level_weighted(children, group_z, parents, k, down_ratio[d + 1], out);
             }
         }
     }
@@ -1216,23 +1273,23 @@ struct CountScratch {
     top: Vec<f64>,
 }
 
-/// Reusable inference executor: one tree buffer and O(slab) scratch, many
-/// trials.
+/// Reusable inference executor: O(slab) counting scratch and the publish's
+/// internal nodes, many trials.
 ///
 /// After the first call every `infer*` and `release_and_infer*` method is
 /// allocation-free (buffers are recycled at their high-water mark), which is
 /// what the experiment loops need — thousands of trials over one shape.
-/// Trials run in their caller's output buffer; the engine's own tree buffer
-/// is only grown by [`Self::release_and_infer_into_snapshot`], whose output
-/// is a snapshot rather than a tree.
+/// Trials run in their caller's output buffer. The engine holds a tree's
+/// internal nodes only for [`Self::release_and_infer_into_snapshot`], whose
+/// output is a snapshot rather than a tree: its leaf level lives in the
+/// snapshot it builds.
 #[derive(Debug, Clone)]
 pub struct BatchInference {
     tree: LevelTree,
-    /// The publish's tree, overwritten in place: `h̃ → z → h̄`.
-    values: Vec<f64>,
+    /// The publish's internal nodes (`first_leaf()` of them), overwritten
+    /// in place: `h̃ → z → h̄`.
+    internal: Vec<f64>,
     counts: CountScratch,
-    /// One downward slab's leaves, on their way into a snapshot's prefix.
-    slab: Vec<f64>,
 }
 
 impl BatchInference {
@@ -1240,9 +1297,8 @@ impl BatchInference {
     pub fn new(tree: LevelTree) -> Self {
         Self {
             tree,
-            values: Vec::new(),
+            internal: Vec::new(),
             counts: CountScratch::default(),
-            slab: Vec::new(),
         }
     }
 
@@ -1324,16 +1380,21 @@ impl BatchInference {
     }
 
     /// [`Self::release_and_infer`] served straight into `snapshot`: the same
-    /// trial, run in place in the engine's tree buffer, but the inferred
-    /// leaf level is never materialized. Each downward slab writes its
-    /// leaves into engine scratch one slab wide, and they are scanned on
-    /// into the snapshot's prefix while still in cache, so the snapshot is
-    /// bit-identical to [`ConsistentSnapshot::rebuild_from_tree_values`]
-    /// over `release_and_infer`'s output (padding leaves included).
+    /// trial, but only its internal nodes run in the engine's buffer. Each
+    /// leaf's count plus noise is written into the snapshot's prefix slot
+    /// `prefix[i + 1]`, where it stays as the leaf's `z` until the downward
+    /// leaf step reads it and, in the same loop, overwrites it with the
+    /// running prefix sum of the inferred leaves — the serial chain of
+    /// [`ConsistentSnapshot::rebuild_from_leaves`]. No tree-sized leaf level
+    /// exists outside the snapshot, and no scan pass follows the inference.
+    /// The snapshot is bit-identical to
+    /// [`ConsistentSnapshot::rebuild_from_tree_values`] over
+    /// `release_and_infer`'s output (padding leaves included).
     ///
-    /// `snapshot` is rebuilt in place over the prepared domain: zero
-    /// allocations once it and the engine have warmed up. Its noise scale
-    /// is left as it was — the caller knows which release produced it.
+    /// `snapshot` is rebuilt in place over the prepared domain, whatever it
+    /// held: zero allocations once it and the engine have warmed up. Its
+    /// noise scale is left as it was — the caller knows which release
+    /// produced it.
     pub fn release_and_infer_into_snapshot<R: Rng + ?Sized>(
         &mut self,
         prepared: &PreparedMechanism<HierarchicalQuery>,
@@ -1343,16 +1404,17 @@ impl BatchInference {
     ) {
         let Self {
             tree,
-            values,
+            internal,
             counts,
-            slab,
         } = self;
         let shape = tree.shape();
-        values.resize(shape.nodes(), 0.0);
-        slab.resize(shape.leaves() / shape.level_width(tree.tile_cut()), 0.0);
-        let mut scan = snapshot.prefix_scan(shape.leaves(), prepared.domain_size());
-        tree.noised_upward(prepared, histogram, rng, values, counts, None);
-        tree.downward_into_sink(values, slab, |leaves| scan.scan(leaves));
+        internal.resize(shape.first_leaf(), 0.0);
+        let mut nodes = Nodes {
+            internal,
+            leaves: snapshot.leaf_slots(shape.leaves(), prepared.domain_size()),
+        };
+        tree.noised_upward(prepared, histogram, rng, &mut nodes, counts, None);
+        tree.downward(&mut nodes, None, &mut PrefixChain::default());
     }
 
     /// [`LevelTree::fused_trial`] in `out`, with the engine's counting
@@ -2031,7 +2093,7 @@ mod tests {
                 );
                 let what = format!("n={n} k={k} seed={seed}");
                 let first_leaf = shape.first_leaf();
-                assert_same_bits(&engine.values[..first_leaf], &out[..first_leaf], &what);
+                assert_same_bits(&engine.internal, &out[..first_leaf], &what);
                 assert_eq!(snapshot, expect, "{what}");
                 for hi in 0..n {
                     let q = Interval::new(0, hi);

@@ -128,7 +128,7 @@ impl StrategyPlan {
 /// release machinery over a fixed domain, then run once per release.
 ///
 /// The pipeline owns every buffer its strategy needs (the prepared query,
-/// the inference engine's tables, tree buffer and slab scratch, the
+/// the inference engine's tables, internal-node buffer and slab scratch, the
 /// budgeted release's noisy and inferred vectors), so after the first release a
 /// [`release_into`](Self::release_into) a warm snapshot allocates nothing:
 /// every strategy rebuilds the caller's snapshot in place. The only
@@ -155,8 +155,9 @@ enum Stage {
     },
     Hierarchical {
         prepared: PreparedMechanism<HierarchicalQuery>,
-        /// Runs the release in place in its one tree buffer; the leaves
-        /// go straight into the snapshot's prefix.
+        /// Runs the release in place in its internal-node buffer; the
+        /// leaves live in the snapshot's prefix slots and are scanned there
+        /// by the downward leaf step.
         engine: BatchInference,
     },
     Budgeted {

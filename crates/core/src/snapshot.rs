@@ -185,28 +185,45 @@ impl ConsistentSnapshot {
         self.noise_scale = noise_scale;
     }
 
+    /// A snapshot of `domain_size` all-`+0.0` leaves, bit-identical to
+    /// [`Self::from_leaves`] over them (`+0.0 + +0.0` is `+0.0`, so every
+    /// prefix entry is `+0.0`), built from one zeroed allocation: no leaf
+    /// vector, no memset and no scan. A service tenant's epoch-0 snapshot.
+    pub fn zeros(domain_size: usize) -> Self {
+        Self {
+            prefix: vec![0.0; domain_size + 1],
+            domain_size,
+            noise_scale: None,
+        }
+    }
+
     /// Rebuilds in place from a leaf slice — zero allocations once the
     /// prefix buffer has warmed up. Same arithmetic as
     /// [`Self::from_leaves`], bit for bit: the serial prefix chain
     /// (`prefix[i+1] = prefix[i] + leaf[i]`, left-associated, frozen by
-    /// every golden release pin), in one scan over the whole level.
+    /// every golden release pin) over the whole level.
     pub fn rebuild_from_leaves(&mut self, leaves: &[f64], domain_size: usize) {
-        self.prefix_scan(leaves.len(), domain_size).scan(leaves);
+        let slots = self.leaf_slots(leaves.len(), domain_size);
+        let mut chain = PrefixChain::default();
+        for (slot, &leaf) in slots.iter_mut().zip(leaves) {
+            *slot = chain.push(leaf);
+        }
     }
 
-    /// Starts an in-place rebuild over `leaves` (padded) leaf values that
-    /// the returned [`PrefixScan`] is then fed left to right, in slabs of
-    /// any width. The buffer is `resize`d once (steady-state rebuilds touch
-    /// no capacity and no memset) and the caller must scan every leaf.
-    pub(crate) fn prefix_scan(&mut self, leaves: usize, domain_size: usize) -> PrefixScan<'_> {
+    /// Starts an in-place rebuild over `leaves` (padded) leaf values and
+    /// hands back their slots, `prefix[1..=leaves]`. The caller must leave
+    /// each slot holding its prefix entry: the next value of one
+    /// [`PrefixChain`] fed every leaf in index order. Until then a slot may
+    /// hold anything — the publish keeps each leaf's `h̃` and `z` there
+    /// before its downward pass scans the leaf's `h̄` in place. The buffer
+    /// is `resize`d once (steady-state rebuilds touch no capacity and no
+    /// memset).
+    pub(crate) fn leaf_slots(&mut self, leaves: usize, domain_size: usize) -> &mut [f64] {
         assert!(domain_size <= leaves, "domain larger than the leaf level");
         self.prefix.resize(leaves + 1, 0.0);
         self.prefix[0] = 0.0;
         self.domain_size = domain_size;
-        PrefixScan {
-            out: &mut self.prefix[1..],
-            acc: 0.0,
-        }
+        &mut self.prefix[1..]
     }
 
     /// Rebuilds in place by copying an already-built prefix array
@@ -297,53 +314,23 @@ impl ConsistentSnapshot {
     }
 }
 
-/// The serial prefix chain behind every snapshot rebuild, fed one slab of
-/// leaves at a time: `prefix[i+1] = prefix[i] + leaf[i]`, left-associated,
-/// with one accumulator carried across slabs. That association is frozen —
-/// every golden release pin depends on it — so a level scanned in slabs
-/// (the engine's downward pass hands each slab over while it is still in
-/// cache) gets exactly the bits of one whole-level scan.
-///
-/// What *is* optimized is everything around the chain: the output is
-/// written by index (no capacity check per entry), and the writes are
-/// blocked four at a time so the stores batch while the adds stay in exact
-/// serial order.
-pub(crate) struct PrefixScan<'a> {
-    /// The prefix entries not yet written, `prefix[i + 1..]` after `i`
-    /// leaves.
-    out: &'a mut [f64],
+/// The serial prefix chain behind every snapshot rebuild:
+/// `prefix[i+1] = prefix[i] + leaf[i]`, left-associated, one accumulator
+/// from `+0.0` carried across the whole level. That association is frozen —
+/// every golden release pin depends on it — so whoever feeds the chain (a
+/// whole-level rebuild, or the engine's downward leaf step, one sibling
+/// group at a time) gets exactly the bits of one whole-level scan.
+#[derive(Debug, Default)]
+pub(crate) struct PrefixChain {
     acc: f64,
 }
 
-impl PrefixScan<'_> {
-    /// Appends `leaves` (the next leaves in index order) to the prefix.
-    pub(crate) fn scan(&mut self, leaves: &[f64]) {
-        let (out, rest) = std::mem::take(&mut self.out).split_at_mut(leaves.len());
-        self.out = rest;
-        let mut acc = self.acc;
-        let mut leaf_blocks = leaves.chunks_exact(4);
-        let mut out_blocks = out.chunks_exact_mut(4);
-        for (l, o) in (&mut leaf_blocks).zip(&mut out_blocks) {
-            // The four adds stay one serial chain — identical association to
-            // the scalar loop, so the bits cannot move.
-            acc += l[0];
-            o[0] = acc;
-            acc += l[1];
-            o[1] = acc;
-            acc += l[2];
-            o[2] = acc;
-            acc += l[3];
-            o[3] = acc;
-        }
-        for (&leaf, slot) in leaf_blocks
-            .remainder()
-            .iter()
-            .zip(out_blocks.into_remainder())
-        {
-            acc += leaf;
-            *slot = acc;
-        }
-        self.acc = acc;
+impl PrefixChain {
+    /// The prefix entry after the next leaf (in index order), `leaf`.
+    #[inline(always)]
+    pub(crate) fn push(&mut self, leaf: f64) -> f64 {
+        self.acc += leaf;
+        self.acc
     }
 }
 
@@ -929,8 +916,9 @@ mod tests {
 
     #[test]
     fn unrolled_rebuild_is_bit_identical_across_tail_lengths() {
-        // The 4-blocked default rebuild must reproduce the historical
-        // push-loop bits for every tail length around the block boundary.
+        // The rebuild must reproduce the historical push-loop bits for
+        // every length, including the tails around the old 4-block
+        // boundary.
         for n in [0usize, 1, 3, 4, 5, 7, 8, 9, 63, 64, 65, 257] {
             let leaves = random_values(n, 1000 + n as u64);
             let snap = ConsistentSnapshot::from_leaves(&leaves, n);
@@ -943,6 +931,23 @@ mod tests {
             let got: Vec<u64> = snap.prefix.iter().map(|v| v.to_bits()).collect();
             let want: Vec<u64> = oracle.iter().map(|v| v.to_bits()).collect();
             assert_eq!(got, want, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn zeros_is_bit_identical_to_a_scan_of_zero_leaves() {
+        // One bin, a size every tree pads (37), and one past a binary
+        // tree's multi-slab threshold (2^15 + 3): every prefix entry
+        // `+0.0`, the domain kept, no noise scale.
+        for n in [1usize, 37, (1 << 15) + 3] {
+            let zeros = ConsistentSnapshot::zeros(n);
+            let scanned = ConsistentSnapshot::from_leaves(&vec![0.0; n], n);
+            let bits = |s: &ConsistentSnapshot| -> Vec<u64> {
+                s.prefix.iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&zeros), bits(&scanned), "n = {n}");
+            assert_eq!(zeros.domain_size(), n);
+            assert_eq!(zeros.noise_scale(), None);
         }
     }
 

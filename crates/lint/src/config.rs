@@ -98,8 +98,7 @@ pub const HOT_FUNCTIONS: &[(&str, &[&str])] = &[
             "zero_round_slab",
             "infer_from",
             "copy_slab",
-            "downward_tree",
-            "downward_into_sink",
+            "downward",
             "upward_slab",
             "downward_slab",
             "upward_levels",
@@ -108,6 +107,11 @@ pub const HOT_FUNCTIONS: &[(&str, &[&str])] = &[
             "down_step",
             "up_kernel",
             "down_kernel",
+            // The split tree's kernel operands and what the top-down
+            // kernels store per child (the publish's prefix chain).
+            "step",
+            "run",
+            "emit",
             "zero_round_in_place",
         ],
     ),
@@ -131,8 +135,8 @@ pub const HOT_FUNCTIONS: &[(&str, &[&str])] = &[
             "rebuild_from_leaves",
             "rebuild_from_tree_values",
             "rebuild_from_prefix",
-            "prefix_scan",
-            "scan",
+            "leaf_slots",
+            "push",
             "total",
             "for_each_node",
             "for_each_node_at_depth",

@@ -58,6 +58,14 @@ pub enum ServeError {
     },
     /// Tenants must serve at least one bin.
     EmptyDomain,
+    /// The domain's buffers cannot be allocated: a tenant keeps a count per
+    /// bin and a prefix entry per leaf plus one, and a tree strategy an
+    /// estimate per tree node, and one of these arrays would need more than
+    /// `isize::MAX` bytes, the most one allocation can hold.
+    DomainTooLarge {
+        /// The domain size presented.
+        domain_size: usize,
+    },
     /// An ingested delta addressed a bin outside the tenant's domain.
     BinOutOfRange {
         /// The offending bin index.
@@ -127,6 +135,9 @@ impl fmt::Display for ServeError {
                 write!(f, "tenant {name:?} is already registered")
             }
             ServeError::EmptyDomain => write!(f, "tenant domain must be non-empty"),
+            ServeError::DomainTooLarge { domain_size } => {
+                write!(f, "a domain of {domain_size} bins is too large to allocate")
+            }
             ServeError::BinOutOfRange { bin, domain_size } => {
                 write!(f, "bin {bin} outside domain of size {domain_size}")
             }
@@ -191,9 +202,13 @@ fn check_strategy(
             reason: "branching factor below 2",
         });
     }
-    let height = padded_height(domain_size, branching).ok_or(ServeError::InvalidStrategy {
-        reason: "branching factor pads the tree past 16 leaves per bin",
-    })?;
+    let (height, nodes) =
+        padded_tree(domain_size, branching).ok_or(ServeError::InvalidStrategy {
+            reason: "branching factor pads the tree past 16 leaves per bin",
+        })?;
+    if !fits_allocation(nodes) {
+        return Err(ServeError::DomainTooLarge { domain_size });
+    }
     match split {
         // Δ = height (Proposition 4).
         None => check_noise_scale(height as f64 / epsilon.value()),
@@ -211,17 +226,31 @@ fn check_strategy(
 /// every domain size: the smallest power of k covering n bins is below k·n.
 const MAX_LEAVES_PER_BIN: usize = 16;
 
-/// `TreeShape::for_domain(domain_size, branching).height()` in checked
-/// arithmetic: `None` when the padded leaf count overflows or exceeds
-/// [`MAX_LEAVES_PER_BIN`] × `domain_size`.
-fn padded_height(domain_size: usize, branching: usize) -> Option<usize> {
+/// The height and node count of `TreeShape::for_domain(domain_size,
+/// branching)` in checked arithmetic: `None` when the padded leaf count
+/// overflows or exceeds [`MAX_LEAVES_PER_BIN`] × `domain_size`. The node
+/// count saturates at `usize::MAX`.
+fn padded_tree(domain_size: usize, branching: usize) -> Option<(usize, usize)> {
     let cap = domain_size.saturating_mul(MAX_LEAVES_PER_BIN);
-    let (mut leaves, mut height) = (1usize, 1usize);
+    let (mut leaves, mut height, mut nodes) = (1usize, 1usize, 1usize);
     while leaves < domain_size {
         leaves = leaves.checked_mul(branching).filter(|&l| l <= cap)?;
         height += 1;
+        nodes = nodes.saturating_add(leaves);
     }
-    Some(height)
+    Some((height, nodes))
+}
+
+/// Whether an array of `entries + 1` eight-byte values fits one
+/// allocation: `(entries + 1) · 8 ≤ isize::MAX`, in checked arithmetic.
+/// Every domain-sized array of a tenant is at most that long (a prefix has
+/// one entry per leaf plus one, and a tree at least as many nodes as
+/// leaves), so a domain that passes allocates without a capacity overflow.
+fn fits_allocation(entries: usize) -> bool {
+    entries
+        .checked_add(1)
+        .and_then(|n| n.checked_mul(8))
+        .is_some_and(|bytes| bytes <= isize::MAX as usize)
 }
 
 /// Refuses a Laplace scale `Δ/ε` that overflowed: `Laplace::centered`
@@ -447,6 +476,12 @@ impl HistogramService {
         if config.domain_size == 0 {
             return Err(ServeError::EmptyDomain);
         }
+        // Before anything domain-sized is planned or allocated.
+        if !fits_allocation(config.domain_size) {
+            return Err(ServeError::DomainTooLarge {
+                domain_size: config.domain_size,
+            });
+        }
         if self.tenants.iter().any(|t| t.config.name == config.name) {
             return Err(ServeError::DuplicateTenant {
                 name: config.name.clone(),
@@ -498,8 +533,7 @@ impl HistogramService {
             pipeline,
             retired: None,
         };
-        let initial =
-            ConsistentSnapshot::from_leaves(&vec![0.0; config.domain_size], config.domain_size);
+        let initial = ConsistentSnapshot::zeros(config.domain_size);
         let id = TenantId(self.tenants.len());
         self.tenants.push(Tenant {
             config,

@@ -270,11 +270,13 @@ fn a_cold_release_requests_one_tree_and_slab_scratch() {
     let f64_bytes = std::mem::size_of::<f64>();
     let slab_scratch = 4 * f64_bytes * slab_leaves;
     let tree_bytes = f64_bytes * shape.nodes();
+    let internal_bytes = f64_bytes * shape.first_leaf();
     let prefix_bytes = f64_bytes * (shape.leaves() + 1);
     let epsilon = Epsilon::new(0.5).expect("valid ε");
 
-    // A cold publish-path release: the engine's one tree buffer, the fresh
-    // snapshot's prefix, and the counting and leaf-sink slabs.
+    // A cold publish-path release: the engine's internal nodes, the fresh
+    // snapshot's prefix (which holds the leaf level while the release
+    // runs), and the counting slabs — no tree-sized leaf level.
     let mut pipeline = StrategyPipeline::new(
         &ReleaseStrategy::Hierarchical { branching: 2 },
         epsilon,
@@ -285,9 +287,9 @@ fn a_cold_release_requests_one_tree_and_slab_scratch() {
         pipeline.release(&histogram, &mut rng_from_seed(3));
     });
     assert!(
-        release_bytes <= tree_bytes + prefix_bytes + slab_scratch,
-        "cold release requested {release_bytes} bytes; one tree is {tree_bytes}, \
-         the prefix {prefix_bytes}, the slab allowance {slab_scratch}"
+        release_bytes <= internal_bytes + prefix_bytes + slab_scratch,
+        "cold release requested {release_bytes} bytes; the internal nodes are \
+         {internal_bytes}, the prefix {prefix_bytes}, the slab allowance {slab_scratch}"
     );
 
     // A cold rounded trial runs in its output alone: one tree plus the

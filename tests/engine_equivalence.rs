@@ -18,7 +18,11 @@
 //!   owned-release path at the same seed, bit for bit;
 //! * the fused trial, which counts the tree inside its noised upward slabs,
 //!   ≡ `evaluate_into_slice` → `add_noise_with` → `infer_into` (→
-//!   `zero_round_in_place`), bit for bit, per backend.
+//!   `zero_round_in_place`), bit for bit, per backend;
+//! * the publish, which keeps the leaf level in the snapshot's prefix slots
+//!   and scans it inside the downward leaf step, ≡ the staged release
+//!   served through `ConsistentSnapshot::from_tree_values`, bit for bit,
+//!   per backend, whatever snapshot it is rebuilt into.
 
 use hc_testutil::assert_close;
 use hist_consistency::linalg::{lstsq, Matrix};
@@ -206,6 +210,87 @@ proptest! {
             .release(&histogram, &mut rng_from_seed(seed))
             .infer_rounded();
         prop_assert_eq!(&out[..], old_rounded.node_values());
+    }
+}
+
+/// Domain size number `pick` for fan-out `k`, `offset` picking within the
+/// class: a small domain, one around a power of `k` (an extra leaf, none,
+/// or a full extra level of padding), one whose tree just crosses the
+/// multi-slab threshold (more than 8192 leaves) or stays under it, and the
+/// one- and two-bin trees.
+fn publish_domain(k: usize, pick: usize, offset: usize) -> usize {
+    let power_above = |floor: usize| {
+        let mut p = 1;
+        while p <= floor {
+            p *= k;
+        }
+        p
+    };
+    match pick {
+        0 => 1 + offset,
+        1 => power_above(255) + 1 - offset % 3,
+        2 => {
+            // The largest power of k with at most 8192 leaves: a domain
+            // just past it needs the next level, which tiles into slabs.
+            let single_slab = power_above(8192) / k;
+            if offset % 2 == 0 {
+                single_slab + 1 + offset
+            } else {
+                single_slab - offset
+            }
+        }
+        _ => 1 + offset % 2,
+    }
+}
+
+proptest! {
+    #[test]
+    fn publish_equals_the_staged_release_bit_for_bit(
+        k in 2usize..=16,
+        size_pick in 0usize..4,
+        offset in 0usize..64,
+        backend_pick in 0usize..2,
+        dirty_pick in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let n = publish_domain(k, size_pick, offset);
+        let backend = [NoiseBackend::Reference, NoiseBackend::FastLnWide][backend_pick];
+        let mut rng = rng_from_seed(seed ^ 0xBEEF);
+        let counts: Vec<u64> = (0..n).map(|_| rng.random_range(0u64..40)).collect();
+        let histogram = Histogram::from_counts(Domain::new("x", n).unwrap(), counts);
+        let prepared = LaplaceMechanism::new(Epsilon::new(0.5).unwrap())
+            .with_backend(backend)
+            .prepare(HierarchicalQuery::new(k), n);
+        let shape = prepared.query().shape(n);
+
+        // The staged release: evaluate, add noise over the whole vector,
+        // infer, and serve the inferred tree's leaves.
+        let mut noisy = vec![0.0; shape.nodes()];
+        prepared.query().evaluate_into_slice(&histogram, &mut noisy);
+        prepared.noise().add_noise_with(backend, &mut rng_from_seed(seed), &mut noisy);
+        let staged = LevelTree::new(&shape).infer(&noisy);
+        let expect = ConsistentSnapshot::from_tree_values(&shape, &staged, n);
+
+        // The publish, into a fresh snapshot or a dirty one of another size.
+        let dirty_leaves = [0, 5, 2 * shape.leaves() + 7][dirty_pick];
+        let mut snapshot =
+            ConsistentSnapshot::from_leaves(&vec![f64::NAN; dirty_leaves], dirty_leaves.min(3));
+        BatchInference::for_shape(&shape).release_and_infer_into_snapshot(
+            &prepared,
+            &histogram,
+            &mut rng_from_seed(seed),
+            &mut snapshot,
+        );
+        let what = format!("k={k} n={n} {backend:?} dirty={dirty_leaves}");
+        prop_assert_eq!(&snapshot, &expect, "{}", what);
+        for hi in 0..n {
+            let q = Interval::new(0, hi);
+            prop_assert_eq!(
+                snapshot.answer(q).to_bits(),
+                expect.answer(q).to_bits(),
+                "{} prefix {}", what, hi
+            );
+        }
     }
 }
 

@@ -3,6 +3,7 @@
 
 use hist_consistency::infer::{hierarchical_inference, isotonic_regression};
 use hist_consistency::prelude::*;
+use hist_consistency::serve::ServeError;
 use proptest::prelude::*;
 
 // ---------------- invalid parameters fail loudly ----------------
@@ -155,16 +156,34 @@ fn registration_branching(pick: usize, n: usize) -> usize {
     }
 }
 
+/// Domains no tenant's buffers can hold: each needs a prefix of more than
+/// `isize::MAX` bytes, so the first allocation would panic with "capacity
+/// overflow".
+const UNALLOCATABLE_DOMAINS: [usize; 2] = [1 << 61, usize::MAX];
+
+/// Domain size number `pick`: a small domain `n` in three picks of four,
+/// else one of [`UNALLOCATABLE_DOMAINS`].
+fn registration_domain(pick: usize, n: usize) -> usize {
+    match pick {
+        0..=5 => n,
+        _ => UNALLOCATABLE_DOMAINS[pick - 6],
+    }
+}
+
 proptest! {
     #[test]
     fn registration_refuses_or_serves_and_never_panics(
         strategy_pick in 0usize..3,
         branching_pick in 0usize..22,
-        n in 1usize..4097,
+        domain_pick in 0usize..8,
+        small_n in 1usize..4097,
         epsilon_pick in 0usize..5,
     ) {
         // `register` returns a typed error or a tenant; a registered tenant
         // publishes once and still takes writes (its lock is not poisoned).
+        // An unallocatable domain is refused as too large, whatever the
+        // strategy, before anything domain-sized is allocated.
+        let n = registration_domain(domain_pick, small_n);
         let branching = registration_branching(branching_pick, n);
         let strategy = match strategy_pick {
             0 => ReleaseStrategy::Flat,
@@ -176,9 +195,39 @@ proptest! {
             .with_budget(1.0, REGISTRATION_EPSILONS[epsilon_pick])
             .with_refresh_every(0);
         let mut service = HistogramService::new();
-        if let Ok(id) = service.register(config) {
+        let registered = service.register(config);
+        if UNALLOCATABLE_DOMAINS.contains(&n) {
+            prop_assert!(
+                matches!(registered, Err(ServeError::DomainTooLarge { domain_size }) if domain_size == n),
+                "n = {n}: {registered:?}"
+            );
+        }
+        if let Ok(id) = registered {
             prop_assert!(service.publish(id).is_ok());
             prop_assert!(service.ingest(id, &[(0, 1)]).is_ok());
+        }
+    }
+}
+
+#[test]
+fn unallocatable_domains_are_refused_for_every_strategy() {
+    // The property draws these domains at random; here every strategy
+    // meets both, with a branching factor and ε that would otherwise pass.
+    for n in UNALLOCATABLE_DOMAINS {
+        for strategy in [
+            ReleaseStrategy::Flat,
+            ReleaseStrategy::Hierarchical { branching: 2 },
+            ReleaseStrategy::Budgeted {
+                branching: 16,
+                split: BudgetSplit::Uniform,
+            },
+        ] {
+            let config = TenantConfig::new("t", n).with_strategy(strategy.clone());
+            let registered = HistogramService::new().register(config);
+            assert!(
+                matches!(registered, Err(ServeError::DomainTooLarge { domain_size }) if domain_size == n),
+                "n = {n}, {strategy:?}: {registered:?}"
+            );
         }
     }
 }
