@@ -145,3 +145,33 @@ fn accuracy_planner_quick_golden_seed_20100913() {
         ]
     );
 }
+
+#[test]
+fn ablation_budget_quick_golden_seed_20100913() {
+    // Every (ratio, range size) error of the quick budget ablation, pinned
+    // by bits: its table prints four significant digits, which would hide
+    // a drift in the per-level noise, the GLS inference or the serving
+    // path. Generated by this repository's own pipeline (f64 Debug
+    // round-trips exactly).
+    let points: Vec<(f64, usize, u64)> = exp::ablation_budget::compute(quick())
+        .iter()
+        .map(|p| (p.ratio, p.size, p.inferred.to_bits()))
+        .collect();
+    assert_eq!(
+        points,
+        vec![
+            (0.5, 4, 120180698.49181767f64.to_bits()),
+            (0.5, 64, 133096283.58686402f64.to_bits()),
+            (0.5, 128, 125403215.23530762f64.to_bits()),
+            (1.0, 4, 21233.256447875385f64.to_bits()),
+            (1.0, 64, 31844.37275039168f64.to_bits()),
+            (1.0, 128, 44497.23160834286f64.to_bits()),
+            (1.5, 4, 2946.4039833561683f64.to_bits()),
+            (1.5, 64, 16454.224072532645f64.to_bits()),
+            (1.5, 128, 30597.61942867858f64.to_bits()),
+            (2.0, 4, 2040.0950475484228f64.to_bits()),
+            (2.0, 64, 21808.13782728618f64.to_bits()),
+            (2.0, 128, 38505.07451484077f64.to_bits()),
+        ]
+    );
+}

@@ -17,7 +17,7 @@
 //! * fixed-seed golden pins for a served query batch **per noise backend**
 //!   (`reference_*` / `fast_ln_wide_*`, the `hc_noise::backend` versioning
 //!   convention — CI runs each prefix as its own step), for the
-//!   hierarchical and the budgeted release.
+//!   hierarchical, the budgeted and the flat release.
 
 use hist_consistency::data::RangeWorkload;
 use hist_consistency::prelude::*;
@@ -410,6 +410,62 @@ fn fast_ln_wide_golden_budgeted_served_batch_seed_7177() {
         119423.39313484934,
     ];
     assert_eq!(budgeted_served_batch(NoiseBackend::FastLnWide), expected);
+}
+
+/// The flat counterpart of [`budgeted_served_batch`]: a flat
+/// `StrategyPipeline` over the same 20000 bins releases at seed 7177 and
+/// serves the same 8 ranges of length 5000, plus the total.
+fn flat_served_batch(backend: NoiseBackend) -> Vec<f64> {
+    let n = 20_000usize;
+    let counts: Vec<u64> = (0..n as u64).map(|i| (i * 11 + 3) % 13).collect();
+    let histogram = Histogram::from_counts(Domain::new("golden", n).unwrap(), counts);
+    let mut pipeline = StrategyPipeline::new(
+        &ReleaseStrategy::Flat,
+        Epsilon::new(0.5).unwrap(),
+        backend,
+        n,
+    );
+    let snapshot = pipeline.release(&histogram, &mut rng_from_seed(7177));
+    let queries = RangeWorkload::new(n, 5000).sample_many(&mut rng_from_seed(9331), 8);
+    let mut served = Vec::new();
+    snapshot.answer_into(&queries, &mut served);
+    served.push(snapshot.total());
+    served
+}
+
+#[test]
+fn reference_golden_flat_served_batch_seed_7177() {
+    // The flat release's fused prefix, served through the one release
+    // dispatch. Frozen forever per the backend policy.
+    let expected = [
+        30001.563519571435,
+        29719.537440400745,
+        30286.776797651335,
+        29911.00107897658,
+        30255.036033517503,
+        30055.35140832523,
+        29614.800082716334,
+        30291.567198651646,
+        119443.06040364732,
+    ];
+    assert_eq!(flat_served_batch(NoiseBackend::Reference), expected);
+}
+
+#[test]
+fn fast_ln_wide_golden_flat_served_batch_seed_7177() {
+    // The FastLnWide twin of `reference_golden_flat_served_batch_seed_7177`.
+    let expected = [
+        29816.139042215214,
+        30051.774573931907,
+        29864.90975674762,
+        29868.619584155214,
+        29696.77034918133,
+        30313.334322044553,
+        30113.8637513454,
+        29757.990812563818,
+        120197.26679811465,
+    ];
+    assert_eq!(flat_served_batch(NoiseBackend::FastLnWide), expected);
 }
 
 #[test]
