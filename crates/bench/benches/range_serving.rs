@@ -11,12 +11,12 @@
 //! values — the serving arithmetic is identical, only cache residency
 //! changes). `range_serving_publish` times the write side end to end: a
 //! warm service publish at 2^24 bins, rebuilt into the epoch the ring
-//! retired.
+//! retired, for a hierarchical and a budgeted tenant.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hc_core::{
-    AccuracyTarget, BatchInference, ConsistentSnapshot, HierarchicalUniversal, Rounding,
-    StrategyPlanner, SubtreeServer,
+    AccuracyTarget, BatchInference, BudgetSplit, ConsistentSnapshot, HierarchicalUniversal,
+    ReleaseStrategy, Rounding, StrategyPlanner, SubtreeServer,
 };
 use hc_data::{Domain, Histogram, Interval, RangeWorkload};
 use hc_mech::{Epsilon, TreeShape};
@@ -221,38 +221,55 @@ fn bench_snapshot_rebuild(c: &mut Criterion) {
     group.finish();
 }
 
-/// Back-to-back warm publishes of one default (binary hierarchical)
-/// tenant at 2^24 bins with no reader pinning anything, after `SLOTS + 1`
-/// set-up publishes, so every timed publish rebuilds into the epoch the
-/// ring retired one publish earlier. 2^24 and not 2^20: at 2^20 the 8 MiB
-/// prefix sits under glibc's adaptive mmap threshold, so a fresh prefix
-/// reuses freed heap pages and the label would hide the page faults that
-/// recycling removes.
+/// Back-to-back warm publishes of one tenant at 2^24 bins with no reader
+/// pinning anything, after `SLOTS + 1` set-up publishes, so every timed
+/// publish rebuilds into the epoch the ring retired one publish earlier:
+/// `hier` is a default (binary hierarchical) tenant, `budgeted` a binary
+/// tree with a geometric (ratio 1.5) per-level budget split. 2^24 and not
+/// 2^20: at 2^20 the 8 MiB prefix sits under glibc's adaptive mmap
+/// threshold, so a fresh prefix reuses freed heap pages and the label
+/// would hide the page faults that recycling removes. Each tenant's
+/// service is dropped before the next one is built, so only one 2^24
+/// tenant is resident at a time.
 fn bench_publish(c: &mut Criterion) {
     let n = 1usize << 24;
-    let mut service = HistogramService::new();
-    let config = TenantConfig::new("publish", n)
-        .with_budget(f64::from(1u32 << 20), 1.0)
-        .with_refresh_every(0)
-        .with_seed(29);
-    let id = service.register(config).expect("valid tenant");
     let deltas: Vec<(usize, u64)> = (0..n).step_by(97).map(|b| (b, b as u64 % 13)).collect();
-    service.ingest(id, &deltas).expect("bins in domain");
-    for _ in 0..=SnapshotCell::SLOTS {
-        service
-            .publish(id)
-            .expect("budget for the set-up publishes");
-    }
     let mut group = c.benchmark_group("range_serving_publish");
     group.throughput(Throughput::Elements(n as u64));
-    group.bench_function(BenchmarkId::new("hier", n), |b| {
-        b.iter(|| {
+    for (label, strategy) in [
+        ("hier", None),
+        (
+            "budgeted",
+            Some(ReleaseStrategy::Budgeted {
+                branching: 2,
+                split: BudgetSplit::Geometric { ratio: 1.5 },
+            }),
+        ),
+    ] {
+        let mut service = HistogramService::new();
+        let mut config = TenantConfig::new("publish", n)
+            .with_budget(f64::from(1u32 << 20), 1.0)
+            .with_refresh_every(0)
+            .with_seed(29);
+        if let Some(strategy) = strategy {
+            config = config.with_strategy(strategy);
+        }
+        let id = service.register(config).expect("valid tenant");
+        service.ingest(id, &deltas).expect("bins in domain");
+        for _ in 0..=SnapshotCell::SLOTS {
             service
                 .publish(id)
-                .expect("budget outlasts the bench")
-                .epoch
-        })
-    });
+                .expect("budget for the set-up publishes");
+        }
+        group.bench_function(BenchmarkId::new(label, n), |b| {
+            b.iter(|| {
+                service
+                    .publish(id)
+                    .expect("budget outlasts the bench")
+                    .epoch
+            })
+        });
+    }
     group.finish();
 }
 

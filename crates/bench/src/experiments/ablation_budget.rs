@@ -2,10 +2,10 @@
 //! by generalized (weighted) constrained inference — a follow-up
 //! optimization the paper's framework directly enables.
 
-use hc_core::{BudgetSplit, BudgetedHierarchical};
+use hc_core::{BudgetSplit, ReleaseStrategy, StrategyPipeline};
 use hc_data::RangeWorkload;
 use hc_mech::Epsilon;
-use hc_noise::SeedStream;
+use hc_noise::{NoiseBackend, SeedStream};
 
 use crate::datasets::{build, DatasetId};
 use crate::stats::mean;
@@ -42,12 +42,16 @@ pub fn compute(cfg: RunConfig) -> Vec<BudgetPoint> {
         } else {
             BudgetSplit::Geometric { ratio }
         };
-        let pipeline = BudgetedHierarchical::binary(eps, split);
-        let per_trial = crate::runner::run_trials(
+        let strategy = ReleaseStrategy::Budgeted {
+            branching: 2,
+            split,
+        };
+        let per_trial = crate::runner::run_trials_with(
             cfg.trials,
             seeds.substream(20 + r_idx as u64),
-            |_t, mut rng| {
-                let tree = pipeline.release(&histogram, &mut rng).infer();
+            || StrategyPipeline::new(&strategy, eps, NoiseBackend::Reference, n),
+            |_t, mut rng, pipeline| {
+                let snapshot = pipeline.release(&histogram, &mut rng);
                 sizes
                     .iter()
                     .map(|&size| {
@@ -56,7 +60,7 @@ pub fn compute(cfg: RunConfig) -> Vec<BudgetPoint> {
                         for _ in 0..queries {
                             let q = workload.sample(&mut rng);
                             let truth = histogram.range_count(q) as f64;
-                            err += (tree.range_query(q) - truth).powi(2);
+                            err += (snapshot.answer(q) - truth).powi(2);
                         }
                         err / queries as f64
                     })

@@ -8,15 +8,13 @@
 //! accuracy between coarse and fine ranges, and
 //! [`crate::weighted::weighted_hierarchical_inference`] remains the optimal
 //! consistent decoder (now as generalized least squares).
+//!
+//! A split is released through [`crate::StrategyPipeline`] with
+//! [`crate::ReleaseStrategy::Budgeted`]: the pipeline resolves it once into
+//! one Laplace and one GLS weight table per level, and every release runs
+//! the same fused engine pass as the uniform hierarchy.
 
-use hc_data::{Histogram, Interval};
-use hc_mech::{Epsilon, HierarchicalQuery, QuerySequence, TreeShape};
-use hc_noise::Laplace;
-use rand::Rng;
-
-use crate::engine::{BatchInference, LevelTree};
-use crate::hier::ConsistentTree;
-use crate::snapshot::SubtreeServer;
+use hc_mech::Epsilon;
 
 /// How the total ε is divided among the tree's levels (depth 0 = root).
 #[derive(Debug, Clone, PartialEq)]
@@ -90,194 +88,17 @@ impl BudgetSplit {
     }
 }
 
-/// The hierarchical pipeline with a configurable per-level budget split.
-#[derive(Debug, Clone)]
-pub struct BudgetedHierarchical {
-    epsilon: Epsilon,
-    branching: usize,
-    split: BudgetSplit,
-    backend: hc_noise::NoiseBackend,
-}
-
-impl BudgetedHierarchical {
-    /// A binary hierarchy with the given total budget and split.
-    pub fn binary(epsilon: Epsilon, split: BudgetSplit) -> Self {
-        Self::new(epsilon, 2, split)
-    }
-
-    /// A k-ary hierarchy with the given total budget and split.
-    pub fn new(epsilon: Epsilon, branching: usize, split: BudgetSplit) -> Self {
-        assert!(branching >= 2, "branching factor must be at least 2");
-        Self {
-            epsilon,
-            branching,
-            split,
-            backend: hc_noise::NoiseBackend::Reference,
-        }
-    }
-
-    /// The same pipeline sampling through `backend` (see
-    /// [`hc_noise::NoiseBackend`]; the per-level draw order is unchanged).
-    pub fn with_backend(self, backend: hc_noise::NoiseBackend) -> Self {
-        Self { backend, ..self }
-    }
-
-    /// The configured sampling backend.
-    pub fn backend(&self) -> hc_noise::NoiseBackend {
-        self.backend
-    }
-
-    /// The total ε (what sequential composition certifies).
-    pub fn epsilon(&self) -> Epsilon {
-        self.epsilon
-    }
-
-    /// Releases the tree with per-level noise scales.
-    pub fn release<R: Rng + ?Sized>(
-        &self,
-        histogram: &Histogram,
-        rng: &mut R,
-    ) -> BudgetedTreeRelease {
-        let mut out = self.empty_release(histogram.len());
-        self.release_into(histogram, rng, &mut out);
-        out
-    }
-
-    /// An unreleased [`BudgetedTreeRelease`] over `domain_size` bins with
-    /// empty buffers — the slot [`Self::release_into`] fills.
-    pub(crate) fn empty_release(&self, domain_size: usize) -> BudgetedTreeRelease {
-        BudgetedTreeRelease {
-            server: SubtreeServer::new(&HierarchicalQuery::new(self.branching).shape(domain_size)),
-            domain_size,
-            noisy: Vec::new(),
-            level_variances: Vec::new(),
-            epsilon: self.epsilon,
-        }
-    }
-
-    /// Re-releases into an existing [`BudgetedTreeRelease`], reusing its
-    /// O(nodes) buffers (only the O(height) per-level budget table is
-    /// rebuilt) — bit-identical to [`Self::release`] at the same RNG state.
-    pub fn release_into<R: Rng + ?Sized>(
-        &self,
-        histogram: &Histogram,
-        rng: &mut R,
-        out: &mut BudgetedTreeRelease,
-    ) {
-        let query = HierarchicalQuery::new(self.branching);
-        let shape = query.shape(histogram.len());
-        let level_eps = self.split.level_epsilons(self.epsilon, shape.height());
-        out.level_variances.clear();
-        out.level_variances
-            .extend(level_eps.iter().map(|&e| 2.0 / (e * e)));
-
-        query.evaluate_into(histogram, &mut out.noisy);
-        for (depth, &eps_d) in level_eps.iter().enumerate() {
-            // One distribution per level, constructed once per release —
-            // each level's scale really does differ, so this is the hoisted
-            // form (the per-node construction would be height× the work).
-            let noise = Laplace::centered(1.0 / eps_d).expect("positive scale");
-            noise.add_noise_with(self.backend, rng, &mut out.noisy[shape.level(depth)]);
-        }
-        out.server.ensure_shape(shape);
-        out.domain_size = histogram.len();
-        out.epsilon = self.epsilon;
-    }
-}
-
-/// A hierarchical release with heteroscedastic noise and its GLS decoder.
-#[derive(Debug, Clone)]
-pub struct BudgetedTreeRelease {
-    /// The decomposition server, compiled once per shape.
-    server: SubtreeServer,
-    domain_size: usize,
-    noisy: Vec<f64>,
-    /// One noise variance per tree level — the single source of truth the
-    /// GLS engine compiles its weight tables from; the per-node view is
-    /// derived on demand.
-    level_variances: Vec<f64>,
-    epsilon: Epsilon,
-}
-
-impl BudgetedTreeRelease {
-    /// The total ε of the release.
-    pub fn epsilon(&self) -> Epsilon {
-        self.epsilon
-    }
-
-    /// The tree geometry.
-    pub fn shape(&self) -> &TreeShape {
-        self.server.shape()
-    }
-
-    /// The raw noisy node values (BFS order).
-    pub fn noisy_values(&self) -> &[f64] {
-        &self.noisy
-    }
-
-    /// The per-node noise variances of the release, expanded on demand from
-    /// [`Self::level_variances`] (each node carries its level's variance).
-    pub fn variances(&self) -> Vec<f64> {
-        let mut out = vec![0.0f64; self.server.shape().nodes()];
-        for (d, &var) in self.level_variances.iter().enumerate() {
-            for v in self.server.shape().level(d) {
-                out[v] = var;
-            }
-        }
-        out
-    }
-
-    /// The per-level noise variances (depth 0 = root).
-    pub fn level_variances(&self) -> &[f64] {
-        &self.level_variances
-    }
-
-    /// Raw subtree-sum range query (the `H̃` analogue), folded in place
-    /// through [`crate::snapshot::SubtreeServer`] — bit-identical to
-    /// materializing the decomposition, no per-query allocation.
-    pub fn range_query_subtree(&self, interval: Interval) -> f64 {
-        assert!(
-            interval.hi() < self.domain_size,
-            "query {interval} outside domain of size {}",
-            self.domain_size
-        );
-        self.server
-            .answer(&self.noisy, crate::universal::Rounding::None, interval)
-    }
-
-    /// GLS constrained inference (the `H̄` analogue, weighted).
-    ///
-    /// Runs through the level-indexed engine with per-level GLS weight
-    /// tables — bit-identical to
-    /// [`crate::weighted::weighted_hierarchical_inference`] over the
-    /// per-node expansion of the level variances, which the test suite pins.
-    pub fn infer(&self) -> ConsistentTree {
-        let engine = LevelTree::with_level_variances(self.server.shape(), &self.level_variances);
-        ConsistentTree::new(
-            self.server.shape().clone(),
-            engine.infer(&self.noisy),
-            self.domain_size,
-        )
-    }
-
-    /// [`Self::infer`] through a caller-owned [`BatchInference`]: the GLS
-    /// tables are recompiled only when the shape or the per-level variances
-    /// change ([`BatchInference::ensure_level_variances`]), and the passes
-    /// run in place in the result, so repeated budgeted trials allocate
-    /// only results.
-    pub fn infer_with(&self, engine: &mut BatchInference) -> ConsistentTree {
-        engine.ensure_level_variances(self.server.shape(), &self.level_variances);
-        let h = engine.infer(&self.noisy);
-        ConsistentTree::new(self.server.shape().clone(), h, self.domain_size)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::LevelTree;
+    use crate::hier::ConsistentTree;
+    use crate::plan::{ReleaseStrategy, StrategyPipeline};
     use crate::universal::HierarchicalUniversal;
-    use hc_data::Domain;
-    use hc_noise::rng_from_seed;
+    use hc_data::{Domain, Histogram, Interval};
+    use hc_mech::{HierarchicalQuery, QuerySequence, TreeShape};
+    use hc_noise::{rng_from_seed, Laplace, NoiseBackend};
+    use rand::Rng;
 
     fn eps(v: f64) -> Epsilon {
         Epsilon::new(v).unwrap()
@@ -288,6 +109,39 @@ mod tests {
             Domain::new("x", n).unwrap(),
             (0..n).map(|i| (i % 4) as u64).collect(),
         )
+    }
+
+    /// A binary budgeted pipeline over `n` bins (Reference noise).
+    fn pipeline(total: Epsilon, split: BudgetSplit, n: usize) -> StrategyPipeline {
+        let strategy = ReleaseStrategy::Budgeted {
+            branching: 2,
+            split,
+        };
+        StrategyPipeline::new(&strategy, total, NoiseBackend::Reference, n)
+    }
+
+    /// The staged budgeted release over a binary tree: the evaluated tree
+    /// plus each level's `Lap(1/ε_d)`, drawn level by level in BFS order
+    /// (the draws the pipeline makes), with the per-level variances
+    /// `2/ε_d²` its GLS tables are compiled from.
+    fn staged_release<R: Rng>(
+        h: &Histogram,
+        split: &BudgetSplit,
+        total: Epsilon,
+        rng: &mut R,
+    ) -> (TreeShape, Vec<f64>, Vec<f64>) {
+        let query = HierarchicalQuery::binary();
+        let shape = query.shape(h.len());
+        let level_eps = split.level_epsilons(total, shape.height());
+        let mut noisy = Vec::new();
+        query.evaluate_into(h, &mut noisy);
+        for (d, &e) in level_eps.iter().enumerate() {
+            Laplace::centered(1.0 / e)
+                .unwrap()
+                .add_noise(rng, &mut noisy[shape.level(d)]);
+        }
+        let variances = level_eps.iter().map(|&e| 2.0 / (e * e)).collect();
+        (shape, noisy, variances)
     }
 
     #[test]
@@ -343,13 +197,13 @@ mod tests {
         let q = Interval::new(2, 13);
         let truth = h.range_count(q) as f64;
         let classic = HierarchicalUniversal::binary(eps(0.5));
-        let budgeted = BudgetedHierarchical::binary(eps(0.5), BudgetSplit::Uniform);
+        let mut budgeted = pipeline(eps(0.5), BudgetSplit::Uniform, 16);
         let mut rng = rng_from_seed(8);
         let trials = 400;
         let (mut e_classic, mut e_budgeted) = (0.0, 0.0);
         for _ in 0..trials {
             let a = classic.release(&h, &mut rng).infer().range_query(q);
-            let b = budgeted.release(&h, &mut rng).infer().range_query(q);
+            let b = budgeted.release(&h, &mut rng).answer(q);
             e_classic += (a - truth) * (a - truth);
             e_budgeted += (b - truth) * (b - truth);
         }
@@ -359,52 +213,62 @@ mod tests {
 
     #[test]
     fn engine_inference_matches_weighted_reference() {
-        // The release's GLS engine (per-level tables) must agree bit for bit
-        // with the per-node weighted oracle it replaced.
+        // The GLS engine (per-level tables) must agree bit for bit with the
+        // per-node weighted oracle it replaced, and the pipeline's release
+        // must serve exactly that inference.
         let h = histogram(32);
         for (split, seed) in [
             (BudgetSplit::Uniform, 12u64),
             (BudgetSplit::Geometric { ratio: 1.7 }, 13),
             (BudgetSplit::Custom(vec![3.0, 1.0, 2.0, 1.0, 1.0, 4.0]), 14),
         ] {
-            let pipeline = BudgetedHierarchical::binary(eps(0.4), split);
-            let mut rng = rng_from_seed(seed);
-            let rel = pipeline.release(&h, &mut rng);
-            let reference = crate::weighted::weighted_hierarchical_inference(
-                rel.shape(),
-                rel.noisy_values(),
-                &rel.variances(),
+            let (shape, noisy, variances) =
+                staged_release(&h, &split, eps(0.4), &mut rng_from_seed(seed));
+            let mut per_node = vec![0.0f64; shape.nodes()];
+            for (d, &var) in variances.iter().enumerate() {
+                per_node[shape.level(d)].fill(var);
+            }
+            let reference =
+                crate::weighted::weighted_hierarchical_inference(&shape, &noisy, &per_node);
+            let inferred = LevelTree::with_level_variances(&shape, &variances).infer(&noisy);
+            assert_eq!(inferred, reference);
+            let served = pipeline(eps(0.4), split, 32).release(&h, &mut rng_from_seed(seed));
+            assert_eq!(
+                served,
+                crate::ConsistentSnapshot::from_tree_values(&shape, &reference, 32)
             );
-            assert_eq!(rel.infer().node_values(), &reference[..]);
         }
     }
 
     #[test]
     fn release_into_and_infer_with_match_the_owned_paths() {
+        // A warm pipeline re-releasing into a used snapshot serves what a
+        // fresh release does; the staged engine inferring into a used
+        // buffer matches its allocating form.
         let h = histogram(32);
-        let pipeline =
-            BudgetedHierarchical::binary(eps(0.4), BudgetSplit::Geometric { ratio: 1.3 });
-        let mut engine = BatchInference::for_shape(&TreeShape::for_domain(32, 2));
-        let mut reused = pipeline.release(&h, &mut rng_from_seed(20));
+        let split = BudgetSplit::Geometric { ratio: 1.3 };
+        let mut warm = pipeline(eps(0.4), split.clone(), 32);
+        let mut reused = warm.release(&h, &mut rng_from_seed(20));
+        let mut reused_tree = Vec::new();
         for seed in [21u64, 22, 23] {
-            let owned = pipeline.release(&h, &mut rng_from_seed(seed));
-            pipeline.release_into(&h, &mut rng_from_seed(seed), &mut reused);
-            assert_eq!(reused.noisy_values(), owned.noisy_values());
-            assert_eq!(reused.level_variances(), owned.level_variances());
-            assert_eq!(
-                reused.infer_with(&mut engine).node_values(),
-                owned.infer().node_values()
-            );
+            let owned = pipeline(eps(0.4), split.clone(), 32).release(&h, &mut rng_from_seed(seed));
+            warm.release_into(&h, &mut rng_from_seed(seed), &mut reused);
+            assert_eq!(reused, owned);
+            let (shape, noisy, variances) =
+                staged_release(&h, &split, eps(0.4), &mut rng_from_seed(seed));
+            let tree = LevelTree::with_level_variances(&shape, &variances);
+            tree.infer_into(&noisy, &mut Vec::new(), &mut reused_tree);
+            assert_eq!(reused_tree, tree.infer(&noisy));
         }
     }
 
     #[test]
     fn inference_output_is_consistent() {
         let h = histogram(32);
-        let pipeline =
-            BudgetedHierarchical::binary(eps(0.3), BudgetSplit::Geometric { ratio: 1.5 });
-        let mut rng = rng_from_seed(9);
-        let tree = pipeline.release(&h, &mut rng).infer();
+        let split = BudgetSplit::Geometric { ratio: 1.5 };
+        let (shape, noisy, variances) = staged_release(&h, &split, eps(0.3), &mut rng_from_seed(9));
+        let inferred = LevelTree::with_level_variances(&shape, &variances).infer(&noisy);
+        let tree = ConsistentTree::new(shape, inferred, 32);
         assert!(tree.max_consistency_violation() < 1e-9);
     }
 
@@ -416,14 +280,14 @@ mod tests {
         let mut rng = rng_from_seed(10);
         let trials = 300;
         let measure = |ratio: f64, rng: &mut rand::rngs::StdRng| {
-            let pipeline = BudgetedHierarchical::binary(eps(0.2), BudgetSplit::Geometric { ratio });
+            let mut pipeline = pipeline(eps(0.2), BudgetSplit::Geometric { ratio }, 64);
             let mut err = 0.0;
             for _ in 0..trials {
-                let tree = pipeline.release(&h, rng).infer();
+                let snapshot = pipeline.release(&h, rng);
                 for i in (0..64).step_by(16) {
                     let q = Interval::new(i, i);
                     let truth = h.range_count(q) as f64;
-                    err += (tree.range_query(q) - truth).powi(2);
+                    err += (snapshot.answer(q) - truth).powi(2);
                 }
             }
             err
@@ -439,9 +303,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one weight per tree level")]
     fn custom_split_length_is_checked() {
-        let h = histogram(16); // height 5
-        let pipeline = BudgetedHierarchical::binary(eps(0.1), BudgetSplit::Custom(vec![1.0; 3]));
-        let mut rng = rng_from_seed(11);
-        let _ = pipeline.release(&h, &mut rng);
+        // 16 bins: height 5.
+        let _ = pipeline(eps(0.1), BudgetSplit::Custom(vec![1.0; 3]), 16);
     }
 }

@@ -55,12 +55,14 @@
 //!   (`tests/alloc_free.rs` pins this with a counting allocator, and pins
 //!   that a cold trial requests one tree plus O(slab) scratch);
 //! * [`BatchInference::release_and_infer_into_snapshot`] (the service's
-//!   publish) writes each leaf's `h̃` into its slot of a
-//!   [`ConsistentSnapshot`]'s prefix, where it becomes the leaf's `z`. The
-//!   downward leaf step reads each sibling group's `z` there and, in the
-//!   same loop, overwrites it with the running prefix sum of the inferred
-//!   leaves: the leaf level's estimates are never stored anywhere, no scan
-//!   pass follows, and the prefix keeps the serial add chain bit for bit;
+//!   publish, for the uniform calibration and for per-level budget splits
+//!   alike: one Laplace per depth, uniform or GLS tables) writes each
+//!   leaf's `h̃` into its slot of a [`ConsistentSnapshot`]'s prefix, where
+//!   it becomes the leaf's `z`. The downward leaf step reads each sibling
+//!   group's `z` there and, in the same loop, overwrites it with the
+//!   running prefix sum of the inferred leaves: the leaf level's estimates
+//!   are never stored anywhere, no scan pass follows, and the prefix keeps
+//!   the serial add chain bit for bit;
 //! * [`BatchInference::release_and_infer_batch_parallel`] scales that full
 //!   trial across scoped-thread workers, split by trial, each trial in its
 //!   own output slice with per-worker O(slab) counting scratch and
@@ -79,7 +81,7 @@ use std::sync::Mutex;
 
 use hc_data::Histogram;
 use hc_mech::{HierarchicalQuery, PreparedMechanism, TreeShape};
-use hc_noise::SeedStream;
+use hc_noise::{Laplace, NoiseBackend, SeedStream};
 use rand::Rng;
 
 use crate::snapshot::{ConsistentSnapshot, PrefixChain};
@@ -129,9 +131,6 @@ enum Weights {
         w_succ: Vec<f64>,
         /// `σ²_fused(d) / succ_var(d−1)` per depth (unused at depth 0).
         down_ratio: Vec<f64>,
-        /// The input per-level variances, kept so
-        /// [`BatchInference::ensure_level_variances`] can detect staleness.
-        vars: Vec<f64>,
     },
 }
 
@@ -642,7 +641,6 @@ impl LevelTree {
                 w_own,
                 w_succ,
                 down_ratio,
-                vars: level_variances.to_vec(),
             },
         }
     }
@@ -663,15 +661,6 @@ impl LevelTree {
     /// per-level GLS weights).
     pub fn is_uniform(&self) -> bool {
         matches!(self.weights, Weights::Uniform { .. })
-    }
-
-    /// The per-level variances the GLS tables were compiled from, or `None`
-    /// for the uniform tables.
-    pub fn level_variances(&self) -> Option<&[f64]> {
-        match &self.weights {
-            Weights::Uniform { .. } => None,
-            Weights::Weighted { vars, .. } => Some(vars),
-        }
     }
 
     /// The depth at which the tiled sweeps root their vertical slabs: the
@@ -802,30 +791,36 @@ impl LevelTree {
 
     /// Bottom-up pass fused with tree counting and the noise perturbation,
     /// in place: writes every node of `tree` as its exact count plus one
-    /// Laplace draw (the noisy release `h̃`) while running the upward
-    /// slabs, so each slab's counts and noise are still cache-hot when the
-    /// slab overwrites them with `z`. The true-count vector is never built.
+    /// draw of its depth's Laplace, `level_noise(d)` sampled through
+    /// `backend` (the noisy release `h̃`), while running the upward slabs,
+    /// so each slab's counts and noise are still cache-hot when the slab
+    /// overwrites them with `z`. The true-count vector is never built.
     ///
-    /// Draw order is the BFS index order — internal prefix first, then the
-    /// leaf slabs left to right — exactly the order
-    /// [`hc_noise::Laplace::add_noise`] uses over the whole vector, and
-    /// backends consume one uniform per sample with length-independent bits.
-    /// The internal prefix is drawn as bare noise; each slab then writes its
+    /// Draw order is the BFS index order — the internal levels root first,
+    /// then the leaf slabs left to right — exactly the order of
+    /// [`hc_noise::Laplace::add_noise`] over each level of the evaluated
+    /// tree in turn, and backends consume one uniform per sample with bits
+    /// that do not depend on how the draws are split into calls. Each
+    /// internal level is drawn as bare noise; each slab then writes its
     /// leaf counts, adds every in-slab internal node's exact count
     /// ([`Self::count_slab`]), adds its leaf noise, and runs
     /// [`Self::upward_slab`]. The top region above the cut gets its counts
     /// last, from the slab roots' counts parked in `counts`. Counts are the
     /// evaluator's doubles and `+` commutes, so the release is bit-identical
-    /// to evaluating the query and then adding noise, *per backend*.
+    /// to evaluating the query and then adding each level's noise, *per
+    /// backend*. A uniform `level_noise` is one calibrated Laplace over the
+    /// whole tree.
     ///
     /// Every slot of `tree` is assigned, so it can be one trial's segment of
     /// a shared batch buffer, or a recycled snapshot's prefix slots. `keep`,
     /// when given (`nodes()` long), receives the finished `h̃` of each slab
     /// before its upward pass overwrites it, and the top region's before
     /// the top levels run.
+    #[allow(clippy::too_many_arguments)] // the noise, its input and its output slots
     fn noised_upward<R: Rng + ?Sized>(
         &self,
-        prepared: &PreparedMechanism<HierarchicalQuery>,
+        level_noise: impl Fn(usize) -> Laplace,
+        backend: NoiseBackend,
         histogram: &Histogram,
         rng: &mut R,
         tree: &mut Nodes<'_>,
@@ -838,26 +833,19 @@ impl LevelTree {
             "value slices must cover the tree"
         );
         assert!(
-            self.is_uniform(),
-            "engine is compiled with per-level GLS weights; recompile with \
-             ensure_shape before running uniform release_and_infer trials"
+            TreeShape::for_domain(histogram.len(), self.shape.branching()) == self.shape,
+            "histogram does not cover the engine's tree"
         );
-        assert!(
-            prepared.query().shape(prepared.domain_size()) == self.shape,
-            "prepared query does not cover the engine's tree"
-        );
-        assert_eq!(
-            histogram.len(),
-            prepared.domain_size(),
-            "prepared for a different domain size"
-        );
-        let (laplace, backend) = (prepared.noise(), prepared.backend());
         let bins = histogram.counts();
-        laplace.fill_with(backend, rng, tree.internal);
+        let height = self.shape.height();
+        let offsets = self.shape.level_offsets();
+        for d in 0..height - 1 {
+            level_noise(d).fill_with(backend, rng, &mut tree.internal[offsets[d]..offsets[d + 1]]);
+        }
+        let leaf_noise = level_noise(height - 1);
         let cut = self.tile_cut();
         let slabs = self.shape.level_width(cut);
         let leaf_w = self.shape.leaves() / slabs;
-        let offsets = self.shape.level_offsets();
         // A slab has fewer internal nodes than leaves.
         counts.slab.resize(leaf_w, 0.0);
         counts.top.resize(offsets[cut + 1], 0.0);
@@ -865,7 +853,7 @@ impl LevelTree {
             let lo = s * leaf_w;
             leaf_counts(bins, lo, &mut tree.leaves[lo..lo + leaf_w]);
             self.count_slab(s, cut, tree, counts);
-            laplace.add_noise_with(backend, rng, &mut tree.leaves[lo..lo + leaf_w]);
+            leaf_noise.add_noise_with(backend, rng, &mut tree.leaves[lo..lo + leaf_w]);
             if let Some(keep) = keep.as_deref_mut() {
                 self.copy_slab(s, cut, tree, keep);
             }
@@ -955,8 +943,31 @@ impl LevelTree {
         counts: &mut CountScratch,
         keep: Option<&mut [f64]>,
     ) {
+        assert!(
+            self.is_uniform(),
+            "engine is compiled with per-level GLS weights; recompile with \
+             ensure_shape before running uniform release_and_infer trials"
+        );
+        assert!(
+            prepared.query().shape(prepared.domain_size()) == self.shape,
+            "prepared query does not cover the engine's tree"
+        );
+        assert_eq!(
+            histogram.len(),
+            prepared.domain_size(),
+            "prepared for a different domain size"
+        );
         let mut tree = Nodes::of_tree(out, self.shape.first_leaf());
-        self.noised_upward(prepared, histogram, rng, &mut tree, counts, keep);
+        let laplace = prepared.noise();
+        self.noised_upward(
+            |_| laplace,
+            prepared.backend(),
+            histogram,
+            rng,
+            &mut tree,
+            counts,
+            keep,
+        );
         if rounded {
             self.downward_zero_round(&mut tree, None);
         } else {
@@ -1322,20 +1333,6 @@ impl BatchInference {
         }
     }
 
-    /// Recompiles the per-level GLS tables if `shape` or the variances
-    /// differ from the current compilation — the weighted counterpart of
-    /// [`Self::ensure_shape`], used by the budgeted pipeline's trial loops.
-    pub fn ensure_level_variances(&mut self, shape: &TreeShape, level_variances: &[f64]) {
-        let current = self.tree.shape() == shape
-            && self
-                .tree
-                .level_variances()
-                .is_some_and(|v| v == level_variances);
-        if !current {
-            self.tree = LevelTree::with_level_variances(shape, level_variances);
-        }
-    }
-
     /// One inference; allocates only the result.
     pub fn infer(&mut self, noisy: &[f64]) -> Vec<f64> {
         self.tree.infer(noisy)
@@ -1379,25 +1376,30 @@ impl BatchInference {
         self.fused_trial_into(prepared, histogram, rng, true, out);
     }
 
-    /// [`Self::release_and_infer`] served straight into `snapshot`: the same
-    /// trial, but only its internal nodes run in the engine's buffer. Each
-    /// leaf's count plus noise is written into the snapshot's prefix slot
-    /// `prefix[i + 1]`, where it stays as the leaf's `z` until the downward
-    /// leaf step reads it and, in the same loop, overwrites it with the
-    /// running prefix sum of the inferred leaves — the serial chain of
-    /// [`ConsistentSnapshot::rebuild_from_leaves`]. No tree-sized leaf level
-    /// exists outside the snapshot, and no scan pass follows the inference.
-    /// The snapshot is bit-identical to
-    /// [`ConsistentSnapshot::rebuild_from_tree_values`] over
-    /// `release_and_infer`'s output (padding leaves included).
+    /// One release of `histogram` served straight into `snapshot`: each
+    /// node gets its exact count plus one draw of `level_noise[d]`, its
+    /// depth's Laplace (depth 0 = the root), sampled through `backend`,
+    /// and both passes run with the compiled tables — uniform Theorem-3
+    /// weights for the paper's calibration, GLS weights for a per-level
+    /// budget split. Only the internal nodes run in the engine's buffer.
+    /// Each leaf's count plus noise is written into the snapshot's prefix
+    /// slot `prefix[i + 1]`, where it stays as the leaf's `z` until the
+    /// downward leaf step reads it and, in the same loop, overwrites it
+    /// with the running prefix sum of the inferred leaves — the serial
+    /// chain of [`ConsistentSnapshot::rebuild_from_leaves`]. No tree-sized
+    /// leaf level exists outside the snapshot, and no scan pass follows the
+    /// inference. With `prepared.noise()` at every depth, the snapshot is
+    /// bit-identical to [`ConsistentSnapshot::rebuild_from_tree_values`]
+    /// over `release_and_infer`'s output (padding leaves included).
     ///
-    /// `snapshot` is rebuilt in place over the prepared domain, whatever it
-    /// held: zero allocations once it and the engine have warmed up. Its
+    /// `snapshot` is rebuilt in place over the histogram's domain, whatever
+    /// it held: zero allocations once it and the engine have warmed up. Its
     /// noise scale is left as it was — the caller knows which release
     /// produced it.
     pub fn release_and_infer_into_snapshot<R: Rng + ?Sized>(
         &mut self,
-        prepared: &PreparedMechanism<HierarchicalQuery>,
+        level_noise: &[Laplace],
+        backend: NoiseBackend,
         histogram: &Histogram,
         rng: &mut R,
         snapshot: &mut ConsistentSnapshot,
@@ -1408,12 +1410,25 @@ impl BatchInference {
             counts,
         } = self;
         let shape = tree.shape();
+        assert_eq!(
+            level_noise.len(),
+            shape.height(),
+            "one Laplace per tree level"
+        );
         internal.resize(shape.first_leaf(), 0.0);
         let mut nodes = Nodes {
             internal,
-            leaves: snapshot.leaf_slots(shape.leaves(), prepared.domain_size()),
+            leaves: snapshot.leaf_slots(shape.leaves(), histogram.len()),
         };
-        tree.noised_upward(prepared, histogram, rng, &mut nodes, counts, None);
+        tree.noised_upward(
+            |d| level_noise[d],
+            backend,
+            histogram,
+            rng,
+            &mut nodes,
+            counts,
+            None,
+        );
         tree.downward(&mut nodes, None, &mut PrefixChain::default());
     }
 
@@ -1914,29 +1929,6 @@ mod tests {
     }
 
     #[test]
-    fn ensure_level_variances_recompiles_only_on_change() {
-        let shape = TreeShape::new(2, 4);
-        let vars_a = vec![1.0, 2.0, 3.0, 4.0];
-        let vars_b = vec![4.0, 3.0, 2.0, 1.0];
-        let mut engine = BatchInference::for_shape(&shape);
-        engine.ensure_level_variances(&shape, &vars_a);
-        assert_eq!(engine.tree().level_variances(), Some(&vars_a[..]));
-        let noisy = random_noisy(&shape, 81);
-        let a = engine.infer(&noisy);
-        assert_eq!(
-            a,
-            LevelTree::with_level_variances(&shape, &vars_a).infer(&noisy)
-        );
-        engine.ensure_level_variances(&shape, &vars_b);
-        let b = engine.infer(&noisy);
-        assert_eq!(
-            b,
-            LevelTree::with_level_variances(&shape, &vars_b).infer(&noisy)
-        );
-        assert_ne!(a, b);
-    }
-
-    #[test]
     fn fast_round_matches_library_round_for_nonnegatives() {
         let mut cases = vec![
             0.0,
@@ -1976,13 +1968,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "per-level GLS weights")]
     fn release_and_infer_rejects_a_gls_compiled_engine() {
-        // A shared engine last used for budgeted (weighted) trials must not
-        // silently run GLS kernels under the uniform release contract.
+        // An engine compiled with GLS (budgeted) tables must not silently
+        // run them under the prepared mechanism's uniform release contract.
         use hc_data::Domain;
         use hc_mech::{Epsilon, HierarchicalQuery, LaplaceMechanism};
         let shape = TreeShape::new(2, 3);
-        let mut engine = BatchInference::for_shape(&shape);
-        engine.ensure_level_variances(&shape, &[1.0, 2.0, 3.0]);
+        let mut engine =
+            BatchInference::new(LevelTree::with_level_variances(&shape, &[1.0, 2.0, 3.0]));
         let histogram = Histogram::from_counts(Domain::new("x", 4).unwrap(), vec![1, 2, 3, 4]);
         let prepared = LaplaceMechanism::new(Epsilon::new(1.0).unwrap())
             .prepare(HierarchicalQuery::binary(), 4);
@@ -2086,7 +2078,8 @@ mod tests {
                 engine.release_and_infer(&prepared, &histogram, &mut rng_from_seed(seed), &mut out);
                 let expect = ConsistentSnapshot::from_tree_values(&shape, &out, n);
                 engine.release_and_infer_into_snapshot(
-                    &prepared,
+                    &vec![prepared.noise(); shape.height()],
+                    prepared.backend(),
                     &histogram,
                     &mut rng_from_seed(seed),
                     &mut snapshot,

@@ -26,7 +26,8 @@
 //!   engine: the same two passes over a flat level-indexed layout with
 //!   precomputed per-level weight tables, one value per node overwritten in
 //!   place (`h̃ → z → h̄`; a publish keeps its leaf level in the snapshot
-//!   it builds), and whole
+//!   it builds, and draws one Laplace per depth, so hierarchical and
+//!   per-level-budget releases share it), and whole
 //!   release→inference trials batched across scoped threads. Every
 //!   estimator's hot path goes through it; the test suite pins it to the
 //!   oracle bit for bit.
@@ -71,7 +72,7 @@ pub use accuracy::{
     epsilon_for_thm4_hbar, epsilon_for_unit_error, epsilon_for_unit_range_error, invert_monotone,
     optimal_custom_split, stability_alpha_error, stability_epsilon, AccuracyTarget, Guarantee,
 };
-pub use budgeted::{BudgetSplit, BudgetedHierarchical, BudgetedTreeRelease};
+pub use budgeted::BudgetSplit;
 pub use engine::{effective_threads, BatchInference, LevelTree};
 pub use error::{mean_absolute_error, per_position_squared_error, sum_squared_error};
 pub use hier::{enforce_nonnegativity, hierarchical_inference, ConsistentTree};

@@ -8,13 +8,13 @@
 //! error alongside the pick, as a runnable [`StrategyPlan`].
 
 use hc_data::{Histogram, RangeWorkload};
-use hc_mech::{Epsilon, HierarchicalQuery, PreparedMechanism, TreeShape};
-use hc_noise::{NoiseBackend, SeedStream};
+use hc_mech::{Epsilon, TreeShape};
+use hc_noise::{Laplace, NoiseBackend, SeedStream};
 use rand::Rng;
 
 use crate::accuracy::{self, AccuracyTarget, Guarantee};
-use crate::budgeted::{BudgetSplit, BudgetedHierarchical, BudgetedTreeRelease};
-use crate::engine::BatchInference;
+use crate::budgeted::BudgetSplit;
+use crate::engine::{BatchInference, LevelTree};
 use crate::snapshot::{ConsistentSnapshot, SubtreeServer};
 use crate::theory;
 use crate::universal::{FlatRelease, FlatUniversal, HierarchicalUniversal, Rounding};
@@ -127,15 +127,20 @@ impl StrategyPlan {
 /// The one release dispatch: a [`ReleaseStrategy`] compiled once into warm
 /// release machinery over a fixed domain, then run once per release.
 ///
-/// The pipeline owns every buffer its strategy needs (the prepared query,
-/// the inference engine's tables, internal-node buffer and slab scratch, the
-/// budgeted release's noisy and inferred vectors), so after the first release a
-/// [`release_into`](Self::release_into) a warm snapshot allocates nothing:
-/// every strategy rebuilds the caller's snapshot in place. The only
-/// allocation [`release`](Self::release) makes is its fresh snapshot's
-/// prefix. Both [`StrategyPlan::run_with`] and the serving layer release
-/// through it, so a snapshot is bit-identical whichever of them produced it
-/// at the same RNG state, and whatever snapshot it was rebuilt into.
+/// There are two stages. A flat release keeps its fused prefix arrays. Both
+/// tree strategies share one tree stage: an engine compiled once (uniform
+/// Theorem-3 tables for a hierarchical release, GLS tables for a budgeted
+/// one) and a table of each depth's Laplace, built once; every release is
+/// one fused [`BatchInference::release_and_infer_into_snapshot`]. The
+/// pipeline owns every buffer its strategy needs (the engine's tables,
+/// internal-node buffer and slab scratch, the flat release's arrays), so
+/// after the first release a [`release_into`](Self::release_into) a warm
+/// snapshot allocates nothing: every strategy rebuilds the caller's
+/// snapshot in place. The only allocation [`release`](Self::release) makes
+/// is its fresh snapshot's prefix. Both [`StrategyPlan::run_with`] and the
+/// serving layer release through it, so a snapshot is bit-identical
+/// whichever of them produced it at the same RNG state, and whatever
+/// snapshot it was rebuilt into.
 ///
 /// Flat and hierarchical snapshots carry their release's Laplace scale
 /// (confidence queries work); budgeted snapshots carry none (per-level
@@ -153,20 +158,19 @@ enum Stage {
         mech: FlatUniversal,
         release: FlatRelease,
     },
-    Hierarchical {
-        prepared: PreparedMechanism<HierarchicalQuery>,
+    /// A hierarchical or budgeted release.
+    Tree {
         /// Runs the release in place in its internal-node buffer; the
         /// leaves live in the snapshot's prefix slots and are scanned there
-        /// by the downward leaf step.
-        engine: BatchInference,
-    },
-    Budgeted {
-        mech: BudgetedHierarchical,
-        /// Boxed: the release holds a compiled subtree server, which would
-        /// otherwise make this variant several times the others' size.
-        release: Box<BudgetedTreeRelease>,
-        engine: BatchInference,
-        inferred: Vec<f64>,
+        /// by the downward leaf step. Boxed: its compiled tree shape would
+        /// otherwise make this variant several times the flat one's size.
+        engine: Box<BatchInference>,
+        /// The Laplace of each depth (depth 0 = the root).
+        level_noise: Vec<Laplace>,
+        backend: NoiseBackend,
+        /// The per-answer scale the snapshot carries: `Some` for a uniform
+        /// calibration, `None` for a budget split.
+        scale: Option<f64>,
     },
 }
 
@@ -185,22 +189,29 @@ impl StrategyPipeline {
                 release: FlatRelease::from_noisy(epsilon, Vec::new()),
             },
             ReleaseStrategy::Hierarchical { branching } => {
-                let mech = HierarchicalUniversal::new(epsilon, *branching).with_backend(backend);
+                let prepared = HierarchicalUniversal::new(epsilon, *branching).prepare(domain_size);
                 let shape = TreeShape::for_domain(domain_size, *branching);
-                Stage::Hierarchical {
-                    prepared: mech.prepare(domain_size),
-                    engine: BatchInference::for_shape(&shape),
+                Stage::Tree {
+                    engine: Box::new(BatchInference::for_shape(&shape)),
+                    level_noise: vec![prepared.noise(); shape.height()],
+                    backend,
+                    scale: Some(prepared.noise_scale()),
                 }
             }
             ReleaseStrategy::Budgeted { branching, split } => {
-                let mech = BudgetedHierarchical::new(epsilon, *branching, split.clone())
-                    .with_backend(backend);
-                let release = Box::new(mech.empty_release(domain_size));
-                Stage::Budgeted {
-                    engine: BatchInference::for_shape(release.shape()),
-                    mech,
-                    release,
-                    inferred: Vec::new(),
+                let shape = TreeShape::for_domain(domain_size, *branching);
+                let level_eps = split.level_epsilons(epsilon, shape.height());
+                let variances: Vec<f64> = level_eps.iter().map(|&e| 2.0 / (e * e)).collect();
+                Stage::Tree {
+                    engine: Box::new(BatchInference::new(LevelTree::with_level_variances(
+                        &shape, &variances,
+                    ))),
+                    level_noise: level_eps
+                        .iter()
+                        .map(|&e| Laplace::centered(1.0 / e).expect("positive scale"))
+                        .collect(),
+                    backend,
+                    scale: None,
                 }
             }
         };
@@ -242,21 +253,20 @@ impl StrategyPipeline {
                 mech.release_into(histogram, rng, release);
                 release.snapshot_into(Rounding::None, snapshot);
             }
-            Stage::Hierarchical { prepared, engine } => {
-                engine.release_and_infer_into_snapshot(prepared, histogram, rng, snapshot);
-                snapshot.set_noise_scale(Some(prepared.noise_scale()));
-            }
-            Stage::Budgeted {
-                mech,
-                release,
+            Stage::Tree {
                 engine,
-                inferred,
+                level_noise,
+                backend,
+                scale,
             } => {
-                mech.release_into(histogram, rng, release);
-                engine.ensure_level_variances(release.shape(), release.level_variances());
-                engine.infer_into(release.noisy_values(), inferred);
-                snapshot.rebuild_from_tree_values(release.shape(), inferred, self.domain_size);
-                snapshot.set_noise_scale(None);
+                engine.release_and_infer_into_snapshot(
+                    level_noise,
+                    *backend,
+                    histogram,
+                    rng,
+                    snapshot,
+                );
+                snapshot.set_noise_scale(*scale);
             }
         }
     }
@@ -821,6 +831,7 @@ fn average_profile(
 mod tests {
     use super::*;
     use hc_data::Interval;
+    use hc_mech::QuerySequence;
     use hc_noise::rng_from_seed;
 
     fn eps(v: f64) -> Epsilon {
@@ -1061,18 +1072,26 @@ mod tests {
         }
         assert_eq!(hier.noise_scale(), Some(prepared.noise_scale()));
 
+        // The staged budgeted release: evaluate, add each level's Laplace
+        // in BFS order, infer with the GLS tables, scan the leaves.
         let split = BudgetSplit::Geometric { ratio: 1.5 };
         let budgeted = plan(ReleaseStrategy::Budgeted {
             branching: 2,
             split: split.clone(),
         })
         .run(&histogram, seed);
-        let release = BudgetedHierarchical::new(eps(1.0), 2, split)
-            .release(&histogram, &mut hc_noise::SeedStream::new(seed).rng(0));
-        let mut engine = BatchInference::for_shape(release.shape());
-        let tree = release.infer_with(&mut engine);
-        let manual_budgeted =
-            ConsistentSnapshot::from_tree_values(release.shape(), tree.node_values(), n);
+        let level_eps = split.level_epsilons(eps(1.0), shape.height());
+        let mut noisy = Vec::new();
+        prepared.query().evaluate_into(&histogram, &mut noisy);
+        let mut rng = hc_noise::SeedStream::new(seed).rng(0);
+        for (d, &e) in level_eps.iter().enumerate() {
+            Laplace::centered(1.0 / e)
+                .unwrap()
+                .add_noise(&mut rng, &mut noisy[shape.level(d)]);
+        }
+        let variances: Vec<f64> = level_eps.iter().map(|&e| 2.0 / (e * e)).collect();
+        let tree = LevelTree::with_level_variances(&shape, &variances).infer(&noisy);
+        let manual_budgeted = ConsistentSnapshot::from_tree_values(&shape, &tree, n);
         for &q in &queries {
             assert_eq!(
                 budgeted.answer(q).to_bits(),

@@ -75,10 +75,10 @@ pub mod prelude {
     pub use hc_core::{
         effective_threads, enforce_nonnegativity, hierarchical_inference, isotonic_regression,
         mean_absolute_error, sum_squared_error, weighted_hierarchical_inference, AccuracyTarget,
-        BatchInference, BudgetSplit, BudgetedHierarchical, ConsistentSnapshot, ConsistentTree,
-        FlatUniversal, Guarantee, HierarchicalUniversal, LevelTree, PlanInput, ReleaseStrategy,
-        RoundedTree, Rounding, SortedRelease, StrategyPipeline, StrategyPlan, StrategyPlanner,
-        SubtreeServer, TreeRelease, UnattributedHistogram,
+        BatchInference, BudgetSplit, ConsistentSnapshot, ConsistentTree, FlatUniversal, Guarantee,
+        HierarchicalUniversal, LevelTree, PlanInput, ReleaseStrategy, RoundedTree, Rounding,
+        SortedRelease, StrategyPipeline, StrategyPlan, StrategyPlanner, SubtreeServer, TreeRelease,
+        UnattributedHistogram,
     };
     pub use hc_data::{Domain, Graph, Histogram, Interval, RangeWorkload, Relation};
     pub use hc_mech::{

@@ -10,11 +10,13 @@
 //! of every release strategy, rebuilt into the epoch the ring retired,
 //! allocates almost nothing (less than 1/8 of a prefix, the ledger label's
 //! allowance) — while a publish whose retired epoch is still pinned
-//! succeeds into fresh pages and leaves the pin's bits alone. It also pins
-//! the engine's footprint: a cold hierarchical release requests one tree,
-//! the snapshot's prefix and O(slab) scratch, and a cold trial one tree
-//! (its output) and O(slab) scratch — the Theorem-3 passes run in place,
-//! with no second or third tree of scratch.
+//! succeeds into fresh pages and leaves the pin's bits alone. A warm
+//! `StrategyPipeline::release_into` of any strategy, a budget split
+//! included, allocates nothing. It also pins the engine's footprint: a
+//! cold hierarchical or budgeted release requests the tree's internal
+//! nodes, the snapshot's prefix and O(slab) scratch, and a cold trial one
+//! tree (its output) and O(slab) scratch — the Theorem-3 passes run in
+//! place, with no second or third tree of scratch.
 //!
 //! The counters are per thread, so only the test thread's own allocations
 //! count: the harness's main thread can allocate while the test runs, which
@@ -97,13 +99,20 @@ fn release_and_infer_pipeline_is_allocation_free_after_warmup() {
     let mut engine = BatchInference::for_shape(&shape);
     let mut out = Vec::new();
     let mut published = ConsistentSnapshot::from_leaves(&[0.0], 1);
+    let level_noise = vec![prepared.noise(); shape.height()];
     let mut rng = rng_from_seed(1);
 
     // Warm-up: grow every scratch buffer to its high-water mark.
     let mut trial = |rng: &mut _| {
         engine.release_and_infer(&prepared, &histogram, rng, &mut out);
         engine.release_and_infer_rounded(&prepared, &histogram, rng, &mut out);
-        engine.release_and_infer_into_snapshot(&prepared, &histogram, rng, &mut published);
+        engine.release_and_infer_into_snapshot(
+            &level_noise,
+            prepared.backend(),
+            &histogram,
+            rng,
+            &mut published,
+        );
     };
     for _ in 0..2 {
         trial(&mut rng);
@@ -274,23 +283,28 @@ fn a_cold_release_requests_one_tree_and_slab_scratch() {
     let prefix_bytes = f64_bytes * (shape.leaves() + 1);
     let epsilon = Epsilon::new(0.5).expect("valid ε");
 
-    // A cold publish-path release: the engine's internal nodes, the fresh
-    // snapshot's prefix (which holds the leaf level while the release
-    // runs), and the counting slabs — no tree-sized leaf level.
-    let mut pipeline = StrategyPipeline::new(
-        &ReleaseStrategy::Hierarchical { branching: 2 },
-        epsilon,
-        NoiseBackend::Reference,
-        n,
-    );
-    let release_bytes = bytes_during(|| {
-        pipeline.release(&histogram, &mut rng_from_seed(3));
-    });
-    assert!(
-        release_bytes <= internal_bytes + prefix_bytes + slab_scratch,
-        "cold release requested {release_bytes} bytes; the internal nodes are \
-         {internal_bytes}, the prefix {prefix_bytes}, the slab allowance {slab_scratch}"
-    );
+    // A cold publish-path release, hierarchical or budgeted: the engine's
+    // internal nodes, the fresh snapshot's prefix (which holds the leaf
+    // level while the release runs), and the counting slabs — no
+    // tree-sized leaf level and no second tree.
+    for strategy in [
+        ReleaseStrategy::Hierarchical { branching: 2 },
+        ReleaseStrategy::Budgeted {
+            branching: 2,
+            split: BudgetSplit::Geometric { ratio: 1.5 },
+        },
+    ] {
+        let mut pipeline = StrategyPipeline::new(&strategy, epsilon, NoiseBackend::Reference, n);
+        let release_bytes = bytes_during(|| {
+            pipeline.release(&histogram, &mut rng_from_seed(3));
+        });
+        assert!(
+            release_bytes <= internal_bytes + prefix_bytes + slab_scratch,
+            "{strategy:?}: cold release requested {release_bytes} bytes; the internal \
+             nodes are {internal_bytes}, the prefix {prefix_bytes}, the slab allowance \
+             {slab_scratch}"
+        );
+    }
 
     // A cold rounded trial runs in its output alone: one tree plus the
     // counting slabs.
@@ -305,4 +319,49 @@ fn a_cold_release_requests_one_tree_and_slab_scratch() {
          the slab allowance {slab_scratch}"
     );
     assert_eq!(out.len(), shape.nodes());
+}
+
+#[test]
+fn a_warm_release_of_every_strategy_allocates_nothing() {
+    // Once its pipeline and the destination snapshot have warmed up, a
+    // release of any strategy rebuilds the snapshot in place: a budget
+    // split is resolved into its per-level noise and GLS tables when the
+    // pipeline is built, not per release.
+    let n = 1usize << 12;
+    let counts: Vec<u64> = (0..n as u64).map(|i| i % 5).collect();
+    let histogram = Histogram::from_counts(Domain::new("x", n).expect("non-empty"), counts);
+    let epsilon = Epsilon::new(0.5).expect("valid ε");
+    for backend in [NoiseBackend::Reference, NoiseBackend::FastLnWide] {
+        for strategy in [
+            ReleaseStrategy::Flat,
+            ReleaseStrategy::Hierarchical { branching: 2 },
+            ReleaseStrategy::Budgeted {
+                branching: 2,
+                split: BudgetSplit::Geometric { ratio: 1.5 },
+            },
+            ReleaseStrategy::Budgeted {
+                branching: 3,
+                split: BudgetSplit::Custom(vec![1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0, 2.0, 3.0]),
+            },
+        ] {
+            let mut pipeline = StrategyPipeline::new(&strategy, epsilon, backend, n);
+            let mut rng = rng_from_seed(5);
+            let mut snapshot = pipeline.release(&histogram, &mut rng);
+            pipeline.release_into(&histogram, &mut rng, &mut snapshot);
+            let mut calls = 0;
+            let bytes = bytes_during(|| {
+                calls = allocations_during(|| {
+                    for _ in 0..4 {
+                        pipeline.release_into(&histogram, &mut rng, &mut snapshot);
+                    }
+                });
+            });
+            assert_eq!(
+                (calls, bytes),
+                (0, 0),
+                "{strategy:?} {backend:?}: a warm release allocated"
+            );
+            assert_eq!(snapshot.domain_size(), n);
+        }
+    }
 }

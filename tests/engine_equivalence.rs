@@ -22,7 +22,8 @@
 //! * the publish, which keeps the leaf level in the snapshot's prefix slots
 //!   and scans it inside the downward leaf step, ≡ the staged release
 //!   served through `ConsistentSnapshot::from_tree_values`, bit for bit,
-//!   per backend, whatever snapshot it is rebuilt into.
+//!   per backend, whatever snapshot it is rebuilt into — for the uniform
+//!   calibration and for every budget split (per-level noise, GLS tables).
 
 use hc_testutil::assert_close;
 use hist_consistency::linalg::{lstsq, Matrix};
@@ -243,6 +244,25 @@ fn publish_domain(k: usize, pick: usize, offset: usize) -> usize {
     }
 }
 
+/// The budget split number `pick` for a tree of `height` levels: `None`
+/// (the uniform hierarchical calibration), then `Uniform`, a `Geometric`
+/// ratio on either side of 1, and `Custom` weights, all derived from
+/// `seed`.
+fn publish_split(pick: usize, height: usize, seed: u64) -> Option<BudgetSplit> {
+    match pick {
+        0 => None,
+        1 => Some(BudgetSplit::Uniform),
+        2 => Some(BudgetSplit::Geometric {
+            ratio: [0.5, 0.8, 1.5, 2.0][(seed % 4) as usize],
+        }),
+        _ => Some(BudgetSplit::Custom(
+            (0..height)
+                .map(|d| 1.0 + ((seed >> (2 * d)) & 3) as f64)
+                .collect(),
+        )),
+    }
+}
+
 proptest! {
     #[test]
     fn publish_equals_the_staged_release_bit_for_bit(
@@ -251,6 +271,7 @@ proptest! {
         offset in 0usize..64,
         backend_pick in 0usize..2,
         dirty_pick in 0usize..3,
+        split_pick in 0usize..4,
         seed in any::<u64>(),
     ) {
         let n = publish_domain(k, size_pick, offset);
@@ -258,30 +279,64 @@ proptest! {
         let mut rng = rng_from_seed(seed ^ 0xBEEF);
         let counts: Vec<u64> = (0..n).map(|_| rng.random_range(0u64..40)).collect();
         let histogram = Histogram::from_counts(Domain::new("x", n).unwrap(), counts);
-        let prepared = LaplaceMechanism::new(Epsilon::new(0.5).unwrap())
+        let epsilon = Epsilon::new(0.5).unwrap();
+        let prepared = LaplaceMechanism::new(epsilon)
             .with_backend(backend)
             .prepare(HierarchicalQuery::new(k), n);
         let shape = prepared.query().shape(n);
+        let split = publish_split(split_pick, shape.height(), seed);
 
-        // The staged release: evaluate, add noise over the whole vector,
-        // infer, and serve the inferred tree's leaves.
+        // The staged release: evaluate, add each level's noise in BFS
+        // order, infer with that noise model's tables, and serve the
+        // inferred tree's leaves.
         let mut noisy = vec![0.0; shape.nodes()];
         prepared.query().evaluate_into_slice(&histogram, &mut noisy);
-        prepared.noise().add_noise_with(backend, &mut rng_from_seed(seed), &mut noisy);
-        let staged = LevelTree::new(&shape).infer(&noisy);
-        let expect = ConsistentSnapshot::from_tree_values(&shape, &staged, n);
+        let mut staged_rng = rng_from_seed(seed);
+        let tree = match &split {
+            None => {
+                prepared.noise().add_noise_with(backend, &mut staged_rng, &mut noisy);
+                LevelTree::new(&shape)
+            }
+            Some(split) => {
+                let level_eps = split.level_epsilons(epsilon, shape.height());
+                for (d, &e) in level_eps.iter().enumerate() {
+                    Laplace::centered(1.0 / e).unwrap().add_noise_with(
+                        backend,
+                        &mut staged_rng,
+                        &mut noisy[shape.level(d)],
+                    );
+                }
+                let variances: Vec<f64> = level_eps.iter().map(|&e| 2.0 / (e * e)).collect();
+                LevelTree::with_level_variances(&shape, &variances)
+            }
+        };
+        let expect = ConsistentSnapshot::from_tree_values(&shape, &tree.infer(&noisy), n);
 
-        // The publish, into a fresh snapshot or a dirty one of another size.
+        // The publish, into a fresh snapshot or a dirty one of another
+        // size: the engine's own entry point for the uniform calibration,
+        // the one release dispatch for a budget split.
         let dirty_leaves = [0, 5, 2 * shape.leaves() + 7][dirty_pick];
         let mut snapshot =
             ConsistentSnapshot::from_leaves(&vec![f64::NAN; dirty_leaves], dirty_leaves.min(3));
-        BatchInference::for_shape(&shape).release_and_infer_into_snapshot(
-            &prepared,
-            &histogram,
-            &mut rng_from_seed(seed),
-            &mut snapshot,
-        );
-        let what = format!("k={k} n={n} {backend:?} dirty={dirty_leaves}");
+        match &split {
+            None => BatchInference::for_shape(&shape).release_and_infer_into_snapshot(
+                &vec![prepared.noise(); shape.height()],
+                backend,
+                &histogram,
+                &mut rng_from_seed(seed),
+                &mut snapshot,
+            ),
+            Some(split) => {
+                let strategy = ReleaseStrategy::Budgeted { branching: k, split: split.clone() };
+                StrategyPipeline::new(&strategy, epsilon, backend, n).release_into(
+                    &histogram,
+                    &mut rng_from_seed(seed),
+                    &mut snapshot,
+                );
+                prop_assert_eq!(snapshot.noise_scale(), None);
+            }
+        }
+        let what = format!("k={k} n={n} {backend:?} dirty={dirty_leaves} split={split:?}");
         prop_assert_eq!(&snapshot, &expect, "{}", what);
         for hi in 0..n {
             let q = Interval::new(0, hi);
