@@ -66,9 +66,11 @@ impl BudgetSplit {
     /// before it is deployed: `None` unless the split applies to a tree of
     /// this height (a finite, positive geometric ratio; one finite,
     /// positive custom weight per level) *and* resolves to a finite,
-    /// positive ε at every level whose noise variance `2/ε²` is finite
-    /// too. An extreme ratio fails the second test — `ratio^d` overflows
-    /// to ∞ and leaves NaN or zero budgets.
+    /// positive ε at every level whose noise variance `2/ε²` is finite and
+    /// positive too. An extreme ratio fails the second test — `ratio^d`
+    /// overflows to ∞ and leaves NaN or zero budgets — and so does an ε
+    /// whose square overflows, leaving a zero variance that the GLS tables
+    /// cannot weigh.
     pub fn checked_level_epsilons(&self, total: Epsilon, height: usize) -> Option<Vec<f64>> {
         let applies = match self {
             BudgetSplit::Uniform => true,
@@ -81,10 +83,11 @@ impl BudgetSplit {
             return None;
         }
         let levels = self.level_epsilons(total, height);
-        levels
-            .iter()
-            .all(|&e| e.is_finite() && e > 0.0 && (2.0 / (e * e)).is_finite())
-            .then_some(levels)
+        let usable = |e: f64| {
+            let variance = 2.0 / (e * e);
+            e.is_finite() && e > 0.0 && variance.is_finite() && variance > 0.0
+        };
+        levels.iter().all(|&e| usable(e)).then_some(levels)
     }
 }
 
@@ -178,6 +181,11 @@ mod tests {
         ] {
             assert_eq!(split.checked_level_epsilons(eps(0.8), 4), None, "{split:?}");
         }
+        // Every level's ε² overflows: a zero variance.
+        assert_eq!(
+            BudgetSplit::Uniform.checked_level_epsilons(eps(1e300), 4),
+            None
+        );
     }
 
     #[test]

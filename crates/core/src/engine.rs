@@ -112,7 +112,7 @@ fn apply_thread_override(override_value: Option<&str>, requested: usize) -> usiz
 ///
 /// `Uniform` is the paper's equal-variance case (every node carries the same
 /// `Lap(ℓ/ε)` noise); `Weighted` is the GLS generalization for per-*level*
-/// noise variances (the [`crate::budgeted`] pipeline).
+/// noise variances (a [`crate::budgeted`] split).
 #[derive(Debug, Clone)]
 enum Weights {
     /// Theorem 3 exactly: `z = own·h̃ + child·Σz`, `h̄ = z + (h̄_u − Σz)/k`.

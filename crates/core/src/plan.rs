@@ -31,7 +31,7 @@ pub enum ReleaseStrategy {
         /// The tree branching factor priced.
         branching: usize,
     },
-    /// The [`crate::budgeted`] pipeline: per-level budgets shift accuracy
+    /// A [`crate::budgeted`] split: per-level budgets shift accuracy
     /// between coarse and fine ranges; GLS inference decodes. Carries the
     /// concrete [`BudgetSplit`] to deploy — a geometric candidate from the
     /// planner's ratio list, or the workload-optimized

@@ -212,7 +212,8 @@ fn check_strategy(
     match split {
         // Δ = height (Proposition 4).
         None => check_noise_scale(height as f64 / epsilon.value()),
-        // A finite 2/ε_d² at every level also bounds each scale 1/ε_d.
+        // A finite, positive 2/ε_d² at every level also bounds each scale
+        // 1/ε_d, and gives the GLS tables a weight they can hold.
         Some(split) => split
             .checked_level_epsilons(epsilon, height)
             .map(drop)
@@ -1337,6 +1338,21 @@ mod tests {
             config("bad", 1024)
                 .with_strategy(ReleaseStrategy::Flat)
                 .with_budget(1.0, 1e-310),
+        );
+    }
+
+    #[test]
+    fn an_epsilon_whose_level_variance_underflows_is_refused_at_registration() {
+        // At 1e300 every level's ε_d² overflows to ∞, so its GLS variance
+        // 2/ε_d² is 0, a weight the tables cannot hold; building the
+        // pipeline would panic inside `register`.
+        assert_config_refused_cleanly(
+            config("bad", 1024)
+                .with_strategy(ReleaseStrategy::Budgeted {
+                    branching: 2,
+                    split: BudgetSplit::Uniform,
+                })
+                .with_budget(1.0, 1e300),
         );
     }
 
