@@ -1,25 +1,24 @@
 //! Criterion bench: hierarchical inference — the Theorem-3 reference oracle
-//! vs the level-indexed engine (one warm trial per call), and both vs
-//! generic solvers (dense OLS, sparse CG); the zero/round sweep alone; plus
-//! the end-to-end trial pipelines, serial and trial-parallel.
+//! (`hc_testutil::oracle::hierarchical_inference`, a dev-dependency) vs the
+//! level-indexed engine (one warm trial per call), and both vs generic
+//! solvers (dense OLS, sparse CG); the zero/round sweep alone; plus the
+//! end-to-end trial pipelines, serial and trial-parallel.
 //!
 //! The headline comparison: on a k = 2 tree with 2^20 leaves, a warm
 //! engine trial (`hier_infer_engine_single`) must run ≥ 2× faster than
-//! `hierarchical_inference`. Pass `--quick` for a smoke run.
+//! the oracle (`hier_infer_reference`). Pass `--quick` for a smoke run.
 //!
 //! The engine groups additionally carry a 2^26-leaf grid point
 //! ([`SCALE_HEIGHT`]) where the node vector is DRAM-resident and rebuild
 //! cost / memory bandwidth, not arithmetic, set the pace.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hc_core::{
-    enforce_nonnegativity, hierarchical_inference, BatchInference, HierarchicalUniversal,
-    LevelTree, Rounding,
-};
+use hc_core::{BatchInference, HierarchicalUniversal, LevelTree};
 use hc_data::{Domain, Histogram};
 use hc_linalg::{conjugate_gradient, CgOptions, CsrMatrix, Matrix};
 use hc_mech::{Epsilon, TreeShape};
 use hc_noise::{rng_from_seed, Laplace, NoiseBackend, SeedStream};
+use hc_testutil::oracle::hierarchical_inference;
 use std::hint::black_box;
 
 /// Heights compared head-to-head; 21 is the 2^20-leaf acceptance shape.
@@ -107,63 +106,6 @@ fn pipeline_histogram(n: usize) -> Histogram {
         .map(|i| if i % 7 == 0 { (i % 23) as u64 } else { 0 })
         .collect();
     Histogram::from_counts(Domain::new("x", n).expect("non-empty"), counts)
-}
-
-/// The PR-2-era tree evaluation: reverse-BFS per-node `parent()` walk (one
-/// integer division per node), zero-padded histogram copy and all —
-/// reconstructed here so the baseline trial measures what the old code
-/// actually paid, independent of this crate's current implementation.
-fn pr2_evaluate(shape: &TreeShape, histogram: &Histogram) -> Vec<f64> {
-    let padded;
-    let counts: &[u64] = if histogram.len() == shape.leaves() {
-        histogram.counts()
-    } else {
-        padded = histogram.zero_padded(shape.leaves());
-        padded.counts()
-    };
-    let mut values = vec![0.0f64; shape.nodes()];
-    let first_leaf = shape.leaf_node(0);
-    for (i, &c) in counts.iter().enumerate() {
-        values[first_leaf + i] = c as f64;
-    }
-    for v in (1..shape.nodes()).rev() {
-        let parent = shape.parent(v).expect("non-root has parent");
-        values[parent] += values[v];
-    }
-    values
-}
-
-/// End-to-end trial through the PR-2-era path, reconstructed component by
-/// component: per-node-walk evaluation, an owned noisy vector perturbed one
-/// sample at a time, the untiled level sweeps allocating their buffers, the
-/// reference per-node `parent()` zeroing walk, then a separate rounding
-/// pass. This is the baseline the batched pipeline is measured against.
-fn bench_pipeline_pr2_path(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hier_pipeline_pr2_path");
-    for &height in &[17usize, 21] {
-        let shape = TreeShape::new(2, height);
-        let n = shape.leaves();
-        let histogram = pipeline_histogram(n);
-        let noise = Laplace::centered(height as f64 / 0.1).expect("positive scale");
-        let mut rng = rng_from_seed(11);
-        let tree = LevelTree::new(&shape);
-        group.throughput(Throughput::Elements(shape.nodes() as u64));
-        group.bench_with_input(BenchmarkId::new("k2", n), &histogram, |b, h| {
-            b.iter(|| {
-                let mut noisy = pr2_evaluate(&shape, h);
-                for v in &mut noisy {
-                    *v += noise.sample(&mut rng);
-                }
-                let inferred = tree.infer_untiled(&noisy);
-                let mut values = enforce_nonnegativity(&shape, &inferred);
-                for v in &mut values {
-                    *v = Rounding::NonNegativeInteger.apply(*v);
-                }
-                black_box(values[0])
-            });
-        });
-    }
-    group.finish();
 }
 
 /// End-to-end trial through the allocation-free batched pipeline:
@@ -341,7 +283,6 @@ criterion_group!(
     bench_engine_single,
     bench_zero_round,
     bench_laplace_fill,
-    bench_pipeline_pr2_path,
     bench_pipeline_batched,
     bench_pipeline_batch_parallel,
     bench_sparse_cg,

@@ -2,8 +2,9 @@
 //! Theorem-1 min-max reference, across sequence lengths.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hc_core::{isotonic_regression, minmax_reference};
+use hc_core::isotonic_regression;
 use hc_noise::{rng_from_seed, Laplace};
+use hc_testutil::oracle::minmax_reference;
 use std::hint::black_box;
 
 fn noisy_sorted_sequence(n: usize, seed: u64) -> Vec<f64> {

@@ -121,7 +121,7 @@ mod tests {
         let seeds = SeedStream::new(4);
         let plain = run_trials(24, seeds, |_t, mut rng| {
             let noisy: Vec<f64> = (0..shape.nodes()).map(|_| rng.random::<f64>()).collect();
-            hc_core::hierarchical_inference(&shape, &noisy)
+            hc_testutil::oracle::hierarchical_inference(&shape, &noisy)
         });
         let stateful = run_trials_with(
             24,

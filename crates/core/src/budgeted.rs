@@ -5,8 +5,8 @@
 //! one record changes exactly one count per level and each level's release
 //! is `ε_d`-DP; sequential composition gives `ε` overall. Uniform allocation
 //! recovers the paper's calibration exactly; non-uniform allocations trade
-//! accuracy between coarse and fine ranges, and
-//! [`crate::weighted::weighted_hierarchical_inference`] remains the optimal
+//! accuracy between coarse and fine ranges, and the engine's GLS tables
+//! ([`crate::LevelTree::with_level_variances`]) remain the optimal
 //! consistent decoder (now as generalized least squares).
 //!
 //! A split is released through [`crate::StrategyPipeline`] with
@@ -237,7 +237,7 @@ mod tests {
                 per_node[shape.level(d)].fill(var);
             }
             let reference =
-                crate::weighted::weighted_hierarchical_inference(&shape, &noisy, &per_node);
+                hc_testutil::oracle::weighted_hierarchical_inference(&shape, &noisy, &per_node);
             let inferred = LevelTree::with_level_variances(&shape, &variances).infer(&noisy);
             assert_eq!(inferred, reference);
             let served = pipeline(eps(0.4), split, 32).release(&h, &mut rng_from_seed(seed));

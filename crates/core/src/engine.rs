@@ -1,10 +1,11 @@
 //! The batched, level-indexed inference engine — Theorem 3 on a flat layout.
 //!
-//! [`crate::hier::hierarchical_inference`] is the executable specification of
-//! Theorem 3: per node it recomputes `k^l` weights with `powi`, resolves
-//! `parent()`/`children()` index arithmetic, and allocates fresh vectors per
-//! call. That is fine for a reference oracle and fatal for the Fig. 5–7
-//! experiment loops, which run it thousands of times per curve.
+//! The test oracle `hc_testutil::oracle::hierarchical_inference` is the
+//! executable specification of Theorem 3: per node it recomputes `k^l`
+//! weights with `powi`, resolves `parent()`/`children()` index arithmetic,
+//! and allocates fresh vectors per call. That is fine for a reference
+//! oracle and fatal for the Fig. 5–7 experiment loops, which run Theorem 3
+//! thousands of times per curve.
 //!
 //! This module exploits two structural facts about the complete k-ary BFS
 //! layout:
@@ -40,8 +41,8 @@
 //!   expression per node so output stays bit-identical;
 //! * the Sec. 4.2 non-negativity heuristic and the Sec. 5.2 rounding run as
 //!   one **top-down level sweep** ([`LevelTree::zero_round_in_place`])
-//!   instead of the per-node `parent()` walk of
-//!   [`crate::hier::enforce_nonnegativity`] (which is kept as the oracle),
+//!   instead of the per-node `parent()` walk of the test oracle
+//!   `hc_testutil::oracle::enforce_nonnegativity`,
 //!   exploiting the invariant that after the sweep a node is zeroed iff its
 //!   value is `0.0`. One window kernel serves every fan-out, with
 //!   constant-width copies for k = 2, 4, 8 and 16 that vectorize across
@@ -578,7 +579,8 @@ pub struct LevelTree {
 impl LevelTree {
     /// Compiles the uniform (paper) Theorem-3 weights for `shape`.
     ///
-    /// Output is bit-identical to [`crate::hier::hierarchical_inference`].
+    /// Output is bit-identical to the test oracle
+    /// `hc_testutil::oracle::hierarchical_inference`.
     pub fn new(shape: &TreeShape) -> Self {
         let height = shape.height();
         let k = shape.branching() as f64;
@@ -603,7 +605,8 @@ impl LevelTree {
     /// Compiles GLS weights for per-**level** noise variances (depth 0 =
     /// root), the [`crate::budgeted`] noise model.
     ///
-    /// Matches [`crate::weighted::weighted_hierarchical_inference`] with the
+    /// Matches the test oracle
+    /// `hc_testutil::oracle::weighted_hierarchical_inference` with the
     /// variance of level `d` replicated across that level's nodes.
     pub fn with_level_variances(shape: &TreeShape, level_variances: &[f64]) -> Self {
         let height = shape.height();
@@ -1024,24 +1027,6 @@ impl LevelTree {
         }
     }
 
-    /// [`Self::infer`] through the plain untiled level sweeps — the memory
-    /// order the tiled path is tested against. Arithmetic per node is
-    /// identical, so the output matches [`Self::infer`] bit for bit; this
-    /// exists so the equivalence tests can pin exactly that.
-    pub fn infer_untiled(&self, noisy: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            noisy.len(),
-            self.shape.nodes(),
-            "noisy vector must cover the tree"
-        );
-        let height = self.shape.height();
-        let mut out = noisy.to_vec();
-        let mut tree = Nodes::of_tree(&mut out, self.shape.first_leaf());
-        self.upward_levels(&mut tree, 0..height - 1, None);
-        self.downward_levels(&mut tree, 0..height - 1);
-        out
-    }
-
     /// Copies slab `s`'s nodes — depth `cut` down to its leaves — from
     /// `src` to the whole-tree `dst`, one contiguous run per level.
     fn copy_slab(&self, s: usize, cut: usize, src: &Nodes<'_>, dst: &mut [f64]) {
@@ -1248,8 +1233,9 @@ impl LevelTree {
     /// ≤ 0 and rounds every node to the nearest non-negative integer, in
     /// place.
     ///
-    /// Bit-identical to [`crate::hier::enforce_nonnegativity`] (the per-node
-    /// `parent()` walk, kept as the oracle) followed by
+    /// Bit-identical to the test oracle
+    /// `hc_testutil::oracle::enforce_nonnegativity` (the per-node `parent()`
+    /// walk) followed by
     /// [`Rounding::NonNegativeInteger`](crate::universal::Rounding::NonNegativeInteger) on every
     /// node. After a level has been swept, a node is zeroed **iff its value
     /// is `0.0`** — a non-zeroed node kept a value > 0, and a value ≤ 0
@@ -1603,10 +1589,10 @@ impl BatchInference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hier::{enforce_nonnegativity, hierarchical_inference};
     use crate::universal::Rounding;
     use hc_noise::{rng_from_seed, NoiseBackend};
     use hc_testutil::assert_close;
+    use hc_testutil::oracle::{enforce_nonnegativity, hierarchical_inference};
     use rand::Rng;
 
     fn random_noisy(shape: &TreeShape, seed: u64) -> Vec<f64> {
@@ -1759,9 +1745,15 @@ mod tests {
         for (k, height, seed) in [
             (2usize, 1usize, 11u64),
             (2, 3, 12),
+            (2, 6, 17),
             (2, 7, 13),
+            (2, 16, 18), // forces multiple slabs (2^15 leaves > TILE_LEAVES)
             (3, 4, 14),
+            (3, 10, 19),
+            (4, 8, 20),
             (5, 3, 15),
+            (8193, 2, 24), // branching > TILE_LEAVES: slab must keep the leaf step
+            (1000, 3, 25), // wide levels push the cut to exactly height − 2
         ] {
             let shape = TreeShape::new(k, height);
             let noisy = random_noisy(&shape, seed);
@@ -1780,28 +1772,6 @@ mod tests {
     }
 
     #[test]
-    fn tiled_matches_untiled_bit_for_bit() {
-        for (k, height, seed) in [
-            (2usize, 1usize, 16u64),
-            (2, 6, 17),
-            (2, 16, 18), // forces multiple slabs (2^15 leaves > TILE_LEAVES)
-            (3, 10, 19),
-            (4, 8, 20),
-            (8193, 2, 24), // branching > TILE_LEAVES: slab must keep the leaf step
-            (1000, 3, 25), // wide levels push the cut to exactly height − 2
-        ] {
-            let shape = TreeShape::new(k, height);
-            let noisy = random_noisy(&shape, seed);
-            let tree = LevelTree::new(&shape);
-            assert_eq!(
-                tree.infer(&noisy),
-                tree.infer_untiled(&noisy),
-                "k={k} ℓ={height}"
-            );
-        }
-    }
-
-    #[test]
     fn scratch_reuse_across_shapes_stays_correct() {
         let mut engine = BatchInference::for_shape(&TreeShape::new(2, 4));
         for (k, height, seed) in [(2usize, 4usize, 41u64), (3, 3, 42), (2, 6, 43)] {
@@ -1814,7 +1784,7 @@ mod tests {
 
     #[test]
     fn weighted_tables_match_weighted_reference() {
-        use crate::weighted::weighted_hierarchical_inference;
+        use hc_testutil::oracle::weighted_hierarchical_inference;
         for (k, height, seed) in [(2usize, 4usize, 51u64), (3, 3, 52), (2, 6, 53)] {
             let shape = TreeShape::new(k, height);
             let mut rng = rng_from_seed(seed);
@@ -1829,7 +1799,6 @@ mod tests {
             let reference = weighted_hierarchical_inference(&shape, &noisy, &per_node);
             let tree = LevelTree::with_level_variances(&shape, &level_vars);
             assert_eq!(tree.infer(&noisy), reference, "k={k} ℓ={height}");
-            assert_eq!(tree.infer_untiled(&noisy), reference);
         }
     }
 

@@ -16,21 +16,17 @@
 //! The inference engines:
 //!
 //! * [`isotonic::isotonic_regression`] — Theorem 1's projection onto ordered
-//!   sequences, in linear time (PAVA), with the paper's min-max formula as an
-//!   executable reference specification.
-//! * [`hier::hierarchical_inference`] — Theorem 3's two-pass closed form for
-//!   the tree-consistency projection, plus the Sec. 4.2 non-negativity
-//!   heuristic. This is the *reference oracle*: per-node weights, allocating,
-//!   deliberately close to the paper's notation.
-//! * [`engine::LevelTree`] / [`engine::BatchInference`] — the production
-//!   engine: the same two passes over a flat level-indexed layout with
-//!   precomputed per-level weight tables, one value per node overwritten in
-//!   place (`h̃ → z → h̄`; a publish keeps its leaf level in the snapshot
-//!   it builds, and draws one Laplace per depth, so hierarchical and
-//!   per-level-budget releases share it), and whole
-//!   release→inference trials batched across scoped threads. Every
-//!   estimator's hot path goes through it; the test suite pins it to the
-//!   oracle bit for bit.
+//!   sequences, in linear time (PAVA).
+//! * [`engine::LevelTree`] / [`engine::BatchInference`] — Theorem 3's
+//!   two-pass closed form for the tree-consistency projection, plus the
+//!   Sec. 4.2 non-negativity heuristic, as one engine: the passes run over a
+//!   flat level-indexed layout with precomputed per-level weight tables,
+//!   one value per node overwritten in place (`h̃ → z → h̄`; a publish
+//!   keeps its leaf level in the snapshot it builds, and draws one Laplace
+//!   per depth, so hierarchical and per-level-budget releases share it),
+//!   and whole release→inference trials batched across scoped threads. Every
+//!   estimator's hot path goes through it, and [`hier::ConsistentTree`]
+//!   wraps its output for range queries.
 //! * [`snapshot::ConsistentSnapshot`] / [`snapshot::SubtreeServer`] — the
 //!   matching *read* path: O(1) prefix-summed range serving over engine
 //!   output, and allocation-free decomposition folds for the `H̃`-style
@@ -49,6 +45,12 @@
 //!
 //! [`theory`] holds the paper's closed-form error predictions, so experiments
 //! can print measured-vs-predicted columns.
+//!
+//! The paper's per-node formulas — Theorem 1's min-max characterization,
+//! Theorem 3's two passes, the Sec. 4.2 zeroing walk and their GLS
+//! generalization — are not shipped here: they are the test oracles of
+//! `hc_testutil::oracle`, which the test suite pins this crate's engines to
+//! bit for bit (PAVA within rounding).
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
@@ -65,7 +67,6 @@ pub mod snapshot;
 pub mod theory;
 pub mod unattributed;
 pub mod universal;
-pub mod weighted;
 
 pub use accuracy::{
     alpha_half_width, det_cbrt, epsilon_for_alpha_width, epsilon_for_hier_error,
@@ -75,8 +76,8 @@ pub use accuracy::{
 pub use budgeted::BudgetSplit;
 pub use engine::{effective_threads, BatchInference, LevelTree};
 pub use error::{mean_absolute_error, per_position_squared_error, sum_squared_error};
-pub use hier::{enforce_nonnegativity, hierarchical_inference, ConsistentTree};
-pub use isotonic::{isotonic_regression, isotonic_regression_weighted, minmax_reference};
+pub use hier::ConsistentTree;
+pub use isotonic::{isotonic_regression, isotonic_regression_weighted};
 pub use plan::{
     PlanInput, ReleaseStrategy, SizePrediction, StrategyPipeline, StrategyPlan, StrategyPlanner,
 };
@@ -85,4 +86,3 @@ pub use unattributed::{SortedRelease, UnattributedHistogram};
 pub use universal::{
     FlatRelease, FlatUniversal, HierarchicalUniversal, RoundedTree, Rounding, TreeRelease,
 };
-pub use weighted::{level_budget_variances, weighted_hierarchical_inference};

@@ -571,8 +571,8 @@ impl SubtreeServer {
     }
 
     /// Visits the nodes of the minimal subtree decomposition of `target` in
-    /// emission order — the walk behind the recursive oracle and the
-    /// planner's decomposition pricing.
+    /// emission order — the walk behind the planner's decomposition
+    /// pricing.
     pub fn for_each_node(&self, target: Interval, mut visit: impl FnMut(usize)) {
         self.for_each_node_at_depth(target, |v, _| visit(v));
     }
@@ -627,11 +627,10 @@ impl SubtreeServer {
     /// bit-identical to materializing the decomposition and `.sum()`ing it
     /// even in the all-negative-zero corner.
     ///
-    /// Implementation: the table-driven fold.
-    /// [`Self::answer_recursive`] keeps the recursive fold as the bitwise
-    /// oracle; `tests/snapshot_serving.rs` and this module's exhaustive test
-    /// pin the two equal to the bit across shapes, values, and rounding
-    /// policies.
+    /// Implementation: the table-driven fold. `tests/snapshot_serving.rs`
+    /// and this module's exhaustive test pin it to the bit against a
+    /// `-0.0`-seeded fold over [`TreeShape::subtree_decomposition`], across
+    /// shapes, values, and rounding policies.
     pub fn answer(&self, values: &[f64], rounding: Rounding, target: Interval) -> f64 {
         self.check_values(values);
         let apply = |v| rounding.apply(v);
@@ -640,17 +639,6 @@ impl SubtreeServer {
         } else {
             self.fold::<u64>(values, target, apply)
         }
-    }
-
-    /// The recursive decomposition fold — the bitwise oracle
-    /// [`Self::answer`]'s table-driven fold is pinned against. Same visit
-    /// order, same `-0.0` seed, same per-node arithmetic, one closure call
-    /// per node.
-    pub fn answer_recursive(&self, values: &[f64], rounding: Rounding, target: Interval) -> f64 {
-        self.check_values(values);
-        let mut acc = -0.0f64;
-        self.for_each_node(target, |v| acc += rounding.apply(values[v]));
-        acc
     }
 
     fn check_values(&self, values: &[f64]) {
@@ -743,7 +731,7 @@ impl SubtreeServer {
     /// `digit_j(hi)` nodes; the nonzero-digit masks of those two words pick
     /// the levels that emit, so the emission order is exactly the
     /// recursion's and the `-0.0`-seeded float fold is bit-identical to
-    /// [`Self::answer_recursive`].
+    /// folding [`TreeShape::subtree_decomposition`] in order.
     #[inline]
     fn fold<W: DigitWord>(
         &self,
@@ -1025,7 +1013,13 @@ mod tests {
                     for rounding in [Rounding::None, Rounding::NonNegativeInteger] {
                         let oracle: Vec<u64> = all
                             .iter()
-                            .map(|&q| narrow.answer_recursive(values, rounding, q).to_bits())
+                            .map(|&q| {
+                                shape
+                                    .subtree_decomposition(q)
+                                    .into_iter()
+                                    .fold(-0.0, |acc, v| acc + rounding.apply(values[v]))
+                                    .to_bits()
+                            })
                             .collect();
                         for server in [&narrow, &wide] {
                             let mut batch = Vec::new();

@@ -404,27 +404,19 @@ impl TreeRelease {
 
     /// `H̄`: the exact Theorem 3 minimum-L2 consistent tree (no rounding).
     ///
-    /// Runs through the level-indexed [`LevelTree`] engine (bit-identical to
-    /// the [`crate::hier::hierarchical_inference`] reference oracle). Trial
-    /// loops should prefer [`Self::infer_into`], which reuses the output
-    /// buffer across releases.
+    /// Runs through the level-indexed [`LevelTree`] engine. Trial loops
+    /// should prefer [`Self::infer_into`], which reuses the output buffer
+    /// across releases.
     pub fn infer(&self) -> ConsistentTree {
         let h = LevelTree::new(self.server.shape()).infer(&self.noisy);
         ConsistentTree::new(self.server.shape().clone(), h, self.domain_size)
     }
 
-    /// [`Self::infer`] through a caller-owned [`BatchInference`]: the engine
-    /// is recompiled only when the shape changes, and the passes run in
-    /// place in the result, so repeated trials allocate nothing beyond it.
-    pub fn infer_with(&self, engine: &mut BatchInference) -> ConsistentTree {
-        engine.ensure_shape(self.server.shape());
-        let h = engine.infer(&self.noisy);
-        ConsistentTree::new(self.server.shape().clone(), h, self.domain_size)
-    }
-
     /// The raw Theorem-3 node values into a caller-owned buffer, inferred
-    /// in place there — the allocation-free core of [`Self::infer_with`]
-    /// for trial loops that answer queries straight from the flat vector.
+    /// in place there, through a caller-owned [`BatchInference`] that is
+    /// recompiled only when the shape changes — the allocation-free form of
+    /// [`Self::infer`] for trial loops that answer queries straight from the
+    /// flat vector.
     pub fn infer_into(&self, engine: &mut BatchInference, out: &mut Vec<f64>) {
         engine.ensure_shape(self.server.shape());
         engine.infer_into(&self.noisy, out);
@@ -439,21 +431,13 @@ impl TreeRelease {
     /// answered by the minimal subtree decomposition — each query touches at
     /// most `2ℓ` node values, so the clamping at zero cannot accumulate bias
     /// across a wide range the way per-leaf clamping would.
-    pub fn infer_rounded(&self) -> RoundedTree {
-        let mut engine = BatchInference::for_shape(self.server.shape());
-        self.infer_rounded_with(&mut engine)
-    }
-
-    /// [`Self::infer_rounded`] through a caller-owned [`BatchInference`]
-    /// (see [`Self::infer_with`]).
     ///
     /// The zeroing + rounding run as the engine's fused level sweep
-    /// ([`LevelTree::zero_round_in_place`]), bit-identical to the
-    /// [`crate::hier::enforce_nonnegativity`] oracle walk followed by
-    /// per-node rounding.
-    pub fn infer_rounded_with(&self, engine: &mut BatchInference) -> RoundedTree {
+    /// ([`LevelTree::zero_round_in_place`]).
+    pub fn infer_rounded(&self) -> RoundedTree {
+        let mut engine = BatchInference::for_shape(self.server.shape());
         let mut values = Vec::new();
-        self.infer_rounded_into(engine, &mut values);
+        self.infer_rounded_into(&mut engine, &mut values);
         RoundedTree {
             server: self.server.clone(),
             domain_size: self.domain_size,

@@ -10,6 +10,7 @@
 //! is natural.
 
 use hc_core::hier::ConsistentTree;
+use hc_core::LevelTree;
 use hc_data::{Domain, Histogram};
 use hc_mech::{Epsilon, HierarchicalQuery, LaplaceMechanism, TreeShape};
 use rand::Rng;
@@ -197,7 +198,7 @@ impl QuadtreeRelease {
 
     /// Constrained inference (Theorem 3 with k = 4): the consistent quadtree.
     pub fn infer(&self) -> ConsistentQuadtree {
-        let values = hc_core::hier::hierarchical_inference(&self.shape, &self.noisy);
+        let values = LevelTree::new(&self.shape).infer(&self.noisy);
         ConsistentQuadtree {
             side: self.side,
             tree: ConsistentTree::new(self.shape.clone(), values, self.shape.leaves()),
@@ -382,6 +383,23 @@ mod tests {
         let rect = Rect::new(1, 2, 5, 6);
         let got = consistent.rect_query(rect);
         assert!((got - g.rect_count(rect) as f64).abs() < 1e-6);
+    }
+
+    #[test]
+    fn inference_is_bit_identical_to_the_theorem3_oracle() {
+        // The k = 4 engine against the per-node oracle, on a single-slab
+        // grid and on one whose 4^7 leaves span two engine slabs.
+        for (side, seed) in [(16usize, 141u64), (128, 142)] {
+            let g = checkerboard(side);
+            let rel = QuadtreeUniversal::new(eps(0.5)).release(&g, &mut rng_from_seed(seed));
+            let oracle = hc_testutil::oracle::hierarchical_inference(rel.shape(), &rel.noisy);
+            let inferred = rel.infer();
+            let got = inferred.tree().node_values();
+            assert_eq!(got.len(), oracle.len());
+            for (v, (a, b)) in got.iter().zip(&oracle).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "side {side}, node {v}");
+            }
+        }
     }
 
     #[test]

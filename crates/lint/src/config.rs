@@ -47,7 +47,6 @@ pub const NONDETERMINISTIC_IDENTS: &[&str] = &[
 /// mechanisms; `stats.rs` is measurement harness, not released data.
 pub const FOLD_ORACLE_PATHS: &[&str] = &[
     "crates/core/src/hier.rs",
-    "crates/core/src/weighted.rs",
     "crates/core/src/isotonic.rs",
     "crates/core/src/unattributed.rs",
     "crates/core/src/universal.rs",
@@ -122,7 +121,6 @@ pub const HOT_FUNCTIONS: &[(&str, &[&str])] = &[
             "answer_prefix_into",
             "answer",
             "answer_into",
-            "answer_recursive",
             "fold",
             "fold_batch",
             "packed_digits",

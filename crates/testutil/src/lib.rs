@@ -1,14 +1,31 @@
-//! Shared test assertions for the workspace.
+//! Shared test assertions and reference oracles for the workspace.
 //!
 //! Every crate's test suite compares floating-point vectors against
 //! references (closed forms vs generic solvers, engine vs oracle, snapshot
 //! vectors). This dev-dependency crate holds the one canonical
 //! [`assert_close`] so the helper is not re-declared per test module and
-//! every suite reports mismatches the same way.
+//! every suite reports mismatches the same way, and the [`oracle`]s: the
+//! paper's per-node formulas, which the shipped engines must reproduce but
+//! never call.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
+
+mod hier;
+mod minmax;
+mod weighted;
+
+/// The reference oracles, written close to the paper's notation: per-node
+/// weights, index arithmetic and fresh vectors per call. The engine in
+/// `hc-core` is pinned to them bit for bit (uniform and GLS tables, the
+/// zero/round sweep) and PAVA within rounding; they are checked in turn
+/// against `hc-linalg`'s generic least-squares solves.
+pub mod oracle {
+    pub use crate::hier::{enforce_nonnegativity, hierarchical_inference};
+    pub use crate::minmax::{minmax_reference, minmax_reference_dual};
+    pub use crate::weighted::weighted_hierarchical_inference;
+}
 
 /// Asserts `a` and `b` have equal length and agree element-wise within
 /// `tol` (absolute). Panics with the first offending position and both

@@ -1,5 +1,6 @@
 //! Weighted hierarchical inference: Theorem 3 generalized to heteroscedastic
-//! noise.
+//! noise, per node — the reference oracle for the engine's GLS tables
+//! (`hc_core::LevelTree::with_level_variances`).
 //!
 //! The paper splits ε uniformly over the tree (every node gets `Lap(ℓ/ε)`),
 //! and Theorem 3's weights are specialized to that case. An alternative the
@@ -19,7 +20,7 @@
 //!   child absorbs more correction).
 //!
 //! With equal variances this reduces exactly to the paper's recurrences, and
-//! the test suite checks the general case against `hc-linalg`'s weighted
+//! the tests below check the general case against `hc-linalg`'s weighted
 //! least squares.
 
 use hc_mech::TreeShape;
@@ -58,7 +59,7 @@ fn upward_pass(shape: &TreeShape, noisy: &[f64], variances: &[f64]) -> Upward {
 ///
 /// `variances[v]` is the noise variance of `noisy[v]`; all must be positive
 /// and finite. For uniform variances this equals
-/// [`crate::hier::hierarchical_inference`] exactly.
+/// [`crate::oracle::hierarchical_inference`] exactly.
 pub fn weighted_hierarchical_inference(
     shape: &TreeShape,
     noisy: &[f64],
@@ -88,31 +89,12 @@ pub fn weighted_hierarchical_inference(
     h
 }
 
-/// The per-node noise variances induced by a per-level budget split: nodes
-/// at depth `d` (0 = root) receive `Lap(1/ε_d)` noise, i.e. variance
-/// `2/ε_d²`. `level_epsilons.len()` must equal the tree height.
-pub fn level_budget_variances(shape: &TreeShape, level_epsilons: &[f64]) -> Vec<f64> {
-    assert_eq!(level_epsilons.len(), shape.height(), "one ε per tree level");
-    assert!(
-        level_epsilons.iter().all(|&e| e > 0.0 && e.is_finite()),
-        "level budgets must be positive"
-    );
-    let mut variances = vec![0.0f64; shape.nodes()];
-    for (depth, &eps) in level_epsilons.iter().enumerate() {
-        let var = 2.0 / (eps * eps);
-        for v in shape.level(depth) {
-            variances[v] = var;
-        }
-    }
-    variances
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hier::hierarchical_inference;
+    use crate::assert_close;
+    use crate::oracle::hierarchical_inference;
     use hc_noise::rng_from_seed;
-    use hc_testutil::assert_close;
     use rand::Rng;
 
     #[test]
@@ -189,15 +171,6 @@ mod tests {
         variances[1] = 1e-9; // node 1's count of 37 is essentially exact
         let h = weighted_hierarchical_inference(&shape, &noisy, &variances);
         assert!((h[1] - 37.0).abs() < 1e-3, "h[1] = {}", h[1]);
-    }
-
-    #[test]
-    fn level_budget_variances_map_depths() {
-        let shape = TreeShape::new(2, 3);
-        let vars = level_budget_variances(&shape, &[1.0, 0.5, 0.25]);
-        assert!((vars[0] - 2.0).abs() < 1e-12); // root: 2/1²
-        assert!((vars[1] - 8.0).abs() < 1e-12); // depth 1: 2/0.5²
-        assert!((vars[3] - 32.0).abs() < 1e-12); // leaves: 2/0.25²
     }
 
     #[test]

@@ -73,12 +73,11 @@ pub use hc_serve as serve;
 /// The most common imports, re-exported flat.
 pub mod prelude {
     pub use hc_core::{
-        effective_threads, enforce_nonnegativity, hierarchical_inference, isotonic_regression,
-        mean_absolute_error, sum_squared_error, weighted_hierarchical_inference, AccuracyTarget,
-        BatchInference, BudgetSplit, ConsistentSnapshot, ConsistentTree, FlatUniversal, Guarantee,
-        HierarchicalUniversal, LevelTree, PlanInput, ReleaseStrategy, RoundedTree, Rounding,
-        SortedRelease, StrategyPipeline, StrategyPlan, StrategyPlanner, SubtreeServer, TreeRelease,
-        UnattributedHistogram,
+        effective_threads, isotonic_regression, mean_absolute_error, sum_squared_error,
+        AccuracyTarget, BatchInference, BudgetSplit, ConsistentSnapshot, ConsistentTree,
+        FlatUniversal, Guarantee, HierarchicalUniversal, LevelTree, PlanInput, ReleaseStrategy,
+        RoundedTree, Rounding, SortedRelease, StrategyPipeline, StrategyPlan, StrategyPlanner,
+        SubtreeServer, TreeRelease, UnattributedHistogram,
     };
     pub use hc_data::{Domain, Graph, Histogram, Interval, RangeWorkload, Relation};
     pub use hc_mech::{

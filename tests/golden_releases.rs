@@ -21,6 +21,7 @@
 //! failing step. See `hc_noise::backend` for the versioning policy.
 
 use hc_testutil::assert_close;
+use hc_testutil::oracle::hierarchical_inference;
 use hist_consistency::prelude::*;
 
 /// Runs one noisy tree vector through both engines and checks both against

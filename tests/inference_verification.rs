@@ -2,6 +2,7 @@
 //! stack in `hc-linalg` — the "don't trust the proofs" tests.
 
 use hc_testutil::assert_close;
+use hc_testutil::oracle::{hierarchical_inference, minmax_reference};
 use hist_consistency::linalg::{conjugate_gradient, lstsq, CgOptions, CsrMatrix, Matrix};
 use hist_consistency::prelude::*;
 use rand::Rng;
@@ -83,7 +84,7 @@ fn theorem1_minmax_equals_pava_on_adversarial_patterns() {
     ];
     for p in patterns {
         let pava = isotonic_regression(&p);
-        let minmax = hist_consistency::infer::minmax_reference(&p);
+        let minmax = minmax_reference(&p);
         assert_close(&pava, &minmax, 1e-9);
     }
 }

@@ -4,12 +4,13 @@
 //! the projection laws (Theorems 1 and 3), the tree geometry, the Haar
 //! transform, and the extension modules.
 
+use hc_testutil::oracle::{hierarchical_inference, minmax_reference};
 use hist_consistency::ext::graphical::{is_graphical, nearest_graphical};
 use hist_consistency::ext::quadtree::{morton_decode, morton_encode};
 use hist_consistency::ext::wavelet::HaarQuery;
 use hist_consistency::infer::{
-    alpha_half_width, epsilon_for_alpha_width, hierarchical_inference, isotonic_regression,
-    isotonic_regression_weighted, minmax_reference, SizePrediction,
+    alpha_half_width, epsilon_for_alpha_width, isotonic_regression, isotonic_regression_weighted,
+    SizePrediction,
 };
 use hist_consistency::prelude::*;
 use proptest::prelude::*;

@@ -1,7 +1,7 @@
 //! Failure-injection and edge-condition tests: the library must fail loudly
 //! and precisely on invalid inputs, and behave sensibly at boundary sizes.
 
-use hist_consistency::infer::{hierarchical_inference, isotonic_regression};
+use hist_consistency::infer::isotonic_regression;
 use hist_consistency::prelude::*;
 use hist_consistency::serve::ServeError;
 use proptest::prelude::*;
@@ -26,7 +26,7 @@ fn laplace_rejects_degenerate_scales() {
 #[should_panic(expected = "noisy vector must cover the tree")]
 fn hierarchical_inference_checks_input_length() {
     let shape = TreeShape::new(2, 3);
-    let _ = hierarchical_inference(&shape, &[1.0, 2.0]);
+    let _ = LevelTree::new(&shape).infer(&[1.0, 2.0]);
 }
 
 #[test]
@@ -140,18 +140,19 @@ fn confidence_intervals_are_available_from_the_mechanism() {
 
 /// The ε values the registration property draws from: subnormal and
 /// near-underflow budgets whose noise scale `Δ/ε` may overflow, a tiny
-/// normal one, and two ordinary ones.
-const REGISTRATION_EPSILONS: [f64; 5] = [1e-310, 3e-308, 1e-300, 0.1, 1.0];
+/// normal one, two ordinary ones, and two on the overflow side, whose
+/// per-level `ε_d²` overflows and whose noise scale may underflow.
+const REGISTRATION_EPSILONS: [f64; 7] = [1e-310, 3e-308, 1e-300, 0.1, 1.0, 1e300, f64::MAX];
 
 /// Branching factor number `pick` over `n` bins: 0 and 1, every k the
 /// planner and the ablations use (and one past), the three around the
-/// domain size, and `usize::MAX`.
+/// domain size (the one past saturates at `usize::MAX`), and `usize::MAX`.
 fn registration_branching(pick: usize, n: usize) -> usize {
     match pick {
         0..=17 => pick,
         18 => n - 1,
         19 => n,
-        20 => n + 1,
+        20 => n.saturating_add(1),
         _ => usize::MAX,
     }
 }
@@ -177,13 +178,16 @@ proptest! {
         branching_pick in 0usize..22,
         domain_pick in 0usize..8,
         small_n in 1usize..4097,
-        epsilon_pick in 0usize..5,
+        epsilon_pick in 0usize..REGISTRATION_EPSILONS.len(),
     ) {
         // `register` returns a typed error or a tenant; a registered tenant
         // publishes once and still takes writes (its lock is not poisoned).
         // An unallocatable domain is refused as too large, whatever the
-        // strategy, before anything domain-sized is allocated.
+        // strategy, before anything domain-sized is allocated. The total
+        // budget funds the first release, so a large ε reaches the
+        // strategy checks instead of the budget refusal.
         let n = registration_domain(domain_pick, small_n);
+        let epsilon = REGISTRATION_EPSILONS[epsilon_pick];
         let branching = registration_branching(branching_pick, n);
         let strategy = match strategy_pick {
             0 => ReleaseStrategy::Flat,
@@ -192,7 +196,7 @@ proptest! {
         };
         let config = TenantConfig::new("t", n)
             .with_strategy(strategy)
-            .with_budget(1.0, REGISTRATION_EPSILONS[epsilon_pick])
+            .with_budget(epsilon.max(1.0), epsilon)
             .with_refresh_every(0);
         let mut service = HistogramService::new();
         let registered = service.register(config);

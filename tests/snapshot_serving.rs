@@ -189,7 +189,11 @@ proptest! {
         let mut batch = Vec::new();
         server.answer_into(&values, rounding, &queries, &mut batch);
         for (&q, served) in queries.iter().zip(&batch) {
-            let oracle = server.answer_recursive(&values, rounding, q).to_bits();
+            let oracle = shape
+                .subtree_decomposition(q)
+                .into_iter()
+                .fold(-0.0, |acc, v| acc + rounding.apply(values[v]))
+                .to_bits();
             prop_assert_eq!(served.to_bits(), oracle, "k = {}, height = {}, q = {}", k, height, q);
             prop_assert_eq!(server.answer(&values, rounding, q).to_bits(), oracle);
         }
@@ -378,9 +382,9 @@ fn budgeted_served_batch(backend: NoiseBackend) -> Vec<f64> {
 
 #[test]
 fn reference_golden_budgeted_served_batch_seed_7177() {
-    // The budgeted release runs the staged path (per-level noise, then the
-    // GLS engine's `infer_into`) that no other served pin reaches. Frozen
-    // forever per the backend policy.
+    // The budgeted release runs the fused publish with one Laplace per
+    // depth and GLS tables; no other served pin reaches those tables.
+    // Frozen forever per the backend policy.
     let expected = [
         30002.831218471634,
         30050.924896876997,
