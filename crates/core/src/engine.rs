@@ -1745,15 +1745,9 @@ mod tests {
         for (k, height, seed) in [
             (2usize, 1usize, 11u64),
             (2, 3, 12),
-            (2, 6, 17),
             (2, 7, 13),
-            (2, 16, 18), // forces multiple slabs (2^15 leaves > TILE_LEAVES)
             (3, 4, 14),
-            (3, 10, 19),
-            (4, 8, 20),
             (5, 3, 15),
-            (8193, 2, 24), // branching > TILE_LEAVES: slab must keep the leaf step
-            (1000, 3, 25), // wide levels push the cut to exactly height − 2
         ] {
             let shape = TreeShape::new(k, height);
             let noisy = random_noisy(&shape, seed);
@@ -1769,6 +1763,29 @@ mod tests {
         let noisy = [13.0, 3.0, 11.0, 4.0, 1.0, 12.0, 1.0];
         let h = LevelTree::new(&shape).infer(&noisy);
         assert_close(&h, &[14.0, 3.0, 11.0, 3.0, 0.0, 11.0, 0.0], 1e-12);
+    }
+
+    #[test]
+    fn tiled_matches_untiled_bit_for_bit() {
+        // The untiled side is the per-node Theorem-3 oracle, which walks
+        // every node through `parent()`/`children()` with no slab cut.
+        for (k, height, seed) in [
+            (2usize, 1usize, 16u64),
+            (2, 6, 17),
+            (2, 16, 18), // forces multiple slabs (2^15 leaves > TILE_LEAVES)
+            (3, 10, 19),
+            (4, 8, 20),
+            (8193, 2, 24), // branching > TILE_LEAVES: slab must keep the leaf step
+            (1000, 3, 25), // wide levels push the cut to exactly height − 2
+        ] {
+            let shape = TreeShape::new(k, height);
+            let noisy = random_noisy(&shape, seed);
+            assert_eq!(
+                LevelTree::new(&shape).infer(&noisy),
+                hierarchical_inference(&shape, &noisy),
+                "k={k} ℓ={height}"
+            );
+        }
     }
 
     #[test]

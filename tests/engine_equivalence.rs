@@ -6,10 +6,10 @@
 //! The contracts pinned here:
 //!
 //! * engine ≡ `hierarchical_inference` within 1e-9 on every sampled shape
-//!   (the uniform path is in fact bit-identical, which is asserted too,
-//!   single- and multi-slab);
+//!   (the uniform path is in fact bit-identical, which is asserted too);
 //! * engine ≡ the dense OLS projection on small shapes (the "don't trust
 //!   either closed form" check);
+//! * the slab-tiled sweeps ≡ the untiled per-node oracle, bit for bit;
 //! * the weighted (per-level GLS) tables ≡ the per-node weighted oracle;
 //! * the engine's level-sweep zeroing and rounding ≡ the
 //!   `enforce_nonnegativity` walk followed by rounding every node
@@ -55,7 +55,7 @@ proptest! {
     #[test]
     fn engine_matches_reference_on_random_shapes(
         k in 2usize..6,
-        height in 1usize..8,
+        height in 1usize..7,
         seed in any::<u64>(),
     ) {
         let shape = TreeShape::new(k, height);
@@ -124,6 +124,19 @@ proptest! {
         let oracle = hierarchical_inference(release.shape(), release.noisy_values());
         prop_assert_eq!(tree.node_values(), &oracle[..]);
         prop_assert!(tree.max_consistency_violation() < 1e-9);
+    }
+
+    #[test]
+    fn tiled_sweeps_match_untiled_bit_for_bit(
+        k in 2usize..5,
+        height in 1usize..8,
+        seed in any::<u64>(),
+    ) {
+        // The untiled side is the per-node oracle: no slab cut at all.
+        let shape = TreeShape::new(k, height);
+        let noisy = random_noisy(&shape, seed);
+        let tree = LevelTree::new(&shape);
+        prop_assert_eq!(tree.infer(&noisy), hierarchical_inference(&shape, &noisy));
     }
 
     #[test]
