@@ -1802,7 +1802,16 @@ mod tests {
     #[test]
     fn weighted_tables_match_weighted_reference() {
         use hc_testutil::oracle::weighted_hierarchical_inference;
-        for (k, height, seed) in [(2usize, 4usize, 51u64), (3, 3, 52), (2, 6, 53)] {
+        // Budgeted publishes run these tables through the multi-slab path,
+        // so the shapes are the uniform tiling test's wide and tall ones.
+        for (k, height, seed) in [
+            (2usize, 4usize, 51u64),
+            (3, 3, 52),
+            (2, 6, 53),
+            (2, 16, 54),   // multiple slabs (2^15 leaves > TILE_LEAVES)
+            (8193, 2, 55), // branching > TILE_LEAVES
+            (1000, 3, 56), // wide levels push the cut to exactly height − 2
+        ] {
             let shape = TreeShape::new(k, height);
             let mut rng = rng_from_seed(seed);
             let noisy = random_noisy(&shape, seed ^ 0xF0);

@@ -8,13 +8,18 @@
 //! * [`ConsistentSnapshot`] — an immutable prefix-summed view over the leaf
 //!   level of a consistent estimate (engine output,
 //!   [`ConsistentTree`](crate::hier::ConsistentTree) values, a flat release's
-//!   fused prefix arrays, or true counts). Any `[lo, hi]` range query is two
-//!   prefix lookups — O(1) regardless of range length — and a batch goes
-//!   through [`answer_into`](ConsistentSnapshot::answer_into) (unrolled, zero
-//!   allocations after warm-up). Read concurrency comes from concurrent
-//!   readers sharing one snapshot, not from splitting a batch. A snapshot
-//!   can carry its release's Laplace noise scale so every answer can be
-//!   served with a [`ConfidenceInterval`].
+//!   fused prefix arrays, or true counts). Any range is two prefix lookups
+//!   — O(1) regardless of range length. Every read, one query or a batch
+//!   through [`answer_into`](ConsistentSnapshot::answer_into) (unrolled,
+//!   zero allocations after warm-up), goes through one prefix kernel over
+//!   half-open bounds: a [`RangeQuery`] `[lo, hi)` answers
+//!   `prefix[hi] − prefix[lo]`, an empty one a literal `0.0`, and an
+//!   [`Interval`] `[lo, hi]` enters as `[lo, hi + 1)`. `FlatRelease`
+//!   reads its fused prefix arrays through the same kernel. Read
+//!   concurrency comes from concurrent readers sharing one snapshot, not
+//!   from splitting a batch. A snapshot can carry its release's Laplace
+//!   noise scale so every answer can be served with a
+//!   [`ConfidenceInterval`].
 //! * [`SubtreeServer`] — the `H̃`-style estimators (noisy trees, and the
 //!   Sec. 4.2 zeroed/rounded `H̄` whose consistency is deliberately broken at
 //!   zeroed boundaries) answer by summing the minimal subtree decomposition.
@@ -32,7 +37,7 @@ use std::ops::{
 };
 use std::sync::OnceLock;
 
-use hc_data::{Histogram, Interval};
+use hc_data::{Histogram, Interval, RangeQuery};
 use hc_mech::{laplace_half_width, ConfidenceInterval, TreeShape};
 
 use crate::universal::Rounding;
@@ -44,43 +49,70 @@ use crate::universal::Rounding;
 /// bound.
 const EXACT_F64_INT: u64 = 1 << 53;
 
-/// Batched prefix-difference kernel shared by [`ConsistentSnapshot`] and
-/// `FlatRelease::answer_into`: 4-way unrolled over the query batch (each
-/// answer is two independent loads and one subtract, so the unrolled form
-/// keeps several lookups in flight).
-pub(crate) fn answer_prefix_into(
+/// The one range read over a prefix array, shared by [`ConsistentSnapshot`]
+/// and `FlatRelease`: the count of a half-open `[lo, hi)` is
+/// `prefix[hi] − prefix[lo]`, and an [`Interval`] `[lo, hi]` enters as
+/// `[lo, hi + 1)` through its one conversion to [`RangeQuery`]. An empty
+/// range answers a literal `0.0` through a select, so its bits hold even
+/// when a prefix entry is non-finite (a Reference draw is `+∞` with
+/// probability 2⁻⁵³, and `∞ − ∞` is NaN).
+///
+/// The bounds are checked once per batch, in one pass ahead of the reads:
+/// no `hi` may pass `domain_size` (a range query has `lo <= hi` by
+/// construction), else the first offender in batch order is named in an
+/// `outside domain` panic. The answers are 4-way unrolled over the batch:
+/// each is two independent loads and one subtract, so the unrolled form
+/// keeps several lookups in flight.
+#[inline]
+pub(crate) fn answer_prefix_into<Q: Copy + Into<RangeQuery>>(
     prefix: &[f64],
     domain_size: usize,
-    queries: &[Interval],
+    queries: &[Q],
     out: &mut [f64],
 ) {
     assert_eq!(queries.len(), out.len(), "one answer slot per query");
-    let check = |q: &Interval| {
-        assert!(
-            q.hi() < domain_size,
-            "query {q} outside domain of size {domain_size}"
-        );
+    let mut ranges = queries.iter().map(|&q| -> RangeQuery { q.into() });
+    if let Some(q) = ranges.find(|q| q.hi() > domain_size) {
+        panic!("query {q} outside domain of size {domain_size}");
+    }
+    let read = |q: Q| {
+        let q: RangeQuery = q.into();
+        let difference = prefix[q.hi()] - prefix[q.lo()];
+        if q.is_empty() {
+            0.0
+        } else {
+            difference
+        }
     };
     let n = queries.len();
     let main = n - n % 4;
     for i in (0..main).step_by(4) {
         let q = &queries[i..i + 4];
         let o = &mut out[i..i + 4];
-        q.iter().for_each(check);
-        o[0] = prefix[q[0].hi() + 1] - prefix[q[0].lo()];
-        o[1] = prefix[q[1].hi() + 1] - prefix[q[1].lo()];
-        o[2] = prefix[q[2].hi() + 1] - prefix[q[2].lo()];
-        o[3] = prefix[q[3].hi() + 1] - prefix[q[3].lo()];
+        o[0] = read(q[0]);
+        o[1] = read(q[1]);
+        o[2] = read(q[2]);
+        o[3] = read(q[3]);
     }
     for i in main..n {
-        let q = &queries[i];
-        check(q);
-        out[i] = prefix[q.hi() + 1] - prefix[q.lo()];
+        out[i] = read(queries[i]);
     }
 }
 
+/// [`answer_prefix_into`] for one query.
+#[inline]
+pub(crate) fn answer_prefix<Q: Copy + Into<RangeQuery>>(
+    prefix: &[f64],
+    domain_size: usize,
+    query: Q,
+) -> f64 {
+    let mut out = [0.0];
+    answer_prefix_into(prefix, domain_size, &[query], &mut out);
+    out[0]
+}
+
 /// An immutable prefix-summed view of a consistent leaf estimate, serving
-/// any `[lo, hi]` range count in O(1) via two prefix lookups.
+/// any range count in O(1) via two prefix lookups.
 ///
 /// The prefix is built with the exact construction of the historical
 /// `ConsistentTree` prefix (`prefix[i+1] = prefix[i] + leaf[i]`, every leaf
@@ -276,21 +308,23 @@ impl ConsistentSnapshot {
         self.prefix[self.domain_size]
     }
 
-    /// Answers `c([lo, hi])` in O(1): two prefix lookups and one subtract.
+    /// Answers one range in O(1): two prefix lookups and one subtract. The
+    /// range is a half-open [`RangeQuery`] `[lo, hi)` or an inclusive
+    /// [`Interval`] `[lo, hi]`; an empty range answers `0.0`.
+    ///
+    /// # Panics
+    ///
+    /// If the range reaches past [`Self::domain_size`].
     #[inline]
-    pub fn answer(&self, interval: Interval) -> f64 {
-        assert!(
-            interval.hi() < self.domain_size,
-            "query {interval} outside domain of size {}",
-            self.domain_size
-        );
-        self.prefix[interval.hi() + 1] - self.prefix[interval.lo()]
+    pub fn answer<Q: Copy + Into<RangeQuery>>(&self, query: Q) -> f64 {
+        answer_prefix(&self.prefix, self.domain_size, query)
     }
 
     /// Answers a whole query batch into a caller-owned buffer (resized to
-    /// the batch length; zero allocations after warm-up). Unrolled over the
-    /// batch; each answer is exactly [`Self::answer`]'s arithmetic.
-    pub fn answer_into(&self, queries: &[Interval], out: &mut Vec<f64>) {
+    /// the batch length; zero allocations after warm-up). The bounds are
+    /// checked once for the batch, and each answer is exactly
+    /// [`Self::answer`]'s arithmetic.
+    pub fn answer_into<Q: Copy + Into<RangeQuery>>(&self, queries: &[Q], out: &mut Vec<f64>) {
         out.resize(queries.len(), 0.0);
         answer_prefix_into(&self.prefix, self.domain_size, queries, out);
     }
@@ -306,11 +340,17 @@ impl ConsistentSnapshot {
     /// guarantee; for inferred trees it inherits the Sec. 3.2 argument that
     /// projection onto a convex set containing the truth cannot move the
     /// estimate further from it, and the empirical-coverage test pins that
-    /// the interval stays conservative in practice.
-    pub fn confidence(&self, interval: Interval, level: f64) -> Option<ConfidenceInterval> {
+    /// the interval stays conservative in practice. An empty range sums no
+    /// released counts: its interval is the exact zero-width one at `0.0`.
+    pub fn confidence<Q: Copy + Into<RangeQuery>>(
+        &self,
+        query: Q,
+        level: f64,
+    ) -> Option<ConfidenceInterval> {
         let scale = self.noise_scale?;
-        let center = self.answer(interval);
-        Some(union_bound_interval(scale, interval.len(), level, center))
+        let query = query.into();
+        let center = self.answer(query);
+        Some(union_bound_interval(scale, query.len(), level, center))
     }
 }
 
@@ -340,13 +380,11 @@ impl PrefixChain {
 ///
 /// The historical in-line formula divided by `m`: at `m = 0` the per-term
 /// level became `-inf` and the half-width NaN (or an assert, depending on
-/// the quantile path). [`Interval`] is structurally non-empty, so
-/// `confidence` itself can never reach `m = 0` — but serving layers with
-/// emptiness-capable wire queries (`hc-serve`'s half-open `RangeQuery`) sum
-/// zero released counts for an empty range, whose answer is exactly `0.0`
-/// with no noise at all. The correct interval there is the exact zero-width
-/// interval at the center, which is what this helper returns — never NaN.
-/// For `m ≥ 1` the arithmetic is bit-identical to the historical formula.
+/// the quantile path). An empty [`RangeQuery`] sums zero released counts,
+/// and its answer is exactly `0.0` with no noise at all. The correct
+/// interval there is the exact zero-width interval at the center, which is
+/// what this helper returns — never NaN. For `m ≥ 1` the arithmetic is
+/// bit-identical to the historical formula.
 pub fn union_bound_interval(scale: f64, m: usize, level: f64, center: f64) -> ConfidenceInterval {
     if m == 0 {
         // A sum over zero released counts is exact: zero-width coverage at
@@ -1293,5 +1331,56 @@ mod tests {
             let singles: Vec<f64> = queries.iter().map(|&q| snap.answer(q)).collect();
             assert_eq!(out, singles, "len = {len}");
         }
+    }
+
+    #[test]
+    fn the_kernel_reads_prefix_differences_and_empties_as_positive_zero() {
+        // A prefix holding +∞ (a Reference draw of +∞ has probability
+        // 2⁻⁵³): `∞ − ∞` is NaN, so only the select gives an empty range
+        // its literal +0.0.
+        let snap = ConsistentSnapshot::from_leaves(&[1.5, f64::INFINITY, -2.0, 4.0, 0.25], 5);
+        let prefix = &snap.prefix;
+        assert!(prefix[2..].iter().all(|v| *v == f64::INFINITY));
+        let mut queries = Vec::new();
+        for lo in 0..=5 {
+            for hi in lo..=5 {
+                queries.push(RangeQuery::new(lo, hi));
+            }
+        }
+        let mut out = Vec::new();
+        snap.answer_into(&queries, &mut out);
+        for (q, got) in queries.iter().zip(&out) {
+            let expect = if q.is_empty() {
+                0.0f64
+            } else {
+                prefix[q.hi()] - prefix[q.lo()]
+            };
+            assert_eq!(got.to_bits(), expect.to_bits(), "{q}");
+            assert_eq!(snap.answer(*q).to_bits(), expect.to_bits(), "{q}");
+            // An interval is its half-open form, bit for bit.
+            if let Some(interval) = q.to_interval() {
+                assert_eq!(snap.answer(interval).to_bits(), expect.to_bits(), "{q}");
+            }
+        }
+        // The empties past the first prefix entry would be NaN unselected.
+        assert_eq!(
+            snap.answer(RangeQuery::new(3, 3)).to_bits(),
+            0.0f64.to_bits()
+        );
+        let scaled = snap.with_noise_scale(1.0);
+        let empty = scaled.confidence(RangeQuery::new(4, 4), 0.9).unwrap();
+        assert_eq!((empty.lo.to_bits(), empty.hi.to_bits()), (0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "query [1, 4) outside domain of size 3")]
+    fn the_kernel_names_the_first_out_of_domain_query() {
+        let snap = ConsistentSnapshot::from_leaves(&[1.0; 4], 3);
+        let queries = [
+            RangeQuery::new(0, 3),
+            RangeQuery::new(1, 4),
+            RangeQuery::new(0, usize::MAX),
+        ];
+        snap.answer_into(&queries, &mut Vec::new());
     }
 }

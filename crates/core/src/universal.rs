@@ -16,13 +16,13 @@
 //! the non-negativity step is the Sec. 4.2 subtree-zeroing heuristic applied
 //! during inference.
 
-use hc_data::{Histogram, Interval};
+use hc_data::{Histogram, Interval, RangeQuery};
 use hc_mech::{Epsilon, HierarchicalQuery, LaplaceMechanism, NoiseBackend, TreeShape, UnitQuery};
 use rand::Rng;
 
 use crate::engine::{BatchInference, LevelTree};
 use crate::hier::ConsistentTree;
-use crate::snapshot::{answer_prefix_into, ConsistentSnapshot, SubtreeServer};
+use crate::snapshot::{answer_prefix, answer_prefix_into, ConsistentSnapshot, SubtreeServer};
 
 /// Post-processing policy applied to released counts before answering
 /// queries (Sec. 5.2's protocol).
@@ -173,30 +173,32 @@ impl FlatRelease {
         self.noisy.iter().map(|&v| rounding.apply(v)).collect()
     }
 
-    /// Answers `c([lo, hi])` by summing (optionally rounded) unit counts.
-    pub fn range_query(&self, interval: Interval, rounding: Rounding) -> f64 {
-        assert!(
-            interval.hi() < self.noisy.len(),
-            "query {interval} outside domain of size {}",
-            self.noisy.len()
-        );
-        let prefix = match rounding {
-            Rounding::None => &self.prefix_raw,
-            Rounding::NonNegativeInteger => &self.prefix_rounded,
-        };
-        prefix[interval.hi() + 1] - prefix[interval.lo()]
+    /// Answers one range — a half-open [`RangeQuery`] or an inclusive
+    /// [`Interval`] — by summing (optionally rounded) unit counts, read off
+    /// the release's fused prefix arrays; an empty range answers `0.0`.
+    pub fn range_query<Q: Copy + Into<RangeQuery>>(&self, query: Q, rounding: Rounding) -> f64 {
+        answer_prefix(self.prefix(rounding), self.noisy.len(), query)
     }
 
     /// Batched [`Self::range_query`] into a caller-owned buffer (resized to
     /// the batch length; zero allocations after warm-up) — the serving-loop
     /// form, answering straight from the release's fused prefix arrays.
-    pub fn answer_into(&self, rounding: Rounding, queries: &[Interval], out: &mut Vec<f64>) {
-        let prefix = match rounding {
+    pub fn answer_into<Q: Copy + Into<RangeQuery>>(
+        &self,
+        rounding: Rounding,
+        queries: &[Q],
+        out: &mut Vec<f64>,
+    ) {
+        out.resize(queries.len(), 0.0);
+        answer_prefix_into(self.prefix(rounding), self.noisy.len(), queries, out);
+    }
+
+    /// The fused prefix array of the (optionally rounded) unit counts.
+    fn prefix(&self, rounding: Rounding) -> &[f64] {
+        match rounding {
             Rounding::None => &self.prefix_raw,
             Rounding::NonNegativeInteger => &self.prefix_rounded,
-        };
-        out.resize(queries.len(), 0.0);
-        answer_prefix_into(prefix, self.noisy.len(), queries, out);
+        }
     }
 
     /// An owned [`ConsistentSnapshot`] over this release's (optionally
@@ -213,11 +215,7 @@ impl FlatRelease {
     /// Laplace scale `b = 1/ε` (unit queries have sensitivity 1), so served
     /// answers can attach exact confidence intervals.
     pub fn snapshot_into(&self, rounding: Rounding, snapshot: &mut ConsistentSnapshot) {
-        let prefix = match rounding {
-            Rounding::None => &self.prefix_raw,
-            Rounding::NonNegativeInteger => &self.prefix_rounded,
-        };
-        snapshot.rebuild_from_prefix(prefix, self.noisy.len());
+        snapshot.rebuild_from_prefix(self.prefix(rounding), self.noisy.len());
         snapshot.set_noise_scale(Some(1.0 / self.epsilon.value()));
     }
 }

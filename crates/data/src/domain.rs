@@ -70,14 +70,16 @@ impl Domain {
 /// The workspace has exactly two range types and one conversion boundary:
 ///
 /// * `Interval` (this type) — **inclusive** `[lo, hi]`, structurally
-///   non-empty. The inference/serving core speaks only this.
-/// * `hc_serve::RangeQuery` — **half-open** `[lo, hi)`, empties allowed.
-///   The service boundary speaks only that.
+///   non-empty. The inference engines and the subtree folds speak only
+///   this.
+/// * [`RangeQuery`](crate::RangeQuery) — **half-open** `[lo, hi)`, empties
+///   allowed. The service boundary speaks only that, and every prefix read
+///   answers through it: an `Interval` enters as `[lo, hi + 1)`.
 ///
 /// All conversions route through [`Interval::half_open`] /
-/// [`Interval::to_half_open`] (the serve layer's `From`/`TryFrom` impls
-/// delegate here), so the `hi − 1` / `hi + 1` arithmetic lives in exactly
-/// one audited place.
+/// [`Interval::to_half_open`] (`RangeQuery`'s `From<Interval>` and
+/// `to_interval` delegate here), so the `hi − 1` / `hi + 1` arithmetic
+/// lives in exactly one audited place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Interval {
     lo: usize,
@@ -104,10 +106,14 @@ impl Interval {
         (lo < hi).then(|| Self { lo, hi: hi - 1 })
     }
 
-    /// This interval as half-open `(lo, hi_exclusive)` bounds.
+    /// This interval as half-open `(lo, hi_exclusive)` bounds. The one
+    /// interval with no half-open form, `hi == usize::MAX`, keeps
+    /// `usize::MAX` as its exclusive bound: past every domain (none can
+    /// hold that many bins), so a read refuses it as out of range instead
+    /// of wrapping it to an empty range.
     #[inline]
     pub fn to_half_open(&self) -> (usize, usize) {
-        (self.lo, self.hi + 1)
+        (self.lo, self.hi.saturating_add(1))
     }
 
     /// Inclusive lower bound.

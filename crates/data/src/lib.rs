@@ -28,12 +28,14 @@ pub mod generators;
 mod graph;
 mod histogram;
 pub mod io;
+mod query;
 mod relation;
 mod workload;
 
 pub use domain::{Domain, Interval};
 pub use graph::Graph;
 pub use histogram::Histogram;
+pub use query::RangeQuery;
 pub use relation::Relation;
 pub use workload::{dyadic_sizes, RangeWorkload};
 

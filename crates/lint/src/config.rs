@@ -117,8 +117,10 @@ pub const HOT_FUNCTIONS: &[(&str, &[&str])] = &[
     (
         "crates/core/src/snapshot.rs",
         &[
-            // O(1) prefix serving and the SubtreeServer decomposition folds.
+            // The one prefix kernel (every snapshot and flat-release range
+            // read) and the SubtreeServer decomposition folds.
             "answer_prefix_into",
+            "answer_prefix",
             "answer",
             "answer_into",
             "fold",
@@ -176,18 +178,6 @@ pub const HOT_FUNCTIONS: &[(&str, &[&str])] = &[
         ],
     ),
     (
-        "crates/mech/src/sequences/hierarchical.rs",
-        &[
-            // Query evaluation straight into a caller's slice.
-            "tree_counts_into_slice",
-            "evaluate_into_slice",
-        ],
-    ),
-    (
-        "crates/mech/src/sequences/unit.rs",
-        &["evaluate_into_slice"],
-    ),
-    (
         "crates/noise/src/exact_ln.rs",
         &[
             // The Reference lane logarithm and its rounding test, once per
@@ -237,11 +227,14 @@ pub const HOT_FUNCTIONS: &[(&str, &[&str])] = &[
     (
         "crates/serve/src/service.rs",
         &[
-            // The serving read path: validation + pinned prefix lookups
-            // into a caller-owned buffer; errors are plain-field variants
-            // so the failure paths stay allocation-free too.
+            // The serving read path: one range validation, one pin and one
+            // call into the snapshot's prefix kernel, into a caller-owned
+            // buffer; errors are plain-field variants so the failure paths
+            // stay allocation-free too.
             "answer",
             "answer_into",
+            "confidence",
+            "check_queries",
         ],
     ),
 ];

@@ -30,25 +30,6 @@ pub trait QuerySequence {
         out.extend_from_slice(&self.evaluate(histogram));
     }
 
-    /// Evaluates `Q(I)` into a caller-owned **slice** of exactly
-    /// [`Self::output_len`] entries — the write-in-place hook that lets a
-    /// staged trial evaluate straight into its segment of a shared buffer,
-    /// with no intermediate vector and no copy.
-    ///
-    /// Every slot is assigned (no slot's prior content survives), and the
-    /// values are bit-identical to [`Self::evaluate`]'s. The default
-    /// delegates to [`Self::evaluate`] and copies; hot-path sequences
-    /// override it to write directly.
-    fn evaluate_into_slice(&self, histogram: &Histogram, out: &mut [f64]) {
-        let values = self.evaluate(histogram);
-        assert_eq!(
-            out.len(),
-            values.len(),
-            "output slice must match the query's output length"
-        );
-        out.copy_from_slice(&values);
-    }
-
     /// The L1 sensitivity `Δ_Q`.
     fn sensitivity(&self, domain_size: usize) -> f64;
 

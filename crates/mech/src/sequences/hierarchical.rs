@@ -271,18 +271,8 @@ impl HierarchicalQuery {
     /// per-node `values[parent(v)] += values[v]` recurrence while doing no
     /// division-heavy `parent()` arithmetic and no allocation after warm-up.
     fn tree_counts_into(&self, histogram: &Histogram, out: &mut Vec<f64>) {
-        let nodes = self.shape(histogram.len()).nodes();
-        out.resize(nodes, 0.0);
-        self.tree_counts_into_slice(histogram, out);
-    }
-
-    /// The slice core of [`Self::tree_counts_into`]: writes the full tree
-    /// vector into a pre-sized slice (every slot assigned — leaves, padding,
-    /// and parents), so a release can evaluate straight into a caller's
-    /// slice.
-    fn tree_counts_into_slice(&self, histogram: &Histogram, out: &mut [f64]) {
         let shape = self.shape(histogram.len());
-        assert_eq!(out.len(), shape.nodes(), "output slice must cover the tree");
+        out.resize(shape.nodes(), 0.0);
         let first_leaf = shape.first_leaf();
         // Leaves: the domain counts, then explicit zero padding — internal
         // nodes need no initialization because the accumulation below
@@ -341,10 +331,6 @@ impl QuerySequence for HierarchicalQuery {
 
     fn evaluate_into(&self, histogram: &Histogram, out: &mut Vec<f64>) {
         self.tree_counts_into(histogram, out);
-    }
-
-    fn evaluate_into_slice(&self, histogram: &Histogram, out: &mut [f64]) {
-        self.tree_counts_into_slice(histogram, out);
     }
 
     fn sensitivity(&self, domain_size: usize) -> f64 {

@@ -28,13 +28,6 @@ impl QuerySequence for UnitQuery {
         out.extend(histogram.counts().iter().map(|&c| c as f64));
     }
 
-    fn evaluate_into_slice(&self, histogram: &Histogram, out: &mut [f64]) {
-        assert_eq!(out.len(), histogram.len(), "one slot per domain bin");
-        for (slot, &c) in out.iter_mut().zip(histogram.counts()) {
-            *slot = c as f64;
-        }
-    }
-
     fn sensitivity(&self, _domain_size: usize) -> f64 {
         1.0
     }

@@ -21,11 +21,19 @@
 //!   planner's `StrategyPlan::run_with` uses — and a
 //!   [`hc_mech::PrivacyAccountant`] debited once per release under
 //!   sequential composition, with typed [`hc_mech::LedgerEntry`] audit rows.
-//! * [`RangeQuery`] — the half-open wire query; unlike the core's
-//!   structurally non-empty `Interval`, empty client requests are
-//!   representable and answered exactly. The conversion convention is
-//!   documented on [`RangeQuery`] and routed through
-//!   `Interval::half_open` — one audited path in each direction.
+//! * [`RangeQuery`] — the half-open wire query, re-exported from `hc-data`;
+//!   unlike the core's structurally non-empty `Interval`, empty client
+//!   requests are representable and answered exactly.
+//!
+//! # Range-vocabulary convention
+//!
+//! The service speaks only half-open [`RangeQuery`] bounds and lowers none
+//! of them: a read validates the batch once against the tenant's domain,
+//! pins one snapshot, and hands the queries to
+//! [`ConsistentSnapshot::answer_into`](hc_core::ConsistentSnapshot::answer_into)
+//! (or `answer`/`confidence`), hc-core's one prefix kernel. Inclusive ↔
+//! half-open conversions go through `hc-data`'s one audited path,
+//! `Interval::half_open` and `Interval::to_half_open`.
 //!
 //! The load-test binary (`crates/bench/src/bin/serve_load.rs`) drives this
 //! crate open-loop and feeds its latency envelope into the CI benchmark
@@ -37,9 +45,8 @@
 #![warn(missing_docs)]
 
 pub mod cell;
-pub mod query;
 pub mod service;
 
 pub use cell::{PinnedSnapshot, SnapshotCell, SnapshotShards};
-pub use query::{EmptyRange, RangeQuery};
+pub use hc_data::RangeQuery;
 pub use service::{HistogramService, PublishReport, ServeError, TenantConfig, TenantId};

@@ -21,6 +21,16 @@
 //! publish and debit then refuse with [`ServeError::TenantPoisoned`], while
 //! the ledger stays readable and the last published epoch keeps serving.
 //!
+//! Reads speak half-open [`RangeQuery`] bounds end to end and lower none of
+//! them. [`HistogramService::answer`], [`HistogramService::answer_into`]
+//! and [`HistogramService::confidence`] each look the tenant up, check the
+//! level (`confidence` only), validate the range once — the first query in
+//! batch order whose `hi` passes the domain is refused as
+//! [`ServeError::QueryOutOfRange`], before anything is written — pin one
+//! epoch, and make one call into the pinned [`ConsistentSnapshot`], whose
+//! prefix kernel answers `prefix[hi] − prefix[lo]`, or exactly `0.0` for an
+//! empty range.
+//!
 //! Determinism: release `i` of a tenant draws its noise from
 //! `SeedStream::new(seed).rng(i)`, so the served answers are bit-identical
 //! to [`hc_core::StrategyPlan::run_with`] at the same seeds — pinned by the
@@ -28,18 +38,18 @@
 //! `HC_THREADS` settings.
 
 use std::fmt;
+use std::slice;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use hc_core::{
     effective_threads, AccuracyTarget, ConsistentSnapshot, ReleaseStrategy, StrategyPipeline,
     StrategyPlanner,
 };
-use hc_data::{Domain, Histogram};
+use hc_data::{Domain, Histogram, RangeQuery};
 use hc_mech::{BudgetError, ConfidenceInterval, Epsilon, LedgerEntry, PrivacyAccountant};
 use hc_noise::{NoiseBackend, SeedStream};
 
 use crate::cell::{PinnedSnapshot, SnapshotShards};
-use crate::query::RangeQuery;
 
 /// Errors the service reports to clients. Variants carry plain fields (no
 /// boxed payloads, no formatting on construction) so the hot read path can
@@ -418,6 +428,19 @@ impl Tenant {
     fn read_state(&self) -> MutexGuard<'_, WriteState> {
         self.write.lock().unwrap_or_else(PoisonError::into_inner)
     }
+
+    /// The read path's one range validation: refuses the first query, in
+    /// batch order, whose exclusive bound passes the domain.
+    fn check_queries(&self, queries: &[RangeQuery]) -> Result<(), ServeError> {
+        let domain_size = self.config.domain_size;
+        match queries.iter().find(|q| q.hi() > domain_size) {
+            Some(q) => Err(ServeError::QueryOutOfRange {
+                hi: q.hi(),
+                domain_size,
+            }),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Outcome of one successful release+publish.
@@ -664,23 +687,14 @@ impl HistogramService {
     /// queries answer exactly `0.0`.
     pub fn answer(&self, id: TenantId, query: RangeQuery) -> Result<f64, ServeError> {
         let tenant = self.tenant(id)?;
-        let domain_size = tenant.config.domain_size;
-        if query.hi() > domain_size {
-            return Err(ServeError::QueryOutOfRange {
-                hi: query.hi(),
-                domain_size,
-            });
-        }
-        let pinned = tenant.shards.pin();
-        Ok(match query.to_interval() {
-            Some(interval) => pinned.answer(interval),
-            None => 0.0,
-        })
+        tenant.check_queries(slice::from_ref(&query))?;
+        Ok(tenant.shards.pin().answer(query))
     }
 
     /// Answers a batch of range queries into a caller-owned buffer —
     /// allocation-free after `out` has warmed up, and every answer comes
-    /// from the *same* pinned snapshot (one epoch, never a mix).
+    /// from the *same* pinned snapshot (one epoch, never a mix). Returns
+    /// that epoch. On error `out` is left as it was.
     pub fn answer_into(
         &self,
         id: TenantId,
@@ -688,24 +702,9 @@ impl HistogramService {
         out: &mut Vec<f64>,
     ) -> Result<usize, ServeError> {
         let tenant = self.tenant(id)?;
-        let domain_size = tenant.config.domain_size;
-        for query in queries {
-            if query.hi() > domain_size {
-                return Err(ServeError::QueryOutOfRange {
-                    hi: query.hi(),
-                    domain_size,
-                });
-            }
-        }
-        out.clear();
-        out.reserve(queries.len());
+        tenant.check_queries(queries)?;
         let pinned = tenant.shards.pin();
-        for query in queries {
-            out.push(match query.to_interval() {
-                Some(interval) => pinned.answer(interval),
-                None => 0.0,
-            });
-        }
+        pinned.answer_into(queries, out);
         Ok(pinned.epoch())
     }
 
@@ -724,20 +723,8 @@ impl HistogramService {
         if !(level > 0.0 && level < 1.0) {
             return Err(ServeError::InvalidLevel { level });
         }
-        let domain_size = tenant.config.domain_size;
-        if query.hi() > domain_size {
-            return Err(ServeError::QueryOutOfRange {
-                hi: query.hi(),
-                domain_size,
-            });
-        }
-        let pinned = tenant.shards.pin();
-        Ok(match query.to_interval() {
-            Some(interval) => pinned.confidence(interval, level),
-            None => pinned
-                .noise_scale()
-                .map(|scale| hc_core::union_bound_interval(scale, 0, level, 0.0)),
-        })
+        tenant.check_queries(slice::from_ref(&query))?;
+        Ok(tenant.shards.pin().confidence(query, level))
     }
 
     /// Pins the tenant's currently-served snapshot (stays valid across
@@ -935,6 +922,51 @@ mod tests {
         assert_eq!(out.len(), 3);
         assert_eq!(out[1], 0.0);
         assert_eq!(out[0], service.answer(id, queries[0]).unwrap());
+    }
+
+    #[test]
+    fn an_out_of_range_query_mid_batch_is_named_and_leaves_out_alone() {
+        let n = 8;
+        let mut service = HistogramService::new();
+        let id = service.register(config("t", n)).unwrap();
+        service.ingest(id, &[(1, 3)]).unwrap();
+        service.publish(id).unwrap();
+        let ok = [RangeQuery::new(0, n), RangeQuery::new(2, 2)];
+        for (first, second) in [(n + 1, usize::MAX), (usize::MAX, n + 1)] {
+            let queries = [
+                ok[0],
+                RangeQuery::new(3, first),
+                ok[1],
+                RangeQuery::new(0, second),
+            ];
+            let mut out = Vec::with_capacity(16);
+            out.extend([7.5, -0.0, f64::NAN]);
+            let before: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(
+                service.answer_into(id, &queries, &mut out),
+                Err(ServeError::QueryOutOfRange {
+                    hi: first,
+                    domain_size: n
+                })
+            );
+            let after: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(after, before, "out changed on error");
+            assert_eq!(out.capacity(), 16);
+            for query in [queries[1], queries[3]] {
+                let refused = ServeError::QueryOutOfRange {
+                    hi: query.hi(),
+                    domain_size: n,
+                };
+                assert_eq!(service.answer(id, query), Err(refused.clone()));
+                assert_eq!(service.confidence(id, query, 0.9), Err(refused));
+            }
+        }
+        // The valid queries of the same batch answer from the pinned epoch.
+        let mut out = Vec::new();
+        assert_eq!(service.answer_into(id, &ok, &mut out), Ok(1));
+        let pinned = service.snapshot(id).unwrap();
+        assert_eq!(out[0].to_bits(), pinned.answer(ok[0]).to_bits());
+        assert_eq!(out[1].to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

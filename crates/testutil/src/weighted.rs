@@ -74,13 +74,14 @@ pub fn weighted_hierarchical_inference(
 
     let up = upward_pass(shape, noisy, variances);
     let mut h = vec![0.0f64; shape.nodes()];
-    for v in 0..shape.nodes() {
-        if shape.is_root(v) {
-            h[v] = up.z[v];
-        } else {
-            let u = shape.parent(v).expect("non-root node");
-            let succ_z: f64 = shape.children(u).map(|c| up.z[c]).sum();
-            let succ_var: f64 = shape.children(u).map(|c| up.var[c]).sum();
+    // BFS order settles every parent before its children. Each parent's
+    // `Σ z[w]` and `Σ var[w]` are summed once and shared by its `k`
+    // children, so wide trees stay linear.
+    h[0] = up.z[0];
+    for u in (0..shape.nodes()).filter(|&u| !shape.is_leaf(u)) {
+        let succ_z: f64 = shape.children(u).map(|c| up.z[c]).sum();
+        let succ_var: f64 = shape.children(u).map(|c| up.var[c]).sum();
+        for v in shape.children(u) {
             // Distribute the parent's surplus proportionally to variance:
             // the GLS projection of (z_w) onto Σ x_w = h̄[u].
             h[v] = up.z[v] + up.var[v] / succ_var * (h[u] - succ_z);

@@ -4,10 +4,11 @@
 //! they are made of) perform **zero** heap allocations per trial — and the
 //! serving layer (`ConsistentSnapshot` rebuild + `answer_into`,
 //! `SubtreeServer::answer_into`) answers warm query batches with zero heap
-//! allocations per batch. The same allocator also counts bytes, which pins
-//! that a snapshot broadcast to a sharded bank shares one copy of the
-//! prefix instead of copying it per shard, and that a warm service publish
-//! of every release strategy, rebuilt into the epoch the ring retired,
+//! allocations per batch, and so does a warm `HistogramService` read
+//! (`answer_into`, `answer`, `confidence`). The same allocator also counts
+//! bytes, which pins that a snapshot broadcast to a sharded bank shares
+//! one copy of the prefix instead of copying it per shard, and that a warm
+//! service publish of every release strategy, rebuilt into the epoch the ring retired,
 //! allocates almost nothing (less than 1/8 of a prefix, the ledger label's
 //! allowance) — while a publish whose retired epoch is still pinned
 //! succeeds into fresh pages and leaves the pin's bits alone. A warm
@@ -261,6 +262,52 @@ fn release_and_infer_pipeline_is_allocation_free_after_warmup() {
             "{name}: pinned epoch rewritten"
         );
     }
+}
+
+#[test]
+fn a_warm_service_read_allocates_nothing() {
+    // The service's read path: one validation, one pin and one call into
+    // the snapshot's prefix kernel per batch, into a warm buffer. A mixed
+    // batch of empties (at 0, mid-domain and at n), the whole domain and
+    // inner ranges, published with a noise scale so `confidence` does its
+    // interval arithmetic too.
+    let n = 1usize << 12;
+    let mut service = HistogramService::new();
+    let config = TenantConfig::new("reads", n)
+        .with_strategy(ReleaseStrategy::Flat)
+        .with_refresh_every(0);
+    let id = service.register(config).expect("valid tenant");
+    let deltas: Vec<(usize, u64)> = (0..n).step_by(3).map(|b| (b, b as u64 % 4)).collect();
+    service.ingest(id, &deltas).expect("bins in domain");
+    service.publish(id).expect("budget for one release");
+    let queries: Vec<RangeQuery> = (0..64)
+        .map(|i| match i % 5 {
+            0 => RangeQuery::new(0, 0),
+            1 => RangeQuery::new(n, n),
+            2 => RangeQuery::new(0, n),
+            3 => RangeQuery::new(i * 17, i * 17),
+            _ => RangeQuery::new(i, n - i * 3),
+        })
+        .collect();
+    let mut out = Vec::new();
+    let read = |out: &mut Vec<f64>| {
+        let epoch = service.answer_into(id, &queries, out).expect("in range");
+        let one = service.answer(id, queries[4]).expect("in range");
+        let ci = service
+            .confidence(id, queries[2], 0.9)
+            .expect("in range")
+            .expect("a flat release carries its scale");
+        (epoch, one, ci)
+    };
+    let warm = read(&mut out);
+    let during_reads = allocations_during(|| {
+        for _ in 0..16 {
+            assert_eq!(read(&mut out), warm);
+        }
+    });
+    assert_eq!(during_reads, 0, "a warm service read allocated");
+    assert_eq!(out.len(), queries.len());
+    assert_eq!(out[0].to_bits(), 0.0f64.to_bits());
 }
 
 #[test]

@@ -17,7 +17,7 @@
 //! * `release_and_infer(_rounded)` ≡ release-then-infer through the old
 //!   owned-release path at the same seed, bit for bit;
 //! * the fused trial, which counts the tree inside its noised upward slabs,
-//!   ≡ `evaluate_into_slice` → `add_noise_with` → `infer_into` (→
+//!   ≡ `evaluate_into` → `add_noise_with` → `infer_into` (→
 //!   `zero_round_in_place`), bit for bit, per backend;
 //! * the publish, which keeps the leaf level in the snapshot's prefix slots
 //!   and scans it inside the downward leaf step, ≡ the staged release
@@ -293,8 +293,8 @@ proptest! {
         // The staged release: evaluate, add each level's noise in BFS
         // order, infer with that noise model's tables, and serve the
         // inferred tree's leaves.
-        let mut noisy = vec![0.0; shape.nodes()];
-        prepared.query().evaluate_into_slice(&histogram, &mut noisy);
+        let mut noisy = Vec::new();
+        prepared.query().evaluate_into(&histogram, &mut noisy);
         let mut staged_rng = rng_from_seed(seed);
         let tree = match &split {
             None => {
@@ -436,8 +436,8 @@ fn fused_trial_counts_the_tree_bit_for_bit() {
                 for t in 0..trials {
                     // The staged trial: evaluate, perturb, infer, zero/round.
                     let mut staged_rng = seeds.rng(t as u64);
-                    let mut noisy = vec![0.0; n];
-                    prepared.query().evaluate_into_slice(&histogram, &mut noisy);
+                    let mut noisy = Vec::new();
+                    prepared.query().evaluate_into(&histogram, &mut noisy);
                     prepared
                         .noise()
                         .add_noise_with(backend, &mut staged_rng, &mut noisy);

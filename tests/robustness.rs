@@ -235,3 +235,127 @@ fn unallocatable_domains_are_refused_for_every_strategy() {
         }
     }
 }
+
+/// Query number `kind` of a read batch over `n` bins, from two raw draws:
+/// empties at 0 and at `n`, a range ending at `n`, the two refused bounds
+/// `n + 1` and `usize::MAX`, and ranges inside the domain.
+fn read_query(kind: usize, a: usize, b: usize, n: usize) -> RangeQuery {
+    let lo = a % (n + 1);
+    match kind {
+        0 => RangeQuery::new(0, 0),
+        1 => RangeQuery::new(n, n),
+        2 => RangeQuery::new(lo, n),
+        3 => RangeQuery::new(lo, n + 1),
+        4 => RangeQuery::new(lo, usize::MAX),
+        _ => RangeQuery::new(lo, lo + b % (n - lo + 1)),
+    }
+}
+
+/// The confidence levels the read property draws: three refused (NaN, 0,
+/// 1) and two served.
+const READ_LEVELS: [f64; 5] = [f64::NAN, 0.0, 1.0, 0.5, 0.95];
+
+/// The pinned snapshot's prefix entry `prefix[x]`, read as the one-query
+/// answer over `[0, x)` (`prefix[0]` is `+0.0`, and `v − +0.0` is `v`).
+fn prefix_at(pinned: &ConsistentSnapshot, x: usize) -> f64 {
+    if x == 0 {
+        0.0
+    } else {
+        pinned.answer(Interval::new(0, x - 1))
+    }
+}
+
+proptest! {
+    #[test]
+    fn reads_refuse_or_answer_the_pinned_bits_and_never_panic(
+        strategy_pick in 0usize..4,
+        n in 1usize..300,
+        batch in prop::collection::vec((0usize..8, 0usize..4096, 0usize..4096), 0..12),
+        level_pick in 0usize..READ_LEVELS.len(),
+        seed in 0u64..1000,
+    ) {
+        // Every read returns the typed error, in the service's order
+        // (invalid level, then the first out-of-range query in batch
+        // order), or the pinned snapshot's bits: `prefix[hi] − prefix[lo]`,
+        // `+0.0` for an empty range. A refused batch leaves `out` alone.
+        // Strategy pick 3 serves the unreleased epoch-0 zeros.
+        let strategy = match strategy_pick {
+            0 | 3 => ReleaseStrategy::Flat,
+            1 => ReleaseStrategy::Hierarchical { branching: 3 },
+            _ => ReleaseStrategy::Budgeted { branching: 2, split: BudgetSplit::Uniform },
+        };
+        let config = TenantConfig::new("t", n)
+            .with_strategy(strategy)
+            .with_seed(seed)
+            .with_refresh_every(0);
+        let mut service = HistogramService::new();
+        let id = service.register(config).expect("a valid tenant");
+        if strategy_pick != 3 {
+            let deltas: Vec<(usize, u64)> = (0..n).map(|b| (b, (b as u64 * seed) % 5)).collect();
+            service.ingest(id, &deltas).expect("bins in domain");
+            service.publish(id).expect("budget for one release");
+        }
+        let pinned = service.snapshot(id).expect("registered");
+        let queries: Vec<RangeQuery> =
+            batch.iter().map(|&(kind, a, b)| read_query(kind, a, b, n)).collect();
+        let refused = queries.iter().find(|q| q.hi() > n).map(|q| ServeError::QueryOutOfRange {
+            hi: q.hi(),
+            domain_size: n,
+        });
+        let bits = |q: &RangeQuery| {
+            let v = if q.is_empty() {
+                0.0
+            } else {
+                prefix_at(&pinned, q.hi()) - prefix_at(&pinned, q.lo())
+            };
+            v.to_bits()
+        };
+
+        let mut out = vec![-1.25; 3];
+        let got = service.answer_into(id, &queries, &mut out);
+        match &refused {
+            Some(err) => {
+                prop_assert_eq!(got, Err(err.clone()));
+                prop_assert_eq!(out.clone(), vec![-1.25; 3]);
+            }
+            None => {
+                prop_assert_eq!(got, Ok(pinned.epoch()));
+                let served: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+                let expect: Vec<u64> = queries.iter().map(bits).collect();
+                prop_assert_eq!(served, expect);
+            }
+        }
+
+        let level = READ_LEVELS[level_pick];
+        for q in &queries {
+            let out_of_range = ServeError::QueryOutOfRange { hi: q.hi(), domain_size: n };
+            let answered = service.answer(id, *q);
+            let confidence = service.confidence(id, *q, level);
+            if q.hi() > n {
+                prop_assert_eq!(answered, Err(out_of_range.clone()));
+            } else {
+                prop_assert_eq!(answered.map(f64::to_bits), Ok(bits(q)));
+            }
+            if !(level > 0.0 && level < 1.0) {
+                prop_assert!(
+                    matches!(confidence, Err(ServeError::InvalidLevel { .. })),
+                    "{q}: {confidence:?}"
+                );
+            } else if q.hi() > n {
+                prop_assert_eq!(confidence, Err(out_of_range));
+            } else {
+                let expect = pinned.confidence(*q, level);
+                let got = confidence.expect("in range, valid level");
+                prop_assert_eq!(
+                    got.map(|ci| (ci.lo.to_bits(), ci.hi.to_bits())),
+                    expect.map(|ci| (ci.lo.to_bits(), ci.hi.to_bits()))
+                );
+                // Flat releases carry a scale; an empty range's interval is
+                // the zero-width one at +0.0.
+                if strategy_pick == 0 && q.is_empty() {
+                    prop_assert_eq!(got.map(|ci| (ci.lo.to_bits(), ci.hi.to_bits())), Some((0, 0)));
+                }
+            }
+        }
+    }
+}

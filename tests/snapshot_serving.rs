@@ -208,14 +208,14 @@ fn degenerate_snapshot_inputs_are_well_defined() {
     assert_eq!(snap.domain_size(), 0);
     assert_eq!(snap.total(), 0.0);
     let mut out = vec![1.0, 2.0, 3.0]; // stale content must be truncated
-    snap.answer_into(&[], &mut out);
+    snap.answer_into::<Interval>(&[], &mut out);
     assert!(out.is_empty(), "empty batch must clear the output buffer");
     // An empty *query batch* against a non-empty snapshot is equally inert.
     let shape = TreeShape::new(2, 4);
     let values: Vec<f64> = (0..shape.nodes()).map(|i| i as f64).collect();
     let full = ConsistentSnapshot::from_tree_values(&shape, &values, shape.leaves());
     let mut out = vec![5.0; 7];
-    full.answer_into(&[], &mut out);
+    full.answer_into::<Interval>(&[], &mut out);
     assert!(out.is_empty());
     // Rebuild cycling through the empty domain leaves no stale prefix: a
     // non-empty → empty → non-empty round trip equals a fresh build exactly.
