@@ -18,7 +18,7 @@ use hc_core::{
     AccuracyTarget, BatchInference, BudgetSplit, ConsistentSnapshot, HierarchicalUniversal,
     ReleaseStrategy, Rounding, StrategyPlanner, SubtreeServer,
 };
-use hc_data::{Domain, Histogram, Interval, RangeWorkload};
+use hc_data::{dyadic_sizes, Domain, Histogram, Interval, RangeWorkload};
 use hc_mech::{Epsilon, TreeShape};
 use hc_noise::rng_from_seed;
 use hc_serve::{HistogramService, SnapshotCell, TenantConfig};
@@ -150,9 +150,11 @@ fn bench_snapshot_scale(c: &mut Criterion) {
     group.finish();
 }
 
-/// The table-driven fold at scale: O(log n) per query over a
-/// DRAM-resident node vector (1 GB at 2^26 leaves) — the regime where
-/// memory latency, not the fold's digit arithmetic, sets the cost.
+/// The binary fold at scale: O(log n) per query over a DRAM-resident node
+/// vector (1 GB at 2^26 leaves) — the regime where memory latency, not the
+/// fold's index arithmetic, sets the cost. `d20/dyadic` is the Fig. 6
+/// scoring shape: 32 ranges of every dyadic length at 2^20 leaves, one
+/// batch per length.
 fn bench_subtree_fold_scale(c: &mut Criterion) {
     let mut group = c.benchmark_group("range_serving_subtree_scale");
     for &lg in &[20usize, 26] {
@@ -175,6 +177,24 @@ fn bench_subtree_fold_scale(c: &mut Criterion) {
             },
         );
     }
+    let shape = TreeShape::new(2, 21);
+    let values = synthetic_tree_values(shape.nodes());
+    let server = SubtreeServer::new(&shape);
+    let batches: Vec<Vec<Interval>> = dyadic_sizes(shape.height())
+        .into_iter()
+        .map(|len| query_batch_over(shape.leaves(), len, 32))
+        .collect();
+    let queries: usize = batches.iter().map(Vec::len).sum();
+    let mut out = Vec::new();
+    group.throughput(Throughput::Elements(queries as u64));
+    group.bench_function(BenchmarkId::new("d20", "dyadic"), |b| {
+        b.iter(|| {
+            for queries in &batches {
+                server.answer_into(&values, Rounding::None, black_box(queries), &mut out);
+            }
+            black_box(out[0])
+        });
+    });
     group.finish();
 }
 

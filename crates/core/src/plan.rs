@@ -305,9 +305,11 @@ fn for_each_position(positions: usize, mut visit: impl FnMut(usize)) {
 pub struct StrategyPlanner {
     domain_size: usize,
     epsilon: Epsilon,
-    branching: usize,
     budget_ratios: Vec<f64>,
 }
+
+/// The branching factor the planner prices: the paper's binary hierarchy.
+const BRANCHING: usize = 2;
 
 impl StrategyPlanner {
     /// A planner for a domain of `domain_size` bins at privacy level
@@ -318,7 +320,6 @@ impl StrategyPlanner {
         Self {
             domain_size,
             epsilon,
-            branching: 2,
             budget_ratios: vec![0.5, 2.0],
         }
     }
@@ -328,13 +329,6 @@ impl StrategyPlanner {
     /// `ε = 1` is used only if the caller also asks for forward pricing.
     pub fn for_domain(domain_size: usize) -> Self {
         Self::new(domain_size, Epsilon::new(1.0).expect("1.0 is valid"))
-    }
-
-    /// Prices a k-ary hierarchy instead of the binary default.
-    pub fn with_branching(mut self, branching: usize) -> Self {
-        assert!(branching >= 2, "branching factor must be at least 2");
-        self.branching = branching;
-        self
     }
 
     /// Replaces the candidate geometric budget ratios (empty disables the
@@ -350,7 +344,7 @@ impl StrategyPlanner {
 
     /// The tree geometry the hierarchical candidates are priced over.
     pub fn shape(&self) -> TreeShape {
-        TreeShape::for_domain(self.domain_size, self.branching)
+        TreeShape::for_domain(self.domain_size, BRANCHING)
     }
 
     /// The single planning entry point. Accepts either vocabulary:
@@ -401,14 +395,14 @@ impl StrategyPlanner {
         } else if sheet.hier_mean <= sheet.budget_mean && sheet.hier_mean <= sheet.custom_mean {
             (
                 ReleaseStrategy::Hierarchical {
-                    branching: self.branching,
+                    branching: BRANCHING,
                 },
                 sheet.hier_mean,
             )
         } else if sheet.budget_mean <= sheet.custom_mean {
             (
                 ReleaseStrategy::Budgeted {
-                    branching: self.branching,
+                    branching: BRANCHING,
                     split: BudgetSplit::Geometric {
                         ratio: sheet.best_ratio.expect("budgeted beat finite means"),
                     },
@@ -418,7 +412,7 @@ impl StrategyPlanner {
         } else {
             (
                 ReleaseStrategy::Budgeted {
-                    branching: self.branching,
+                    branching: BRANCHING,
                     split: BudgetSplit::Custom(sheet.custom_weights.clone()),
                 },
                 sheet.custom_mean,
@@ -561,7 +555,7 @@ impl StrategyPlanner {
             ),
             make_plan(
                 ReleaseStrategy::Hierarchical {
-                    branching: self.branching,
+                    branching: BRANCHING,
                 },
                 eps_hier,
                 accuracy::alpha_half_width(height as f64 / eps_hier, m_hier, alpha),
@@ -572,7 +566,7 @@ impl StrategyPlanner {
             let predicted = worst_half(&split, eps_geo);
             plans.push(make_plan(
                 ReleaseStrategy::Budgeted {
-                    branching: self.branching,
+                    branching: BRANCHING,
                     split,
                 },
                 eps_geo,
@@ -582,7 +576,7 @@ impl StrategyPlanner {
         let predicted_custom = worst_half(&custom_split, eps_custom);
         plans.push(make_plan(
             ReleaseStrategy::Budgeted {
-                branching: self.branching,
+                branching: BRANCHING,
                 split: custom_split,
             },
             eps_custom,

@@ -27,11 +27,14 @@
 //!   summation order, bit-identical to materializing
 //!   [`TreeShape::subtree_decomposition`] and summing — without the
 //!   per-query index vector (the decomposition stays as the test oracle).
-//!   Per-level tables compiled once per shape (level offsets, an exact
+//!   Binary trees fold four queries in lockstep over heap numbers, adding
+//!   `-0.0` at levels with nothing to emit; other branching factors use
+//!   per-level tables compiled once per shape (level offsets, an exact
 //!   divisor per span `k^j`) and digit masks over the packed base-`k` digits
-//!   of the query's ends pick the emitted nodes, with no division and no
-//!   per-level data-dependent branch.
+//!   of the query's ends. Neither has a division or a per-level
+//!   data-dependent branch.
 
+use std::hint::black_box;
 use std::ops::{
     Add, BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, Not, Shl, Shr, Sub,
 };
@@ -409,6 +412,32 @@ pub fn union_bound_interval(scale: f64, m: usize, level: f64, center: f64) -> Co
 /// at 64 levels, so every level `j` (counted up from the leaves) is below 64.
 const MAX_LEVELS: usize = 64;
 
+/// Queries the binary kernel folds in lockstep (see
+/// [`SubtreeServer::answer_into`]).
+const LANES: usize = 4;
+
+/// The bits of `-0.0`, the binary kernel's masked addend.
+const NEG_ZERO: u64 = (-0.0f64).to_bits();
+
+/// One level of the binary kernel: lane `l` adds `apply(values[node[l]])`
+/// where `emit[l]` is all ones and `-0.0` (reading slot 0) where it is
+/// zero. Passing `emit` through `black_box` keeps the compiler from turning
+/// the masks back into selects, which it lowers to per-lane branches.
+#[inline(always)]
+fn add_masked<const N: usize>(
+    acc: &mut [f64; N],
+    values: &[f64],
+    apply: &impl Fn(f64) -> f64,
+    emit: [u64; N],
+    node: [u64; N],
+) {
+    let emit = black_box(emit);
+    for l in 0..N {
+        let v = apply(values[(node[l] & emit[l]) as usize]);
+        acc[l] += f64::from_bits(v.to_bits() & emit[l] | NEG_ZERO & !emit[l]);
+    }
+}
+
 /// Exact unsigned division by an invariant divisor `d ≥ 1`, for every
 /// 64-bit dividend, with one widening multiply, two shifts, an add and a
 /// subtract (Granlund & Montgomery 1994, "Division by invariant integers
@@ -519,16 +548,20 @@ digit_word!(u64, u128);
 /// right), starting from `-0.0` — bit-identical to materializing the
 /// decomposition and summing, with no per-query index vector.
 ///
-/// [`new`](Self::new) compiles per-level tables once: each level's first
-/// BFS index and an exact divisor for its span `k^j` (a shift when `k` is a
-/// power of two, a multiply-shift otherwise). A query then reads
-/// everything it needs off the base-`k` digits of `lo` and `hi`, packed one
-/// digit per `⌈log2 k⌉`-bit field of a 64- or 128-bit word (for a
-/// power-of-two `k` the packed digits are the index bits themselves): the
-/// split level from
-/// the highest differing digit, each fringe's stop level from the trailing
-/// zero digits of `lo` and trailing `k − 1` digits of `hi`, and the levels
-/// that emit a covered-sibling run as digit masks walked with trailing- and
+/// Binary trees (`k = 2`) run one kernel over heap numbers, four queries in
+/// lockstep (see [`answer_into`](Self::answer_into)): every level is a
+/// shift, and a level with nothing to emit adds `-0.0`.
+///
+/// Every other `k` runs the table-driven fold. [`new`](Self::new) compiles
+/// per-level tables once: each level's first BFS index and an exact divisor
+/// for its span `k^j` (a shift when `k` is a power of two, a multiply-shift
+/// otherwise). A query then reads everything it needs off the base-`k`
+/// digits of `lo` and `hi`, packed one digit per `⌈log2 k⌉`-bit field of a
+/// 64- or 128-bit word (for a power-of-two `k` the packed digits are the
+/// index bits themselves): the split level from the highest differing
+/// digit, each fringe's stop level from the trailing zero digits of `lo`
+/// and trailing `k − 1` digits of `hi`, and the levels that emit a
+/// covered-sibling run as digit masks walked with trailing- and
 /// leading-zero counts. No division and no per-level data-dependent branch.
 #[derive(Debug, Clone)]
 pub struct SubtreeServer {
@@ -665,14 +698,18 @@ impl SubtreeServer {
     /// bit-identical to materializing the decomposition and `.sum()`ing it
     /// even in the all-negative-zero corner.
     ///
-    /// Implementation: the table-driven fold. `tests/snapshot_serving.rs`
-    /// and this module's exhaustive test pin it to the bit against a
+    /// Implementation: the binary kernel one lane wide for `k = 2`, the
+    /// table-driven fold otherwise. `tests/snapshot_serving.rs` and this
+    /// module's exhaustive tests pin both to the bit against a
     /// `-0.0`-seeded fold over [`TreeShape::subtree_decomposition`], across
     /// shapes, values, and rounding policies.
     pub fn answer(&self, values: &[f64], rounding: Rounding, target: Interval) -> f64 {
         self.check_values(values);
-        let apply = |v| rounding.apply(v);
-        if self.wide {
+        let apply = move |v| rounding.apply(v);
+        if self.shape.branching() == 2 {
+            let [answer] = self.fold_binary(values, [target], apply);
+            answer
+        } else if self.wide {
             self.fold::<u128>(values, target, apply)
         } else {
             self.fold::<u64>(values, target, apply)
@@ -829,10 +866,88 @@ impl SubtreeServer {
         acc
     }
 
+    /// The binary kernel (`k = 2`), `N` queries in lockstep. In heap
+    /// numbering (root 1, children of `m` at `2m` and `2m + 1`, BFS index
+    /// `m − 1`) leaf `x` is `x | leaves` and its level-`j` ancestor is that
+    /// shifted right by `j`. The decomposition is the node where `lo`'s
+    /// trailing zero bits stop the descent, the right siblings of `lo`'s
+    /// path at each level where `lo`'s bit is clear, deepest first, then
+    /// the left siblings of `hi`'s path where `hi`'s bit is set, shallowest
+    /// first, then the node where `hi`'s trailing one bits stop — or the
+    /// split node alone when the target is exactly its span. Each fringe
+    /// run is zero or one sibling, `(ancestor ^ 1) − 1`, and the middle run
+    /// [`Self::fold`] emits is always empty.
+    ///
+    /// Every level is visited by every lane: a lane with nothing to emit
+    /// there reads slot 0 and adds `-0.0` instead. `x + (-0.0)` is `x` bit
+    /// for bit for every `x` an addition can produce (a `+0.0` stays
+    /// `+0.0`, a `-0.0` stays `-0.0`, a quiet NaN stays itself), so each
+    /// lane adds its emitted nodes in the table fold's order, with no run
+    /// loop and no per-level data-dependent branch. The trip count is one
+    /// above the group's highest emitting level, and the lanes'
+    /// accumulators are independent, so their loads overlap.
+    #[inline(always)]
+    fn fold_binary<const N: usize>(
+        &self,
+        values: &[f64],
+        targets: [Interval; N],
+        apply: impl Fn(f64) -> f64,
+    ) -> [f64; N] {
+        let leaves = self.shape.leaves();
+        // Per lane, in heap numbering: the leaves `lo` and `hi`, the first
+        // and the last node, and the levels whose sibling a fringe emits
+        // as a bit word. An exact span emits the split node alone; the
+        // other queries emit between the fringe stops and the split's child
+        // level.
+        let (mut lo, mut hi) = ([0u64; N], [0u64; N]);
+        let (mut first, mut last) = ([0u64; N], [0u64; N]);
+        let (mut left, mut right) = ([0u64; N], [0u64; N]);
+        for (l, target) in targets.iter().enumerate() {
+            assert!(target.hi() < leaves, "target {target} outside leaf range");
+            let (a, b) = ((target.lo() | leaves) as u64, (target.hi() | leaves) as u64);
+            // One above the highest differing bit (0 when lo == hi).
+            let split = u64::BITS - (a ^ b).leading_zeros();
+            let (lo_zeros, hi_ones) = (a.trailing_zeros(), b.trailing_ones());
+            let exact = lo_zeros >= split && hi_ones >= split;
+            // Not exact implies split ≥ 2: lo and hi differ above bit 0.
+            let child = if exact { 0 } else { split - 1 };
+            let (left_stop, right_stop) = (lo_zeros.min(child), hi_ones.min(child));
+            let below = |level: u32| (1u64 << level) - 1;
+            (lo[l], hi[l]) = (a, b);
+            first[l] = (a >> if exact { split } else { left_stop }) - 1;
+            last[l] = if exact { 0 } else { (b >> right_stop) - 1 };
+            left[l] = !a & below(child) & !below(left_stop);
+            right[l] = b & below(child) & !below(right_stop);
+        }
+        let trips = (0..N).fold(0, |trips, l| {
+            trips.max(u64::BITS - (left[l] | right[l]).leading_zeros())
+        });
+        let mut acc = [-0.0f64; N];
+        let level = |word: [u64; N], j: u32| word.map(|w| ((w >> j) & 1).wrapping_neg());
+        add_masked(&mut acc, values, &apply, [u64::MAX; N], first);
+        for j in 0..trips {
+            // Where `lo`'s bit is clear, the right sibling `node + 1`: BFS
+            // index `node`.
+            let node = lo.map(|x| x >> j);
+            add_masked(&mut acc, values, &apply, level(left, j), node);
+        }
+        for j in (0..trips).rev() {
+            // Where `hi`'s bit is set, the left sibling `node − 1`: BFS
+            // index `node − 2`.
+            let node = hi.map(|x| (x >> j).wrapping_sub(2));
+            add_masked(&mut acc, values, &apply, level(right, j), node);
+        }
+        // Only an exact span has no last node; any other's is below the root.
+        let emit = last.map(|node| u64::from(node != 0).wrapping_neg());
+        add_masked(&mut acc, values, &apply, emit, last);
+        acc
+    }
+
     /// Batched [`Self::answer`] into a caller-owned buffer (resized to the
     /// batch length; zero allocations after warm-up). The value vector is
-    /// checked once per batch, and the word width and rounding policy are
-    /// dispatched once.
+    /// checked once per batch, and the rounding policy is dispatched once.
+    /// Binary trees run four queries at a time through the binary
+    /// kernel and the tail one lane wide.
     pub fn answer_into(
         &self,
         values: &[f64],
@@ -842,31 +957,39 @@ impl SubtreeServer {
     ) {
         self.check_values(values);
         out.resize(queries.len(), 0.0);
-        if self.wide {
-            self.fold_batch::<u128>(values, rounding, queries, out);
-        } else {
-            self.fold_batch::<u64>(values, rounding, queries, out);
+        match rounding {
+            Rounding::None => self.fold_batch(values, queries, out, |v| v),
+            Rounding::NonNegativeInteger => {
+                self.fold_batch(values, queries, out, move |v| rounding.apply(v))
+            }
         }
     }
 
-    fn fold_batch<W: DigitWord>(
+    fn fold_batch(
         &self,
         values: &[f64],
-        rounding: Rounding,
         queries: &[Interval],
         out: &mut [f64],
+        apply: impl Fn(f64) -> f64 + Copy,
     ) {
-        let slots = out.iter_mut().zip(queries);
-        match rounding {
-            Rounding::None => {
-                for (slot, &q) in slots {
-                    *slot = self.fold::<W>(values, q, |v| v);
-                }
+        if self.shape.branching() == 2 {
+            let mut slots = out.chunks_exact_mut(LANES);
+            let mut groups = queries.chunks_exact(LANES);
+            for (slots, group) in (&mut slots).zip(&mut groups) {
+                let group = <[Interval; LANES]>::try_from(group).expect("chunks_exact");
+                slots.copy_from_slice(&self.fold_binary(values, group, apply));
             }
-            Rounding::NonNegativeInteger => {
-                for (slot, &q) in slots {
-                    *slot = self.fold::<W>(values, q, |v| rounding.apply(v));
-                }
+            let tail = slots.into_remainder().iter_mut();
+            for (slot, &q) in tail.zip(groups.remainder()) {
+                [*slot] = self.fold_binary(values, [q], apply);
+            }
+        } else if self.wide {
+            for (slot, &q) in out.iter_mut().zip(queries) {
+                *slot = self.fold::<u128>(values, q, apply);
+            }
+        } else {
+            for (slot, &q) in out.iter_mut().zip(queries) {
+                *slot = self.fold::<u64>(values, q, apply);
             }
         }
     }

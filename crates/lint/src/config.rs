@@ -125,6 +125,8 @@ pub const HOT_FUNCTIONS: &[(&str, &[&str])] = &[
             "answer_into",
             "fold",
             "fold_batch",
+            "fold_binary",
+            "add_masked",
             "packed_digits",
             "digit_of_bit",
             "digit",

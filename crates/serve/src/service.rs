@@ -488,11 +488,6 @@ impl HistogramService {
         Self::default()
     }
 
-    /// Number of registered tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
     /// Registers a tenant and publishes its epoch-0 snapshot: the all-zeros
     /// histogram, which depends on no data and therefore spends no budget.
     pub fn register(&mut self, config: TenantConfig) -> Result<TenantId, ServeError> {

@@ -171,11 +171,13 @@ proptest! {
         height_pick in any::<u64>(),
         seed in any::<u64>(),
         rounded in any::<bool>(),
+        len_pick in 0usize..=10,
     ) {
-        // The table-driven fold must visit the same decomposition nodes in
-        // the same left-to-right order as the recursive fold, so the
-        // -0.0-seeded accumulation agrees bit for bit. Heights reach 14 for
-        // binary trees (trees stay at or below 2^13 leaves for every k).
+        // Both folds (the binary kernel for k = 2, the table-driven fold
+        // otherwise) must visit the same decomposition nodes in the same
+        // left-to-right order as the recursive fold, so the -0.0-seeded
+        // accumulation agrees bit for bit. Heights reach 14 for binary
+        // trees (trees stay at or below 2^13 leaves for every k).
         let mut max_height = 1;
         while k.pow(max_height as u32) <= 1 << 13 {
             max_height += 1;
@@ -185,7 +187,25 @@ proptest! {
         let values = random_values(shape.nodes(), seed);
         let server = SubtreeServer::new(&shape);
         let rounding = if rounded { Rounding::NonNegativeInteger } else { Rounding::None };
-        let queries = boundary_mixed_queries(&shape, 96, seed ^ 0x17E2);
+        // Batches of 0..=9 queries run the empty batch and every partial
+        // group of the binary kernel's four lanes; 96 runs full groups.
+        let len = if len_pick == 10 { 96 } else { len_pick };
+        let mut queries = boundary_mixed_queries(&shape, len, seed ^ 0x17E2);
+        if len >= 4 {
+            // One group of four holds an exact span, a single leaf and the
+            // whole domain, lanes that emit one node beside a deeper split.
+            let mut rng = rng_from_seed(seed ^ 0x4A7E);
+            let n = shape.leaves();
+            let span = k.pow(rng.random_range(0..height) as u32);
+            let c = rng.random_range(0..n / span);
+            let leaf = rng.random_range(0..n);
+            let group = 4 * rng.random_range(0..len / 4);
+            queries[group..group + 3].copy_from_slice(&[
+                Interval::new(c * span, (c + 1) * span - 1),
+                Interval::new(leaf, leaf),
+                Interval::new(0, n - 1),
+            ]);
+        }
         let mut batch = Vec::new();
         server.answer_into(&values, rounding, &queries, &mut batch);
         for (&q, served) in queries.iter().zip(&batch) {
